@@ -8,8 +8,8 @@ J_i by a spectral radius, rho_i* by value iteration.  Two search routines:
 * best_response_dynamics -- damped alternating replies with annealed logit
   smoothing; fast when it converges, but convergence is not guaranteed for
   nonzero-sum games, so every run ends with an independent certificate.
-* brute_force_nash -- exhaustive simplex-grid enumeration; slow but
-  existence-aware, and the backstop when dynamics cycle.
+* brute_force_nash -- exhaustive simplex-grid enumeration; existence-aware,
+  and the backstop when dynamics cycle.
 """
 import rsgame as rs
 

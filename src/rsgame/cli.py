@@ -425,3 +425,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 3
     return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -56,6 +56,8 @@ DEFAULT_EPS_TARGET = 1e-6
 CYCLE_WINDOW = 50
 #: hard cap on the number of grid pairs brute force will enumerate
 MAX_GRID_PAIRS = 10_000_000
+#: grid pairs evaluated per brute-force chunk, bounding its memory
+CHUNK_PAIRS = 250_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,48 +328,64 @@ def _strategy_maps(n_states: int, points: np.ndarray) -> np.ndarray:
     return points[combos]
 
 
-def _batched_rho(instance, player, opponent_maps, tol, max_iter):
-    """Optimal ergodic value against every opponent strategy map at once.
+def _log_mix(log_table: np.ndarray, log_weights: np.ndarray, axis: int) -> np.ndarray:
+    """Weighted log-sum-exp: ln sum_k w_k e^{log_table_k} over one axis.
 
-    Vectorized relative value iteration in linear space (desk-scale only:
-    entries are at most e^{theta*c_bar}).  Returns (rho[s], iterations).
+    log_weights broadcasts against log_table; a zero weight enters as -inf
+    and drops out.  Callers guarantee a finite term in every sum (strictly
+    positive transitions and weights summing to one).
     """
-    lt = np.exp(log_twisted_tensor(instance, player))  # [x,a,b,y]
-    if player == 2:
-        m = np.einsum("sxa,xaby->sxby", opponent_maps, lt)
-    else:
-        m = np.einsum("sxb,xaby->sxay", opponent_maps, lt)
-    n_maps, nx = m.shape[0], m.shape[1]
-    anchor = instance.anchor_state
-    v = np.zeros((n_maps, nx))
-    for it in range(1, int(max_iter) + 1):
-        tv = np.log(np.einsum("sxky,sy->sxk", m, np.exp(v))).min(axis=2)
+    # the mixed axis goes first: reductions over a short inner axis are slow
+    z = np.ascontiguousarray(np.moveaxis(log_table + log_weights, axis, 0))
+    top = z.max(axis=0)
+    z -= top
+    np.exp(z, out=z)
+    return np.log(z.sum(axis=0)) + top
+
+
+def _batched_rvi(log_kernel: np.ndarray, anchor: int, tol: float) -> np.ndarray:
+    """Optimal ergodic value for a stack of log kernels L[n, x, own action, y].
+
+    Relative value iteration on (Tv)(x) = min_k ln sum_y e^{L(x,k,y) + v(y)},
+    run on per-row shifted kernels K = e^{L - s} <= 1 with s the row max, so
+    each sweep is ln(K @ e^{v - max v}) + s + max v and nothing overflows.
+    Within one mixed term, e^{theta*c} and the mixing weight scale every
+    next state alike, so K is at least the smallest transition entry, and
+    each row sum (its term at the argmax of v is K itself) stays a normal
+    float.  With one own action the value is the log Perron root.
+    """
+    shift = log_kernel.max(axis=-1)
+    kernel = np.exp(log_kernel - shift[..., None])
+    v = np.zeros(log_kernel.shape[:2])
+    for _ in range(DEFAULT_MAX_ITER):
+        top = v.max(axis=1)
+        sums = np.einsum("nxky,ny->nxk", kernel, np.exp(v - top[:, None]))
+        tv = (np.log(sums) + shift).min(axis=2) + top[:, None]
         v_next = tv - tv[:, anchor][:, None]
         diff = v_next - v
-        residual = (diff.max(axis=1) - diff.min(axis=1)).max()
         v = v_next
-        if residual < tol:
-            return tv[:, anchor], it
-    raise RuntimeError(f"batched value iteration did not converge in {max_iter} steps")
+        if (diff.max(axis=1) - diff.min(axis=1)).max() < tol:
+            return tv[:, anchor]
+    raise RuntimeError(
+        f"batched value iteration did not converge in {DEFAULT_MAX_ITER} steps"
+    )
 
 
-def _batched_log_radius(qs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """ln spectral radius for a stack of positive matrices (power iteration)."""
-    n, nx = qs.shape[0], qs.shape[1]
-    u = np.ones((n, nx))
-    lam = np.zeros(n)
-    for _ in range(100_000):
-        nxt = np.einsum("nxy,ny->nx", qs, u)
-        lam_next = nxt.max(axis=1)
-        nxt /= lam_next[:, None]
-        done = (
-            np.abs(lam_next - lam).max() < tol * max(1.0, lam_next.max())
-            and np.abs(nxt - u).max() < tol
-        )
-        u, lam = nxt, lam_next
-        if done:
-            return np.log(lam)
-    raise RuntimeError("batched power iteration did not converge")
+def _log_perron(log_q: np.ndarray, anchor: int) -> np.ndarray:
+    """ln spectral radius of each positive matrix e^{log_q[n]}.
+
+    Two states take the closed form of the larger eigenvalue, scaled by
+    m = max(a, d, (b+c)/2) over the log entries [[a, b], [c, d]]; the
+    discriminant is a sum of nonnegative terms, so nothing cancels.  Other
+    sizes run single-action relative value iteration.
+    """
+    if log_q.shape[1] != 2:
+        return _batched_rvi(log_q[:, :, None, :], anchor, DEFAULT_TOL)
+    a, b, c, d = log_q[:, 0, 0], log_q[:, 0, 1], log_q[:, 1, 0], log_q[:, 1, 1]
+    m = np.maximum(np.maximum(a, d), 0.5 * (b + c))
+    ea, ed = np.exp(a - m), np.exp(d - m)
+    root = 0.5 * (ea + ed) + np.sqrt(0.25 * (ea - ed) ** 2 + np.exp(b + c - 2 * m))
+    return m + np.log(root)
 
 
 def brute_force_nash(
@@ -375,7 +393,6 @@ def brute_force_nash(
     grid_step: float = 0.05,
     eps: float = 0.05,
     tol: float = DEFAULT_TOL,
-    chunk_pairs: int = 250_000,
 ) -> BruteForceResult:
     """Enumerate a per-state simplex grid and certify every strategy pair.
 
@@ -383,8 +400,9 @@ def brute_force_nash(
     weights in multiples of grid_step; every resulting pair is certified via
     its spectral values against the grid-free best responses, and all pairs
     with max(eps1, eps2) <= eps are returned sorted by gap.  The enumeration
-    is refused above MAX_GRID_PAIRS pairs.  Pair evaluation runs in chunks
-    of chunk_pairs to bound memory.
+    is refused above MAX_GRID_PAIRS pairs.  Kernels are mixed in log space
+    and values taken on row-shifted kernels, so large theta * cost cannot
+    overflow; pairs are evaluated in chunks of CHUNK_PAIRS to bound memory.
     """
     require_solvable(instance)
     points_a = _simplex_grid(instance.n_actions_a, grid_step)
@@ -396,42 +414,48 @@ def brute_force_nash(
         raise ValueError(
             f"grid too large: {s1} x {s2} = {s1 * s2} pairs exceeds {MAX_GRID_PAIRS}"
         )
+    anchor = instance.anchor_state
+    with np.errstate(divide="ignore"):
+        log_phi, log_psi = np.log(maps_a), np.log(maps_b)  # [map, x, action]
+    lt1 = log_twisted_tensor(instance, 1)
+    lt2 = log_twisted_tensor(instance, 2)
+    # each Phi map mixed into both tables once: [i, x, b, y]; the player-2
+    # table is also the kernel of player 2's reply to Phi
+    by_phi1 = _log_mix(lt1, log_phi[..., None, None], axis=2)
+    by_phi2 = _log_mix(lt2, log_phi[..., None, None], axis=2)
 
     # best-response values: rho1*[j] against every Psi map, rho2*[i] against
     # every Phi map — grid-free, so gaps are measured against all deviations
-    rho1_star, _ = _batched_rho(instance, 1, maps_b, tol, DEFAULT_MAX_ITER)
-    rho2_star, _ = _batched_rho(instance, 2, maps_a, tol, DEFAULT_MAX_ITER)
+    rho1_star = _batched_rvi(
+        _log_mix(lt1, log_psi[:, :, None, :, None], axis=3), anchor, tol
+    )
+    rho2_star = _batched_rvi(by_phi2, anchor, tol)
 
-    w1 = np.exp(instance.theta * instance.cost1)[..., None] * instance.transition
-    w2 = np.exp(instance.theta * instance.cost2)[..., None] * instance.transition
-    survivors: list[tuple[float, int, int, float, float, float, float]] = []
-    pair_index = np.arange(s1 * s2)
-    for start in range(0, s1 * s2, int(chunk_pairs)):
-        idx = pair_index[start : start + int(chunk_pairs)]
+    kept = []
+    for start in range(0, s1 * s2, CHUNK_PAIRS):
+        idx = np.arange(start, min(start + CHUNK_PAIRS, s1 * s2))
         i, j = idx // s2, idx % s2
-        q1 = np.einsum("nxa,nxb,xaby->nxy", maps_a[i], maps_b[j], w1, optimize=True)
-        q2 = np.einsum("nxa,nxb,xaby->nxy", maps_a[i], maps_b[j], w2, optimize=True)
-        j1 = _batched_log_radius(q1)
-        j2 = _batched_log_radius(q2)
-        eps1 = j1 - rho1_star[j]
-        eps2 = j2 - rho2_star[i]
-        keep = np.maximum(eps1, eps2) <= eps
-        for n in np.flatnonzero(keep):
-            survivors.append(
-                (float(max(eps1[n], eps2[n])), int(i[n]), int(j[n]),
-                 float(j1[n]), float(j2[n]), float(eps1[n]), float(eps2[n]))
-            )
+        psi_j = log_psi[j][..., None]
+        j1 = _log_perron(_log_mix(by_phi1[i], psi_j, axis=2), anchor)
+        j2 = _log_perron(_log_mix(by_phi2[i], psi_j, axis=2), anchor)
+        keep = np.maximum(j1 - rho1_star[j], j2 - rho2_star[i]) <= eps
+        kept.append((idx[keep], j1[keep], j2[keep]))
 
-    survivors.sort(key=lambda t: t[0])
+    # survivors in pair order, then a stable sort by gap
+    idx, j1, j2 = map(np.concatenate, zip(*kept))
+    i, j = idx // s2, idx % s2
+    eps1 = j1 - rho1_star[j]
+    eps2 = j2 - rho2_star[i]
+    order = np.argsort(np.maximum(eps1, eps2), kind="stable")
+    phis = {k: StationaryStrategy(1, maps_a[k]) for k in np.unique(i).tolist()}
+    psis = {k: StationaryStrategy(2, maps_b[k]) for k in np.unique(j).tolist()}
+    columns = (i, j, j1, j2, rho1_star[j], rho2_star[i], eps1, eps2)
     certificates = [
         NashCertificate(
-            Phi=StationaryStrategy(1, maps_a[i]),
-            Psi=StationaryStrategy(2, maps_b[j]),
-            J1=j1, J2=j2,
-            rho1_star=float(rho1_star[j]), rho2_star=float(rho2_star[i]),
-            eps1=e1, eps2=e2,
+            Phi=phis[a], Psi=psis[b], J1=v1, J2=v2,
+            rho1_star=r1, rho2_star=r2, eps1=e1, eps2=e2,
         )
-        for _, i, j, j1, j2, e1, e2 in survivors
+        for a, b, v1, v2, r1, r2, e1, e2 in zip(*(c[order].tolist() for c in columns))
     ]
     if instance.arat is None:
         guaranteed = False

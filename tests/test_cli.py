@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +77,20 @@ class TestValidateCommand:
         # every check is present with a status
         assert set(report["checks"]) == {"1", "2(i)", "2(ii)", "3.1", "3.2", "4.1", "4.2"}
         assert all(c["status"] == "PASS" for c in report["checks"].values())
+
+    @pytest.mark.parametrize("module", ["rsgame", "rsgame.cli"])
+    def test_module_entry_point(self, g2_path, module):
+        src = str(Path(rs.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", module, "validate", "--instance", g2_path],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        assert report["command"] == "validate"
+        assert report["passed"] is True
 
     def test_failing_instance_exits_1_and_names_assumptions(self, tmp_path, capsys):
         t = np.zeros((2, 1, 1, 2))

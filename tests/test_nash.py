@@ -251,6 +251,60 @@ class TestBruteForce:
         assert len(loose) > 0
         assert loose[0].max_gap <= 0.5
 
+    def test_cost_shift_past_overflow_shifts_values(self, g2):
+        # every cost component + k/2, so each cost is + k and every value
+        # + theta*k; e^{theta*c} ~ e^800 is beyond the float range
+        k = 800.0 / g2.theta
+        a = g2.arat
+        shifted = rs.assemble_from_arat(
+            rs.AratStructure(
+                p1=a.p1, p2=a.p2, c11=a.c11 + k / 2, c21=a.c21 + k / 2,
+                c12=a.c12 + k / 2, c22=a.c22 + k / 2,
+            ),
+            theta=g2.theta, anchor_state=g2.anchor_state,
+        )
+        base = rs.brute_force_nash(g2, grid_step=0.25, eps=0.3)
+        high = rs.brute_force_nash(shifted, grid_step=0.25, eps=0.3)
+        assert high.existence_guaranteed
+
+        def by_pair(result):
+            return {(c.Phi.rows.tobytes(), c.Psi.rows.tobytes()): c for c in result}
+
+        base_pairs, high_pairs = by_pair(base), by_pair(high)
+        assert len(base_pairs) == len(base) > 3
+        assert high_pairs.keys() == base_pairs.keys()
+        for key, c in base_pairs.items():
+            h = high_pairs[key]
+            assert h.eps1 == pytest.approx(c.eps1, abs=1e-9)
+            assert h.eps2 == pytest.approx(c.eps2, abs=1e-9)
+            assert h.J1 == pytest.approx(c.J1 + 800.0, abs=1e-9)
+            assert h.J2 == pytest.approx(c.J2 + 800.0, abs=1e-9)
+
+    def test_three_states_match_oracles(self):
+        inst = rs.random_instance(5, dims=(3, 2, 2))
+        result = rs.brute_force_nash(inst, grid_step=0.5, eps=0.1)
+        assert result.searched_pairs == 729
+        assert len(result) > 0
+        for c in result:
+            fresh = rs.epsilon_gap(inst, c.Phi, c.Psi)
+            assert c.J1 == pytest.approx(rs.ergodic_cost(inst, 1, c.Phi, c.Psi), abs=1e-9)
+            assert c.J2 == pytest.approx(rs.ergodic_cost(inst, 2, c.Phi, c.Psi), abs=1e-9)
+            assert c.eps1 == pytest.approx(fresh.eps1, abs=1e-9)
+            assert c.eps2 == pytest.approx(fresh.eps2, abs=1e-9)
+
+    def test_two_state_root_near_degenerate_eigenvalues(self):
+        # one action each, twisted matrix [[1, 2e-3], [1e-3, 1]]: eigenvalues
+        # 1 +- 1.4e-3, so power iteration crawls at ratio ~0.997
+        q = np.array([[1.0, 2e-3], [1e-3, 1.0]])
+        rows = q.sum(axis=1)
+        t = (q / rows[:, None])[:, None, None, :]
+        c = np.log(rows)[:, None, None]
+        inst = rs.GameInstance(t, c, c)
+        (cert,) = rs.brute_force_nash(inst, grid_step=0.5, eps=1.0)
+        ln_r, _ = rs.perron_value(rs.twisted_matrix(inst, 1, cert.Phi, cert.Psi))
+        assert cert.J1 == pytest.approx(ln_r, abs=1e-9)
+        assert cert.J1 == pytest.approx(np.log(np.linalg.eigvals(q).real.max()), abs=1e-13)
+
 
 class TestCertificateSerialization:
     def test_roundtrip(self, g2, g2_uniform):

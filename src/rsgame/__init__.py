@@ -29,6 +29,7 @@ from .game_model import (
     ModelDiagnostics,
     StationaryStrategy,
     assemble_from_arat,
+    check_strategy,
     compute_delta,
     compute_kappa,
     g2_instance,
@@ -68,13 +69,11 @@ from .spectral import (
 )
 from .transforms import (
     MixedEvaluation,
-    TwistedKernel,
     frozen_pair_instance,
+    log_twisted_tensor,
     mix_transition,
     normalized_kernel,
-    normalizer,
     relative_entropy,
-    twist,
     twisted_measure,
 )
 
@@ -82,17 +81,17 @@ __all__ = [
     "AratStructure", "AssumptionCheck", "AssumptionError", "BestResponse",
     "BruteForceResult", "GameInstance", "McEstimate", "MixedEvaluation",
     "ModelDiagnostics", "NashCertificate", "SolveResult",
-    "StationaryStrategy", "Trajectory", "TwistedKernel", "TwistedMatrix",
+    "StationaryStrategy", "Trajectory", "TwistedMatrix",
     "action_values", "apply_T", "assemble_from_arat", "best_response",
-    "best_response_dynamics", "brute_force_nash", "compute_delta",
-    "compute_kappa", "dual_value", "epsilon_gap", "ergodic_cost",
-    "finite_horizon_growth", "frozen_pair_instance", "g2_instance",
-    "horizon_log_mgf", "instance_digest", "instance_from_dict",
-    "instance_to_dict", "load_instance", "load_strategy", "mc_cost_estimate",
-    "measured_contraction", "mix_transition", "mixed_objective",
-    "normalized_kernel", "normalizer", "perron_value", "pure_strategy",
+    "best_response_dynamics", "brute_force_nash", "check_strategy",
+    "compute_delta", "compute_kappa", "dual_value", "epsilon_gap",
+    "ergodic_cost", "finite_horizon_growth", "frozen_pair_instance",
+    "g2_instance", "horizon_log_mgf", "instance_digest", "instance_from_dict",
+    "instance_to_dict", "load_instance", "load_strategy", "log_twisted_tensor",
+    "mc_cost_estimate", "measured_contraction", "mix_transition",
+    "mixed_objective", "normalized_kernel", "perron_value", "pure_strategy",
     "random_instance", "relative_entropy", "require_solvable", "sample_path",
     "save_instance", "save_strategy", "solve_optimality", "span",
-    "strategy_from_dict", "strategy_to_dict", "twist", "twisted_matrix",
+    "strategy_from_dict", "strategy_to_dict", "twisted_matrix",
     "twisted_measure", "uniform_strategy", "validate", "verify_certificate",
 ]

@@ -15,19 +15,21 @@ anchors iterates at the instance's anchor state and stops on the span of
 successive differences, yielding the optimal ergodic value rho and the
 relative value function v with v(anchor) = 0.
 
-Everything is evaluated with log-sum-exp so large theta * cost products
-cannot overflow.
+Every sweep runs on row-shifted kernels K = e^{ln M - rowmax} <= 1 as
+ln(K e^{v - max v}) + rowmax + max v, so large theta * cost products cannot
+overflow.  One batched relative value iteration serves single solves here
+and whole stacks of kernels in the brute-force search.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .game_model import (
     GameInstance,
     StationaryStrategy,
+    check_strategy,
     require_solvable,
 )
 from .transforms import log_twisted_tensor, normalized_kernel, relative_entropy, twisted_measure
@@ -47,7 +49,9 @@ class SolveResult:
     rho is the optimal ergodic value, v the relative value function with
     v[anchor] = 0, selector a per-state minimizing pure action (lowest index
     among ties), residual the final span of successive differences, and
-    iterations the number of operator applications.
+    iterations the number of operator applications.  From
+    :func:`relative_value_iteration` on a stack of kernels, rho, v and
+    selector carry the stack's leading axes.
     """
 
     rho: float
@@ -66,31 +70,39 @@ def span(v) -> float:
     return float(v.max() - v.min())
 
 
-def _opponent_axis(player: int) -> int:
-    if player not in (1, 2):
-        raise ValueError(f"player must be 1 or 2, got {player!r}")
-    return 2 if player == 1 else 1
-
-
 def _log_mixed_kernel(
     instance: GameInstance, player: int, opponent: StationaryStrategy
 ) -> np.ndarray:
-    """ln M[x, own-action, y]: twisted kernel with the opponent mixed in."""
-    axis = _opponent_axis(player)
-    if opponent.player == player:
-        raise ValueError(f"opponent strategy belongs to player {opponent.player}")
-    n_opp = instance.n_actions_b if player == 1 else instance.n_actions_a
-    if opponent.rows.shape != (instance.n_states, n_opp):
-        raise ValueError(
-            f"opponent rows {opponent.rows.shape} do not match "
-            f"({instance.n_states}, {n_opp})"
-        )
-    lt = log_twisted_tensor(instance, player)
-    with np.errstate(divide="ignore"):
-        lw = np.log(opponent.rows)
-    shape = [1, 1, 1, 1]
-    shape[0], shape[axis] = instance.n_states, n_opp
-    return logsumexp(lt + lw.reshape(shape), axis=axis)
+    """ln M[x, own action, y]: twisted kernel with the opponent mixed in."""
+    if player not in (1, 2):
+        raise ValueError(f"player must be 1 or 2, got {player!r}")
+    rows = check_strategy(instance, opponent, 3 - player)
+    if player == 1:
+        return log_twisted_tensor(instance, 1, psi=rows)
+    return log_twisted_tensor(instance, 2, phi=rows)
+
+
+def _shifted(log_kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K, s) with e^{log_kernel} = e^s K, s the row max and K <= 1.
+
+    A row of e^{log_kernel} is a combination sum_t w_t P_t of transition
+    rows with weights w_t > 0, so it lies between W min P and W (W = sum_t
+    w_t).  K is then at least the smallest transition entry, and each sum of
+    K e^{v - max v} (which holds K itself at the argmax of v) stays a normal
+    float for any theta * cost.
+    """
+    shift = log_kernel.max(axis=-1)
+    return np.exp(log_kernel - shift[..., None]), shift
+
+
+def _sweep(kernel: np.ndarray, shift: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Action values ln sum_y e^{s} K(x, k, y) e^{v(y)}, [..., x, k].
+
+    v [..., y] broadcasts against the kernel's leading axes.
+    """
+    top = v.max(axis=-1)
+    sums = np.einsum("...xky,...y->...xk", kernel, np.exp(v - top[..., None]))
+    return np.log(sums) + shift + top[..., None, None]
 
 
 def action_values(
@@ -103,12 +115,8 @@ def action_values(
 
     Entry (x, k) is ln sum_y M(x,k,y) e^{v(y)}; (Tv)(x) is its row minimum.
     """
-    ln_m = _log_mixed_kernel(instance, player, opponent_strategy)
-    return _values_from_kernel(ln_m, np.asarray(v, dtype=float))
-
-
-def _values_from_kernel(ln_m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return logsumexp(ln_m + v, axis=-1)
+    kernel, shift = _shifted(_log_mixed_kernel(instance, player, opponent_strategy))
+    return _sweep(kernel, shift, np.asarray(v, dtype=float))
 
 
 def apply_T(
@@ -139,9 +147,8 @@ def mixed_objective(
     """
     ev = normalized_kernel(instance, player, x, phi, psi)
     v = np.asarray(v, dtype=float)
-    with np.errstate(divide="ignore"):
-        log_p = np.log(ev.p_hat)
-    return ev.c_hat + float(logsumexp(log_p + v))
+    top = v.max()
+    return ev.c_hat + float(np.log(ev.p_hat @ np.exp(v - top)) + top)
 
 
 def dual_value(instance: GameInstance, player: int, x: int, phi, psi, v) -> float:
@@ -156,6 +163,48 @@ def dual_value(instance: GameInstance, player: int, x: int, phi, psi, v) -> floa
     v = np.asarray(v, dtype=float)
     mu = twisted_measure(ev.p_hat, v)
     return ev.c_hat + float(mu @ v) - relative_entropy(mu, ev.p_hat)
+
+
+def relative_value_iteration(
+    log_kernel: np.ndarray,
+    anchor: int,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    v0: np.ndarray | None = None,
+) -> SolveResult:
+    """Relative value iteration on a stack of log kernels L[..., x, k, y].
+
+    Iterates v <- Tv - (Tv)(anchor), with (Tv)(x) = min_k ln sum_y
+    e^{L(x,k,y) + v(y)}, from v0 (zero by default) until the span of
+    successive differences is below tol for every kernel in the stack, then
+    reads rho = (Tv)(anchor) and the selector off one more sweep.  The
+    result's rho, v and selector carry the stack's leading axes; residual is
+    the largest span over the stack.  With one own action rho is the log
+    Perron root of e^L.
+    """
+    kernel, shift = _shifted(log_kernel)
+    v = np.zeros(log_kernel.shape[:-2]) if v0 is None else v0 - v0[..., anchor, None]
+    residual = np.inf
+    converged = False
+    iterations = 0
+    for iterations in range(1, int(max_iter) + 1):
+        tv = _sweep(kernel, shift, v).min(axis=-1)
+        v_next = tv - tv[..., anchor, None]
+        diff = v_next - v
+        residual = float((diff.max(axis=-1) - diff.min(axis=-1)).max())
+        v = v_next
+        if residual < tol:
+            converged = True
+            break
+    vals = _sweep(kernel, shift, v)
+    return SolveResult(
+        rho=vals.min(axis=-1)[..., anchor],
+        v=v,
+        selector=vals.argmin(axis=-1),
+        residual=residual,
+        iterations=iterations,
+        converged=converged,
+    )
 
 
 def solve_optimality(
@@ -188,36 +237,12 @@ def solve_optimality(
         raise ValueError(f"tol must be > 0, got {tol!r}")
     require_solvable(instance)
     ln_m = _log_mixed_kernel(instance, player, opponent_strategy)
-    anchor = instance.anchor_state
-    if v0 is None:
-        v = np.zeros(instance.n_states)
-    else:
-        v = np.asarray(v0, dtype=float)
-        if v.shape != (instance.n_states,):
-            raise ValueError(f"v0 shape {v.shape} != ({instance.n_states},)")
-        v = v - v[anchor]
-    residual = np.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, int(max_iter) + 1):
-        tv = _values_from_kernel(ln_m, v).min(axis=1)
-        v_next = tv - tv[anchor]
-        residual = span(v_next - v)
-        v = v_next
-        if residual < tol:
-            converged = True
-            break
-    vals = _values_from_kernel(ln_m, v)
-    tv = vals.min(axis=1)
-    selector = vals.argmin(axis=1)
-    return SolveResult(
-        rho=float(tv[anchor]),
-        v=v,
-        selector=selector,
-        residual=residual,
-        iterations=iterations,
-        converged=converged,
-    )
+    if v0 is not None:
+        v0 = np.asarray(v0, dtype=float)
+        if v0.shape != (instance.n_states,):
+            raise ValueError(f"v0 shape {v0.shape} != ({instance.n_states},)")
+    result = relative_value_iteration(ln_m, instance.anchor_state, tol, max_iter, v0)
+    return replace(result, rho=float(result.rho))
 
 
 def measured_contraction(
@@ -242,11 +267,11 @@ def measured_contraction(
         raise ValueError("span_cap must be > 0")
     if instance.n_states == 1:
         return 0.0  # every Tv is a scalar; the ratio is identically zero
-    ln_m = _log_mixed_kernel(instance, player, opponent_strategy)
+    kernel, shift = _shifted(_log_mixed_kernel(instance, player, opponent_strategy))
     rng = np.random.default_rng(seed)
 
     def batch_tv(vs: np.ndarray) -> np.ndarray:
-        return logsumexp(ln_m[None] + vs[:, None, None, :], axis=-1).min(axis=-1)
+        return _sweep(kernel, shift, vs).min(axis=-1)
 
     worst = 0.0
     remaining = int(n_pairs)

@@ -32,6 +32,7 @@ from .game_model import (
     AssumptionError,
     GameInstance,
     StationaryStrategy,
+    check_strategy,
     dumps_decimal,
     g2_instance,
     instance_digest,
@@ -84,11 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="override the instance's risk-sensitivity parameter",
             )
         sp.add_argument("-o", "--output", default=None, help="write the report here")
-        sp.add_argument(
-            "--threads", type=int, default=None,
-            help="worker-thread cap, recorded in the report (the reference "
-            "implementation computes in-process with numpy)",
-        )
 
     sp = sub.add_parser("validate", help="check the standing model assumptions")
     common(sp)
@@ -174,17 +170,10 @@ def _resolve_strategy(spec: str, instance: GameInstance, player: int) -> Station
     if spec == "uniform":
         return uniform_strategy(instance, player)
     strategy = strategy_from_dict(_load_json(spec))
-    if strategy.player != player:
-        raise ValueError(
-            f"{spec}: expected a strategy for player {player}, "
-            f"file declares player {strategy.player}"
-        )
-    n = instance.n_actions_a if player == 1 else instance.n_actions_b
-    if strategy.rows.shape != (instance.n_states, n):
-        raise ValueError(
-            f"{spec}: rows {strategy.rows.shape} do not match the instance "
-            f"({instance.n_states} states, {n} actions)"
-        )
+    try:
+        check_strategy(instance, strategy, player)
+    except ValueError as e:
+        raise ValueError(f"{spec}: {e}") from e
     return strategy
 
 

@@ -209,6 +209,28 @@ class StationaryStrategy:
         return self.rows.shape[0]
 
 
+def check_strategy(
+    instance: GameInstance, strategy: StationaryStrategy, player: int
+) -> np.ndarray:
+    """The strategy's rows, once it is known to be player's and to fit the instance.
+
+    Raises:
+        ValueError: if the strategy belongs to the other player or its rows
+            are not [n_states][player's action count].
+    """
+    if strategy.player != player:
+        raise ValueError(
+            f"strategy belongs to player {strategy.player}, expected player {player}"
+        )
+    n = instance.n_actions_a if player == 1 else instance.n_actions_b
+    if strategy.rows.shape != (instance.n_states, n):
+        raise ValueError(
+            f"player {player} rows {strategy.rows.shape} do not match the instance "
+            f"({instance.n_states} states, {n} actions)"
+        )
+    return strategy.rows
+
+
 def uniform_strategy(instance: GameInstance, player: int) -> StationaryStrategy:
     """Uniform randomization over the player's actions in every state."""
     n = instance.n_actions_a if player == 1 else instance.n_actions_b

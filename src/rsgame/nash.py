@@ -33,6 +33,7 @@ from .bellman import (
     SolveResult,
     action_values,
     apply_T,
+    relative_value_iteration,
     solve_optimality,
 )
 from .game_model import (
@@ -343,32 +344,14 @@ def _log_mix(log_table: np.ndarray, log_weights: np.ndarray, axis: int) -> np.nd
     return np.log(z.sum(axis=0)) + top
 
 
-def _batched_rvi(log_kernel: np.ndarray, anchor: int, tol: float) -> np.ndarray:
-    """Optimal ergodic value for a stack of log kernels L[n, x, own action, y].
-
-    Relative value iteration on (Tv)(x) = min_k ln sum_y e^{L(x,k,y) + v(y)},
-    run on per-row shifted kernels K = e^{L - s} <= 1 with s the row max, so
-    each sweep is ln(K @ e^{v - max v}) + s + max v and nothing overflows.
-    Within one mixed term, e^{theta*c} and the mixing weight scale every
-    next state alike, so K is at least the smallest transition entry, and
-    each row sum (its term at the argmax of v is K itself) stays a normal
-    float.  With one own action the value is the log Perron root.
-    """
-    shift = log_kernel.max(axis=-1)
-    kernel = np.exp(log_kernel - shift[..., None])
-    v = np.zeros(log_kernel.shape[:2])
-    for _ in range(DEFAULT_MAX_ITER):
-        top = v.max(axis=1)
-        sums = np.einsum("nxky,ny->nxk", kernel, np.exp(v - top[:, None]))
-        tv = (np.log(sums) + shift).min(axis=2) + top[:, None]
-        v_next = tv - tv[:, anchor][:, None]
-        diff = v_next - v
-        v = v_next
-        if (diff.max(axis=1) - diff.min(axis=1)).max() < tol:
-            return tv[:, anchor]
-    raise RuntimeError(
-        f"batched value iteration did not converge in {DEFAULT_MAX_ITER} steps"
-    )
+def _rvi_values(log_kernel: np.ndarray, anchor: int, tol: float) -> np.ndarray:
+    """Optimal ergodic values of a stack of log kernels L[n, x, own action, y]."""
+    result = relative_value_iteration(log_kernel, anchor, tol)
+    if not result.converged:
+        raise RuntimeError(
+            f"batched value iteration did not converge in {DEFAULT_MAX_ITER} steps"
+        )
+    return result.rho
 
 
 def _log_perron(log_q: np.ndarray, anchor: int) -> np.ndarray:
@@ -380,7 +363,7 @@ def _log_perron(log_q: np.ndarray, anchor: int) -> np.ndarray:
     sizes run single-action relative value iteration.
     """
     if log_q.shape[1] != 2:
-        return _batched_rvi(log_q[:, :, None, :], anchor, DEFAULT_TOL)
+        return _rvi_values(log_q[:, :, None, :], anchor, DEFAULT_TOL)
     a, b, c, d = log_q[:, 0, 0], log_q[:, 0, 1], log_q[:, 1, 0], log_q[:, 1, 1]
     m = np.maximum(np.maximum(a, d), 0.5 * (b + c))
     ea, ed = np.exp(a - m), np.exp(d - m)
@@ -416,20 +399,16 @@ def brute_force_nash(
         )
     anchor = instance.anchor_state
     with np.errstate(divide="ignore"):
-        log_phi, log_psi = np.log(maps_a), np.log(maps_b)  # [map, x, action]
-    lt1 = log_twisted_tensor(instance, 1)
-    lt2 = log_twisted_tensor(instance, 2)
-    # each Phi map mixed into both tables once: [i, x, b, y]; the player-2
-    # table is also the kernel of player 2's reply to Phi
-    by_phi1 = _log_mix(lt1, log_phi[..., None, None], axis=2)
-    by_phi2 = _log_mix(lt2, log_phi[..., None, None], axis=2)
+        log_psi = np.log(maps_b)  # [map, x, action]
+    # each Phi map mixed into both players' kernels once: [i, x, b, y]; the
+    # player-2 kernel is also the kernel of player 2's reply to Phi
+    by_phi1 = log_twisted_tensor(instance, 1, phi=maps_a)
+    by_phi2 = log_twisted_tensor(instance, 2, phi=maps_a)
 
     # best-response values: rho1*[j] against every Psi map, rho2*[i] against
     # every Phi map — grid-free, so gaps are measured against all deviations
-    rho1_star = _batched_rvi(
-        _log_mix(lt1, log_psi[:, :, None, :, None], axis=3), anchor, tol
-    )
-    rho2_star = _batched_rvi(by_phi2, anchor, tol)
+    rho1_star = _rvi_values(log_twisted_tensor(instance, 1, psi=maps_b), anchor, tol)
+    rho2_star = _rvi_values(by_phi2, anchor, tol)
 
     kept = []
     for start in range(0, s1 * s2, CHUNK_PAIRS):

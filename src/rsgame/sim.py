@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .game_model import GameInstance, StationaryStrategy
+from .game_model import GameInstance, StationaryStrategy, check_strategy
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,15 +52,6 @@ class McEstimate:
     seed: int
 
 
-def _check_pair(instance, Phi, Psi):
-    if Phi.player != 1 or Psi.player != 2:
-        raise ValueError("Phi must belong to player 1 and Psi to player 2")
-    if Phi.rows.shape != (instance.n_states, instance.n_actions_a):
-        raise ValueError(f"Phi rows {Phi.rows.shape} do not match the instance")
-    if Psi.rows.shape != (instance.n_states, instance.n_actions_b):
-        raise ValueError(f"Psi rows {Psi.rows.shape} do not match the instance")
-
-
 def sample_path(
     instance: GameInstance,
     Phi: StationaryStrategy,
@@ -78,9 +69,8 @@ def sample_path(
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 <= x0 < instance.n_states:
         raise ValueError(f"x0 = {x0} out of range")
-    _check_pair(instance, Phi, Psi)
-    cum_a = np.cumsum(Phi.rows, axis=1)
-    cum_b = np.cumsum(Psi.rows, axis=1)
+    cum_a = np.cumsum(check_strategy(instance, Phi, 1), axis=1)
+    cum_b = np.cumsum(check_strategy(instance, Psi, 2), axis=1)
     cum_p = np.cumsum(instance.transition, axis=3)
     draws = np.random.default_rng(seed).random((int(n), 3))
     states = np.empty(int(n) + 1, dtype=int)
@@ -137,10 +127,9 @@ def mc_cost_estimate(
         raise ValueError(f"x = {x} out of range")
     if player not in (1, 2):
         raise ValueError(f"player must be 1 or 2, got {player!r}")
-    _check_pair(instance, Phi, Psi)
     n, n_paths = int(n), int(n_paths)
-    cum_a = np.cumsum(Phi.rows, axis=1)
-    cum_b = np.cumsum(Psi.rows, axis=1)
+    cum_a = np.cumsum(check_strategy(instance, Phi, 1), axis=1)
+    cum_b = np.cumsum(check_strategy(instance, Psi, 2), axis=1)
     cum_p = np.cumsum(instance.transition, axis=3)
     cost = instance.cost(player)
     # one fixed block of uniforms: draws[t, k, i] is path i's k-th draw at

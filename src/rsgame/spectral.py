@@ -14,14 +14,22 @@ the ergodic value geometrically (at the eigenvalue-ratio rate); the plain
 time average (1/n) ln (Q^n 1)(x), exposed as horizon_log_mgf / n, carries an
 O(1/n) bias from the eigenvector spread and is kept for documentation of
 the prelimit.
+
+Q is held as ln Q, built by transforms.log_twisted_tensor, and every
+product runs in log space on the row-shifted matrix K = e^{ln Q - rowmax}
+<= 1 with a max-normalized vector, so large theta * cost cannot overflow.
+The power sweep is kept apart from the Bellman solvers' value iteration, so
+the oracle stays an independent check on them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .game_model import GameInstance, StationaryStrategy
+from .game_model import GameInstance, StationaryStrategy, check_strategy
+from .transforms import log_twisted_tensor
 
 DEFAULT_TOL = 1e-12
 MAX_POWER_STEPS = 100_000
@@ -29,65 +37,82 @@ MAX_POWER_STEPS = 100_000
 
 @dataclass(frozen=True, eq=False)
 class TwistedMatrix:
-    """Strategy-mixed twisted matrix Q[x][y] plus the anchor used for scaling."""
+    """Strategy-mixed twisted matrix, held as ln Q[x][y], plus the scaling anchor."""
 
     player: int
-    matrix: np.ndarray
+    log_matrix: np.ndarray
     anchor_state: int = 0
 
-
-def _mix_rows(instance: GameInstance, Phi: StationaryStrategy, Psi: StationaryStrategy):
-    if Phi.player != 1 or Psi.player != 2:
-        raise ValueError("Phi must belong to player 1 and Psi to player 2")
-    if Phi.rows.shape != (instance.n_states, instance.n_actions_a):
-        raise ValueError(f"Phi rows {Phi.rows.shape} do not match the instance")
-    if Psi.rows.shape != (instance.n_states, instance.n_actions_b):
-        raise ValueError(f"Psi rows {Psi.rows.shape} do not match the instance")
-    return Phi.rows, Psi.rows
+    @property
+    def matrix(self) -> np.ndarray:
+        """Q itself; entries overflow to inf once ln Q passes ~709."""
+        return np.exp(self.log_matrix)
 
 
 def twisted_matrix(
     instance: GameInstance, player: int, Phi: StationaryStrategy, Psi: StationaryStrategy
 ) -> TwistedMatrix:
     """Q[x][y] = sum_{a,b} Phi(a|x) Psi(b|x) e^{theta*c_i(x,a,b)} P(y|x,a,b)."""
-    phi, psi = _mix_rows(instance, Phi, Psi)
-    weight = np.exp(instance.theta * instance.cost(player))
-    q = np.einsum("xa,xb,xaby->xy", phi, psi, weight[..., None] * instance.transition)
-    return TwistedMatrix(player, q, instance.anchor_state)
+    log_q = log_twisted_tensor(
+        instance, player, check_strategy(instance, Phi, 1), check_strategy(instance, Psi, 2)
+    )
+    return TwistedMatrix(player, log_q, instance.anchor_state)
+
+
+def _log_powers(log_q: np.ndarray):
+    """Yield (growth, log_u, scale) after each product u <- Q u, from u = 1.
+
+    After k products ln(Q^k 1) = log_u + scale with max(log_u) = 0, and
+    growth = ln(Q^k 1) - ln(Q^{k-1} 1) is read off without the large
+    running scale.
+    """
+    shift = log_q.max(axis=1)
+    kernel = np.exp(log_q - shift[:, None])
+    log_u = np.zeros(log_q.shape[0])
+    scale = 0.0
+    while True:
+        nxt = np.log(kernel @ np.exp(log_u)) + shift
+        growth = nxt - log_u
+        top = nxt.max()
+        log_u = nxt - top
+        scale += top
+        yield growth, log_u, scale
+
+
+def _nth_power(log_q: np.ndarray, n: int):
+    return next(islice(_log_powers(log_q), n - 1, None))
 
 
 def perron_value(Q, tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:
     """Log spectral radius and right eigenvector of a positive matrix.
 
-    Power iteration with per-step max-normalization; the eigenvalue estimate
-    is the normalization factor.  Stops when both the eigenvalue change and
-    the vector change drop below tol.  Returns (ln r, w) with w scaled so
-    w[anchor] = 1 (anchor 0 for a bare matrix).
+    Q is a TwistedMatrix (its ln Q is used directly) or a plain matrix.
+    Power iteration in log space.  Each step's per-state growth brackets the
+    log radius (Collatz-Wielandt); once the bracket is narrower than tol,
+    one more step gives the value at the anchor.  Returns (ln r, w) with w
+    scaled so w[anchor] = 1 (anchor 0 for a bare matrix); w overflows only
+    if its entries spread past ~e^709.
 
     Raises:
-        ValueError: if the matrix is not strictly positive.
+        ValueError: if the matrix is not square and strictly positive.
         RuntimeError: if the step cap is hit (cannot happen for strictly
             positive matrices; kept as a defensive guard).
     """
-    anchor = 0
     if isinstance(Q, TwistedMatrix):
-        anchor = Q.anchor_state
-        Q = Q.matrix
-    q = np.asarray(Q, dtype=float)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {q.shape}")
-    if np.any(q <= 0.0):
+        anchor, log_q = Q.anchor_state, Q.log_matrix
+    else:
+        anchor = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_q = np.log(np.asarray(Q, dtype=float))
+    if log_q.ndim != 2 or log_q.shape[0] != log_q.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {log_q.shape}")
+    if not np.all(np.isfinite(log_q)):
         raise ValueError("perron_value requires a strictly positive matrix")
-    u = np.ones(q.shape[0])
-    lam = 0.0
-    for _ in range(MAX_POWER_STEPS):
-        nxt = q @ u
-        lam_next = nxt.max()
-        nxt /= lam_next
-        done = abs(lam_next - lam) < tol * max(1.0, lam) and np.abs(nxt - u).max() < tol
-        u, lam = nxt, lam_next
-        if done:
-            return float(np.log(lam)), u / u[anchor]
+    bracketed = False
+    for growth, log_u, _ in islice(_log_powers(log_q), MAX_POWER_STEPS):
+        if bracketed:
+            return float(growth[anchor]), np.exp(log_u - log_u[anchor])
+        bracketed = growth.max() - growth.min() < tol
     raise RuntimeError(f"power iteration did not converge in {MAX_POWER_STEPS} steps")
 
 
@@ -101,20 +126,6 @@ def ergodic_cost(
     """
     ln_r, _ = perron_value(twisted_matrix(instance, player, Phi, Psi))
     return ln_r
-
-
-def _log_power_vectors(q: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ln Q^{n-1} 1, ln Q^n 1) via max-normalized products; no overflow."""
-    u = np.ones(q.shape[0])
-    shift = 0.0
-    prev = np.zeros(q.shape[0])  # ln Q^0 1
-    for _ in range(n):
-        prev = np.log(u) + shift
-        u = q @ u
-        m = u.max()
-        u /= m
-        shift += np.log(m)
-    return prev, np.log(u) + shift
 
 
 def finite_horizon_growth(
@@ -135,9 +146,8 @@ def finite_horizon_growth(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    q = twisted_matrix(instance, player, Phi, Psi).matrix
-    prev, last = _log_power_vectors(q, int(n))
-    return float(last[x] - prev[x])
+    growth, _, _ = _nth_power(twisted_matrix(instance, player, Phi, Psi).log_matrix, int(n))
+    return float(growth[x])
 
 
 def horizon_log_mgf(
@@ -155,6 +165,8 @@ def horizon_log_mgf(
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    q = twisted_matrix(instance, player, Phi, Psi).matrix
-    _, last = _log_power_vectors(q, int(n))
-    return float(last[x])
+    log_q = twisted_matrix(instance, player, Phi, Psi).log_matrix
+    if n == 0:
+        return 0.0
+    _, log_u, scale = _nth_power(log_q, int(n))
+    return float(log_u[x] + scale)

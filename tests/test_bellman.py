@@ -86,7 +86,7 @@ class TestApplyT:
             for b in range(2):
                 pure = np.zeros(2)
                 pure[b] = 1.0
-                want = math.log(rs.normalizer(g2, 2, x, UNIFORM2, pure))
+                want = rs.normalized_kernel(g2, 2, x, UNIFORM2, pure).c_hat
                 assert vals[x, b] == pytest.approx(want, abs=1e-13)
 
     def test_duplicated_actions_are_reported_tied(self, g2):
@@ -144,7 +144,7 @@ class TestObjectiveForms:
         phi, psi = random_pair(g2, rng)
         for x in range(2):
             got = rs.dual_value(g2, 2, x, phi.rows[x], psi.rows[x], np.zeros(2))
-            want = math.log(rs.normalizer(g2, 2, x, phi.rows[x], psi.rows[x]))
+            want = rs.normalized_kernel(g2, 2, x, phi.rows[x], psi.rows[x]).c_hat
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_mixed_objective_interpolates_action_values(self, g2):

@@ -355,7 +355,7 @@ class TestReportDeterminism:
     def test_flags_record_the_full_invocation(self, g2_path, capsys):
         code, report, err = run(
             ["solve", "--instance", g2_path, "--player", "2",
-             "--opponent", "uniform", "--threads", "4"],
+             "--opponent", "uniform"],
             capsys,
         )
         assert code == 0
@@ -363,7 +363,6 @@ class TestReportDeterminism:
         assert flags["instance"] == g2_path
         assert flags["player"] == 2
         assert flags["opponent"] == "uniform"
-        assert flags["threads"] == 4
         assert flags["tol"] == 1e-12
         assert flags["max_iter"] == 100000
         assert "command" not in flags

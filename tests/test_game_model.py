@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import rsgame as rs
+from rsgame.cli import main
 from rsgame.game_model import compute_delta, compute_kappa, dumps_decimal, span_bound
 
 from helpers import corpus_instance, enumerate_delta, enumerate_kappa, random_pair
@@ -204,6 +205,49 @@ class TestStrategies:
         with pytest.raises(ValueError):
             rs.StationaryStrategy(3, np.array([[1.0]]))
 
+
+#: every consumer of a strategy pair, called with a bad player-1 strategy
+PAIR_CONSUMERS = {
+    "ergodic_cost": lambda inst, phi, psi: rs.ergodic_cost(inst, 1, phi, psi),
+    "finite_horizon_growth":
+        lambda inst, phi, psi: rs.finite_horizon_growth(inst, 1, phi, psi, x=0, n=3),
+    "solve_optimality": lambda inst, phi, psi: rs.solve_optimality(inst, 2, phi),
+    "sample_path": lambda inst, phi, psi: rs.sample_path(inst, phi, psi, x0=0, n=3, seed=0),
+    "mc_cost_estimate":
+        lambda inst, phi, psi: rs.mc_cost_estimate(inst, 1, phi, psi, 0, 3, 10, 0),
+    "cli eval": None,
+}
+
+
+class TestCheckStrategy:
+    def test_returns_the_rows_of_a_matching_strategy(self, g2, g2_uniform):
+        phi, psi = g2_uniform
+        assert rs.check_strategy(g2, phi, 1) is phi.rows
+        assert rs.check_strategy(g2, psi, 2) is psi.rows
+
+    @pytest.mark.parametrize("bad", ["player", "shape"])
+    @pytest.mark.parametrize("consumer", list(PAIR_CONSUMERS))
+    def test_every_consumer_rejects_a_mismatched_strategy(
+        self, g2, tmp_path, capsys, consumer, bad
+    ):
+        wrong = {
+            "player": (rs.StationaryStrategy(2, np.full((2, 2), 0.5)), "belongs"),
+            "shape": (rs.StationaryStrategy(1, np.full((3, 2), 0.5)), "rows"),
+        }
+        phi, message = wrong[bad]
+        psi = rs.uniform_strategy(g2, 2)
+        if consumer == "cli eval":
+            instance_path, phi_path = tmp_path / "g2.json", tmp_path / "phi.json"
+            rs.save_instance(g2, instance_path)
+            rs.save_strategy(phi, phi_path)
+            code = main(["eval", "--instance", str(instance_path),
+                         "--phi", str(phi_path), "--psi", "uniform"])
+            err = capsys.readouterr().err
+            assert code == 3
+            assert f"{phi_path}: " in err and message in err
+        else:
+            with pytest.raises(ValueError, match=message):
+                PAIR_CONSUMERS[consumer](g2, phi, psi)
 
 class TestRandomInstances:
     def test_same_seed_same_instance(self):

@@ -279,6 +279,25 @@ class TestBruteForce:
             assert h.eps2 == pytest.approx(c.eps2, abs=1e-9)
             assert h.J1 == pytest.approx(c.J1 + 800.0, abs=1e-9)
             assert h.J2 == pytest.approx(c.J2 + 800.0, abs=1e-9)
+        # the oracles check brute force's certificates past the overflow
+        assert rs.verify_certificate(shifted, high[0], eps=0.05)
+        phi, psi = rs.uniform_strategy(g2, 1), rs.uniform_strategy(g2, 2)
+        cert, cert_high = rs.epsilon_gap(g2, phi, psi), rs.epsilon_gap(shifted, phi, psi)
+        for field, shift in (("J1", 800.0), ("J2", 800.0), ("rho1_star", 800.0),
+                             ("rho2_star", 800.0), ("eps1", 0.0), ("eps2", 0.0)):
+            want = getattr(cert, field) + shift
+            assert getattr(cert_high, field) == pytest.approx(want, abs=1e-9), field
+        for player in (1, 2):
+            assert rs.ergodic_cost(shifted, player, phi, psi) == pytest.approx(
+                rs.ergodic_cost(g2, player, phi, psi) + 800.0, abs=1e-9)
+            growth = rs.finite_horizon_growth(shifted, player, phi, psi, 0, 5)
+            assert growth == pytest.approx(
+                rs.finite_horizon_growth(g2, player, phi, psi, 0, 5) + 800.0, abs=1e-9)
+            for x in range(2):
+                rows = (x, phi.rows[x], psi.rows[x])
+                high_row = rs.normalized_kernel(shifted, player, *rows)
+                row = rs.normalized_kernel(g2, player, *rows)
+                assert high_row.c_hat == pytest.approx(row.c_hat + 800.0, abs=1e-9)
 
     def test_three_states_match_oracles(self):
         inst = rs.random_instance(5, dims=(3, 2, 2))

@@ -1,0 +1,55 @@
+"""Metamorphic properties the theory guarantees exactly.
+
+Shifting every cost by a constant k multiplies the twisted kernel by
+e^{theta*k}, so every ergodic value, optimal value and growth increment
+shifts by theta*k.  theta*k runs up to 1e3, far past where e^{theta*c}
+overflows a double.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rsgame as rs
+
+from helpers import random_pair
+
+
+def other(player: int) -> int:
+    return 3 - player
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    dims=st.tuples(st.integers(2, 4), st.integers(1, 3), st.integers(1, 3)),
+    theta=st.floats(0.25, 4.0),
+    theta_k=st.floats(0.0, 1000.0),
+    player=st.integers(1, 2),
+)
+def test_cost_shift_shifts_every_value_by_theta_k(seed, dims, theta, theta_k, player):
+    inst = rs.random_instance(seed, dims=dims, min_prob=0.02, theta=theta)
+    k = theta_k / theta
+    shifted = rs.GameInstance(
+        inst.transition, inst.cost1 + k, inst.cost2 + k, theta=theta
+    )
+    phi, psi = random_pair(inst, np.random.default_rng(seed))
+    opponent = psi if player == 1 else phi
+
+    def values(game):
+        frozen = rs.frozen_pair_instance(game, player, phi, psi)
+        solve = rs.solve_optimality(game, player, opponent)
+        frozen_solve = rs.solve_optimality(
+            frozen, player, rs.uniform_strategy(frozen, other(player))
+        )
+        assert solve.converged and frozen_solve.converged
+        return {
+            "ergodic_cost": rs.ergodic_cost(game, player, phi, psi),
+            "rho": solve.rho,
+            "growth": rs.finite_horizon_growth(game, player, phi, psi, 0, 4),
+            "frozen_rho": frozen_solve.rho,
+        }
+
+    base, high = values(inst), values(shifted)
+    for name, value in base.items():
+        assert high[name] == pytest.approx(value + theta_k, abs=1e-9), name

@@ -54,9 +54,9 @@ class TestTwistedMatrix:
         phi = rs.pure_strategy(g2, 1, [1, 0])
         psi = rs.pure_strategy(g2, 2, [0, 1])
         tm = rs.twisted_matrix(g2, 1, phi, psi)
-        kernel = rs.twist(g2, 1)
-        assert_allclose(tm.matrix[0], kernel.table[0, 1, 0], rtol=1e-15)
-        assert_allclose(tm.matrix[1], kernel.table[1, 0, 1], rtol=1e-15)
+        table = np.exp(rs.log_twisted_tensor(g2, 1))
+        assert_allclose(tm.matrix[0], table[0, 1, 0], rtol=1e-15)
+        assert_allclose(tm.matrix[1], table[1, 0, 1], rtol=1e-15)
 
     def test_zero_cost_matrix_is_stochastic(self):
         base = corpus_instance(2)

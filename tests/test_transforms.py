@@ -24,29 +24,25 @@ UNIFORM2 = np.array([0.5, 0.5])
 class TestTwist:
     def test_zero_cost_leaves_transition_unchanged(self):
         inst = zero_cost_instance()
-        kernel = rs.twist(inst, 1)
-        assert_array_equal(kernel.table, inst.transition)
-        assert kernel.player == 1
+        assert_array_equal(log_twisted_tensor(inst, 1), np.log(inst.transition))
 
     def test_row_sums_equal_exp_cost(self, g2):
         for player in (1, 2):
-            kernel = rs.twist(g2, player)
-            assert_allclose(
-                kernel.table.sum(axis=-1), np.exp(g2.cost(player)), rtol=1e-14
-            )
+            table = np.exp(log_twisted_tensor(g2, player))
+            assert_allclose(table.sum(axis=-1), np.exp(g2.cost(player)), rtol=1e-14)
         # cost2(x=0, a=1, b=0) = 0.9, so that twisted row carries total e^0.9
-        assert rs.twist(g2, 2).table[0, 1, 0].sum() == pytest.approx(
+        assert np.exp(log_twisted_tensor(g2, 2))[0, 1, 0].sum() == pytest.approx(
             2.4596031111569499, abs=1e-14
         )
 
     def test_table_dominates_transition(self):
         inst = corpus_instance(4)
         for player in (1, 2):
-            assert np.all(rs.twist(inst, player).table >= inst.transition - 1e-15)
+            assert np.all(log_twisted_tensor(inst, player) >= np.log(inst.transition))
 
     def test_log_tensor_matches_log_of_table(self, g2):
-        kernel = rs.twist(g2, 2)
-        assert_allclose(log_twisted_tensor(g2, 2), np.log(kernel.table), atol=1e-13)
+        table = np.exp(g2.cost(2))[..., None] * g2.transition
+        assert_allclose(log_twisted_tensor(g2, 2), np.log(table), atol=1e-13)
 
     def test_log_tensor_is_minus_inf_off_support(self):
         t = np.zeros((2, 1, 1, 2))
@@ -56,6 +52,42 @@ class TestTwist:
         ln = log_twisted_tensor(inst, 1)
         assert ln[0, 0, 0, 1] == -np.inf
         assert ln[0, 0, 0, 0] == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("mixed", ["phi", "psi", "both"])
+    def test_mixing_matches_weighted_sum_of_the_table(self, mixed):
+        inst = corpus_instance(7)
+        rng = np.random.default_rng(7)
+        phi, psi = random_pair(inst, rng)
+        table = np.exp(log_twisted_tensor(inst, 1))
+        if mixed == "phi":
+            got = log_twisted_tensor(inst, 1, phi=phi.rows)
+            want = np.einsum("xa,xaby->xby", phi.rows, table)
+        elif mixed == "psi":
+            got = log_twisted_tensor(inst, 1, psi=psi.rows)
+            want = np.einsum("xb,xaby->xay", psi.rows, table)
+        else:
+            got = log_twisted_tensor(inst, 1, phi.rows, psi.rows)
+            want = np.einsum("xa,xb,xaby->xy", phi.rows, psi.rows, table)
+        assert_allclose(np.exp(got), want, rtol=1e-13)
+
+    def test_leading_batch_axes_mix_each_map(self):
+        inst = corpus_instance(8)
+        rng = np.random.default_rng(8)
+        pairs = [random_pair(inst, rng) for _ in range(3)]
+        phis = np.stack([phi.rows for phi, _ in pairs])
+        psis = np.stack([psi.rows for _, psi in pairs])
+        batched = log_twisted_tensor(inst, 2, phis, psis)
+        for k, (phi, psi) in enumerate(pairs):
+            assert_allclose(batched[k], log_twisted_tensor(inst, 2, phi.rows, psi.rows),
+                            atol=1e-14)
+
+    def test_mixing_past_overflow_shifts_by_theta_k(self, g2):
+        shifted = rs.GameInstance(g2.transition, g2.cost1 + 800.0, g2.cost2, theta=1.0)
+        phi, psi = rs.uniform_strategy(g2, 1), rs.uniform_strategy(g2, 2)
+        high = log_twisted_tensor(shifted, 1, phi.rows, psi.rows)
+        assert np.all(np.isfinite(high))
+        assert_allclose(high - 800.0, log_twisted_tensor(g2, 1, phi.rows, psi.rows),
+                        atol=1e-12)
 
 
 class TestMixTransition:
@@ -97,18 +129,20 @@ class TestNormalizer:
         rng = np.random.default_rng(1)
         phi, psi = random_pair(inst, rng)
         for x in range(inst.n_states):
-            val = rs.normalizer(inst, 1, x, phi.rows[x], psi.rows[x])
+            val = rs.normalized_kernel(inst, 1, x, phi.rows[x], psi.rows[x]).c_tilde
             assert val == pytest.approx(1.0, abs=1e-13)
 
     def test_pure_pair_is_exp_cost(self, g2):
-        val = rs.normalizer(g2, 1, 1, np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        val = rs.normalized_kernel(
+            g2, 1, 1, np.array([0.0, 1.0]), np.array([0.0, 1.0])
+        ).c_tilde
         assert val == pytest.approx(math.exp(g2.cost1[1, 1, 1]), rel=1e-15)
 
     def test_fixture_uniform_values(self, g2):
-        assert rs.normalizer(g2, 1, 0, UNIFORM2, UNIFORM2) == pytest.approx(
+        assert rs.normalized_kernel(g2, 1, 0, UNIFORM2, UNIFORM2).c_tilde == pytest.approx(
             1.3049957091090754, abs=1e-15
         )
-        c2 = rs.normalizer(g2, 2, 0, UNIFORM2, UNIFORM2)
+        c2 = rs.normalized_kernel(g2, 2, 0, UNIFORM2, UNIFORM2).c_tilde
         assert c2 == pytest.approx(1.6500372698745871, abs=1e-15)
         # additive costs factor the normalizer across the two players
         assert c2 == pytest.approx(
@@ -126,7 +160,7 @@ class TestNormalizer:
         for (x, b), want in expected.items():
             pure = np.zeros(2)
             pure[b] = 1.0
-            got = math.log(rs.normalizer(g2, 2, x, UNIFORM2, pure))
+            got = rs.normalized_kernel(g2, 2, x, UNIFORM2, pure).c_hat
             assert got == pytest.approx(want, abs=1e-14)
 
     def test_additive_factorization_on_random_arat(self):
@@ -139,7 +173,7 @@ class TestNormalizer:
                 phi, psi = random_pair(inst, rng)
                 f1 = float(np.exp(arat.c21[x]) @ phi.rows[x])
                 f2 = float(np.exp(arat.c22[x]) @ psi.rows[x])
-                got = rs.normalizer(inst, 2, x, phi.rows[x], psi.rows[x])
+                got = rs.normalized_kernel(inst, 2, x, phi.rows[x], psi.rows[x]).c_tilde
                 assert got == pytest.approx(f1 * f2, rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -154,7 +188,7 @@ class TestNormalizer:
         g2 = rs.g2_instance()
         phi = np.array(w1) / np.sum(w1)
         psi = np.array(w2) / np.sum(w2)
-        val = rs.normalizer(g2, player, x, phi, psi)
+        val = rs.normalized_kernel(g2, player, x, phi, psi).c_tilde
         assert 1.0 - 1e-12 <= val <= math.exp(g2.theta * g2.c_bar) + 1e-12
 
 
@@ -167,14 +201,10 @@ class TestNormalizedKernel:
             ev = rs.normalized_kernel(g2, 2, x, phi.rows[x], psi.rows[x])
             assert ev.p_hat.sum() == pytest.approx(1.0, abs=1e-12)
             assert ev.c_hat == pytest.approx(math.log(ev.c_tilde), abs=1e-15)
-            assert ev.c_tilde == pytest.approx(
-                rs.normalizer(g2, 2, x, phi.rows[x], psi.rows[x]), rel=1e-15
-            )
+            weights = np.outer(phi.rows[x], psi.rows[x]) * np.exp(g2.cost2[x])
+            assert ev.c_tilde == pytest.approx(weights.sum(), rel=1e-15)
             # un-normalizing must recover the mixed twisted row
-            kernel = rs.twist(g2, 2)
-            mixed = np.einsum(
-                "a,b,aby->y", phi.rows[x], psi.rows[x], kernel.table[x]
-            )
+            mixed = np.einsum("ab,aby->y", weights, g2.transition[x])
             assert_allclose(ev.p_hat * ev.c_tilde, mixed, rtol=1e-13)
 
     def test_zero_cost_reduces_to_plain_mixing(self):

@@ -40,6 +40,9 @@ DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
 #: absolute tolerance at which per-state action values count as tied
 TIE_TOL = 1e-10
+#: stopping floor per unit of the largest |Tv| in a sweep: values near M
+#: carry rounding of about eps*M, so a span below a few of those is noise
+_NOISE_FLOOR = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,6 +184,10 @@ def relative_value_iteration(
     result's rho, v and selector carry the stack's leading axes; residual is
     the largest span over the stack.  With one own action rho is the log
     Perron root of e^L.
+
+    The stop never asks for less than the sweep's rounding noise: once the
+    span stops shrinking it only has to be below max(tol, 4 eps max|Tv|),
+    so values near theta*c = 1e6 converge as values near 1 do.
     """
     kernel, shift = _shifted(log_kernel)
     v = np.zeros(log_kernel.shape[:-2]) if v0 is None else v0 - v0[..., anchor, None]
@@ -191,9 +198,13 @@ def relative_value_iteration(
         tv = _sweep(kernel, shift, v).min(axis=-1)
         v_next = tv - tv[..., anchor, None]
         diff = v_next - v
-        residual = float((diff.max(axis=-1) - diff.min(axis=-1)).max())
+        previous, residual = residual, float((diff.max(axis=-1) - diff.min(axis=-1)).max())
         v = v_next
-        if residual < tol:
+        # the floor is only worked out once the span stops shrinking, which
+        # in exact arithmetic it never does: a stall is rounding noise
+        if residual < tol or (
+            residual >= previous and residual < _NOISE_FLOOR * float(np.abs(tv).max())
+        ):
             converged = True
             break
     vals = _sweep(kernel, shift, v)
@@ -218,10 +229,12 @@ def solve_optimality(
     """Relative value iteration for one player against a fixed opponent.
 
     Iterates v <- Tv - (Tv)(anchor) from v0 (zero by default) until
-    span(v_{k+1} - v_k) < tol, then reads rho and a minimizing selector off
-    a final operator application.  At the fixed point rho + v = Tv, rho is
-    the player's optimal ergodic value against the fixed opponent, and every
-    stationary strategy supported on per-state argmins attains it.
+    span(v_{k+1} - v_k) < tol, or until it stalls below the rounding floor
+    of :func:`relative_value_iteration`, then reads rho and a minimizing
+    selector off a final operator application.  At the fixed point
+    rho + v = Tv, rho is the player's optimal ergodic value against the
+    fixed opponent, and every stationary strategy supported on per-state
+    argmins attains it.
 
     Args:
         tol: stopping tolerance on the span of successive differences.

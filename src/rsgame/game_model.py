@@ -293,6 +293,37 @@ _DESCRIPTIONS = {
 }
 
 
+#: float64 scratch bytes one tile of the pairwise-distance pass may use
+_TV_TILE_BYTES = 4 * 2**20
+
+
+def _tv_distances(instance: GameInstance) -> tuple[float, list]:
+    """Largest L1 distance between pure transition rows, and the first disjoint pairs.
+
+    The rows are the X*A*B rows P(.|x,a,b), flattened in (x, a, b) order.
+    Distances are formed tile by tile, so scratch memory stays near
+    _TV_TILE_BYTES whatever the instance size: a tile holds whole rows of
+    the distance matrix, or a run of columns of one row when a row alone
+    is over budget.  Either way tiles are visited in row-major order, so
+    the pairs (i, j) at distance >= 2 - EXACT_TOL (disjoint supports) come
+    out in that order; the first 20 are returned.
+    """
+    rows = instance.transition.reshape(-1, instance.n_states)
+    n_rows, width = rows.shape
+    tile_rows = max(1, _TV_TILE_BYTES // (n_rows * width * 8))
+    tile_cols = min(n_rows, max(1, _TV_TILE_BYTES // (tile_rows * width * 8)))
+    worst = 0.0
+    disjoint: list = []
+    for i in range(0, n_rows, tile_rows):
+        for j in range(0, n_rows, tile_cols):
+            diff = rows[i:i + tile_rows, None, :] - rows[None, j:j + tile_cols, :]
+            dist = np.abs(diff, out=diff).sum(axis=-1)
+            worst = max(worst, float(dist.max()))
+            hits = np.argwhere(dist >= 2.0 - EXACT_TOL)[: 20 - len(disjoint)]
+            disjoint.extend((i + p, j + q) for p, q in hits)
+    return worst, disjoint
+
+
 def compute_delta(instance: GameInstance) -> float:
     """Half the largest total-variation distance between transition rows.
 
@@ -300,21 +331,22 @@ def compute_delta(instance: GameInstance) -> float:
     tuples (the row is affine in each mixing weight and TV distance is convex
     in each argument), so only pure rows are enumerated.
     """
-    rows = instance.transition.reshape(-1, instance.n_states)
-    dist = np.abs(rows[:, None, :] - rows[None, :, :]).sum(-1)
-    return 0.5 * float(dist.max())
+    return 0.5 * _tv_distances(instance)[0]
 
 
 def compute_kappa(instance: GameInstance) -> float:
     """Largest ratio P(y|x,a,b) / P(y|x',a,b) over states x, x'.
 
-    Returns ``inf`` when some row has mass on a next state that another row
-    (same actions) gives zero probability; 0/0 positions are ignored.
+    Per (a, b, y) the largest ratio is max_x P / min_x P: correctly rounded
+    division is monotone in each argument, so this equals the pairwise
+    maximum bit for bit.  Returns ``inf`` when some row has mass on a next
+    state that another row (same actions) gives zero probability; 0/0
+    positions are ignored.
     """
     t = instance.transition
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = t[:, None] / t[None, :]  # [x, x', a, b, y]
-    ratios[np.isnan(ratios)] = 1.0  # 0/0: both rows miss y
+        ratios = t.max(axis=0) / t.min(axis=0)  # [a, b, y]
+    ratios[np.isnan(ratios)] = 1.0  # 0/0: every row misses y
     return float(ratios.max())
 
 
@@ -340,6 +372,10 @@ def validate(instance: GameInstance, min_prob: float = DEFAULT_MIN_PROB) -> Mode
         ln(kappa) + 3*theta*c_bar, and a PASS/FAIL/SKIP verdict per
         assumption keyed "1", "2(i)", "2(ii)", "3.1", "3.2", "4.1", "4.2".
         FAIL verdicts carry the violating index tuples (first 20).
+
+    Memory stays bounded: the pairwise row distances behind delta and the
+    2(i) violations come from one tiled pass, and kappa needs only the
+    per-(a, b, y) extremes over states.
     """
     if min_prob <= 0.0:
         raise ValueError(f"min_prob must be > 0, got {min_prob!r}")
@@ -351,16 +387,14 @@ def validate(instance: GameInstance, min_prob: float = DEFAULT_MIN_PROB) -> Mode
 
     add("1", "PASS", "finite state and action spaces: continuity is automatic")
 
-    delta = compute_delta(instance)
+    max_dist, disjoint = _tv_distances(instance)
+    delta = 0.5 * max_dist
     if delta < 1.0:
         add("2(i)", "PASS", f"delta = {delta:.6g}")
     else:
-        rows = t.reshape(-1, instance.n_states)
-        dist = np.abs(rows[:, None, :] - rows[None, :, :]).sum(-1)
-        bad = np.argwhere(dist >= 2.0 - EXACT_TOL)
         shape = t.shape[:3]
         pairs = tuple(
-            (np.unravel_index(i, shape), np.unravel_index(j, shape)) for i, j in bad[:20]
+            (np.unravel_index(i, shape), np.unravel_index(j, shape)) for i, j in disjoint
         )
         add("2(i)", "FAIL", f"Assumption 2(i): delta = {delta:.6g} >= 1", pairs)
 

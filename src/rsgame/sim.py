@@ -3,9 +3,11 @@
 Paths of the controlled chain are sampled with both players following fixed
 stationary strategies: at each step the actions are drawn independently
 from Phi(x) and Psi(x), then the next state from P(.|x,a,b).  All
-randomness for a run comes from one seeded generator whose draws are laid
-out in a fixed (step, variable, path) block, so path i consumes the same
-uniforms no matter how the computation is scheduled.
+randomness for a run comes from one seeded generator.  The draws are
+streamed one (variable, path) block per step, so they are consumed in a
+fixed (step, variable, path) order: path i uses the same uniforms however
+many steps are held at once, and a single path (sample_path) sees the
+stream a one-path Monte Carlo run sees.
 
 mc_cost_estimate targets the n-th increment of the log moment generating
 function, ln E_x[e^{theta S_n}] - ln E_x[e^{theta S_{n-1}}] — the exact
@@ -52,6 +54,47 @@ class McEstimate:
     seed: int
 
 
+def _walk(
+    instance: GameInstance,
+    Phi: StationaryStrategy,
+    Psi: StationaryStrategy,
+    x0: int,
+    n: int,
+    n_paths: int,
+    seed: int,
+):
+    """Check the inputs, then return a generator of n steps of n_paths paths.
+
+    Each step is (x, a, b, y): int arrays over paths holding the state, both
+    actions and the next state.  A step draws one (3, n_paths) block of
+    uniforms u and picks each index as the count of cumulative
+    probabilities <= u, clamped to the last index against rounding in the
+    cumulative sums.
+    """
+    if n < 1 or n_paths < 1:
+        raise ValueError(f"n and n_paths must be >= 1, got {n} and {n_paths}")
+    if not 0 <= x0 < instance.n_states:
+        raise ValueError(f"start state {x0} out of range")
+    cum_a = np.cumsum(check_strategy(instance, Phi, 1), axis=1)
+    cum_b = np.cumsum(check_strategy(instance, Psi, 2), axis=1)
+    cum_p = np.cumsum(instance.transition, axis=3)
+    na, nb, nx = instance.n_actions_a, instance.n_actions_b, instance.n_states
+    n, n_paths = int(n), int(n_paths)
+
+    def steps():
+        rng = np.random.default_rng(seed)
+        y = np.full(n_paths, int(x0))
+        for _ in range(n):
+            x = y
+            u = rng.random((3, n_paths))
+            a = np.minimum((cum_a[x] <= u[0][:, None]).sum(axis=1), na - 1)
+            b = np.minimum((cum_b[x] <= u[1][:, None]).sum(axis=1), nb - 1)
+            y = np.minimum((cum_p[x, a, b] <= u[2][:, None]).sum(axis=1), nx - 1)
+            yield x, a, b, y
+
+    return steps()
+
+
 def sample_path(
     instance: GameInstance,
     Phi: StationaryStrategy,
@@ -62,41 +105,16 @@ def sample_path(
 ) -> Trajectory:
     """Sample one n-step trajectory; deterministic per seed.
 
-    Works for any valid transition table, including rows with zero entries
+    This is the one-path case of the walk behind :func:`mc_cost_estimate`,
+    so a one-path estimate with the same seed reads this path.  Works for
+    any valid transition table, including rows with zero entries
     (deterministic chains), which the optimizing solvers reject.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 <= x0 < instance.n_states:
-        raise ValueError(f"x0 = {x0} out of range")
-    cum_a = np.cumsum(check_strategy(instance, Phi, 1), axis=1)
-    cum_b = np.cumsum(check_strategy(instance, Psi, 2), axis=1)
-    cum_p = np.cumsum(instance.transition, axis=3)
-    draws = np.random.default_rng(seed).random((int(n), 3))
-    states = np.empty(int(n) + 1, dtype=int)
-    actions_a = np.empty(int(n), dtype=int)
-    actions_b = np.empty(int(n), dtype=int)
-    c1 = np.empty(int(n))
-    c2 = np.empty(int(n))
-    x = int(x0)
-    states[0] = x
-    for t in range(int(n)):
-        a = int(np.searchsorted(cum_a[x], draws[t, 0], side="right"))
-        b = int(np.searchsorted(cum_b[x], draws[t, 1], side="right"))
-        a = min(a, instance.n_actions_a - 1)
-        b = min(b, instance.n_actions_b - 1)
-        y = int(np.searchsorted(cum_p[x, a, b], draws[t, 2], side="right"))
-        y = min(y, instance.n_states - 1)
-        actions_a[t], actions_b[t] = a, b
-        c1[t] = instance.cost1[x, a, b]
-        c2[t] = instance.cost2[x, a, b]
-        x = y
-        states[t + 1] = x
-    zero = np.zeros(1)
-    cost_sums = np.stack(
-        [np.concatenate([zero, np.cumsum(c1)]), np.concatenate([zero, np.cumsum(c2)])]
-    )
-    return Trajectory(states, actions_a, actions_b, cost_sums)
+    steps = zip(*_walk(instance, Phi, Psi, x0, n, 1, seed))
+    x, a, b, y = (np.concatenate(v) for v in steps)
+    costs = np.stack([instance.cost1[x, a, b], instance.cost2[x, a, b]])
+    cost_sums = np.concatenate([np.zeros((2, 1)), np.cumsum(costs, axis=1)], axis=1)
+    return Trajectory(np.append(x, y[-1]), a, b, cost_sums)
 
 
 def mc_cost_estimate(
@@ -119,37 +137,15 @@ def mc_cost_estimate(
     count cancels in the difference).  Aggregation is log-sum-exp, so large
     exponents never overflow.  std_error is the delta-method standard error
     of the difference, accounting for the correlation induced by sharing
-    paths between the two terms.
+    paths between the two terms.  Memory is O(n_paths): only the running
+    sums S_n and S_{n-1} are kept.
     """
-    if n < 1 or n_paths < 1:
-        raise ValueError("n and n_paths must be >= 1")
-    if not 0 <= x < instance.n_states:
-        raise ValueError(f"x = {x} out of range")
-    if player not in (1, 2):
-        raise ValueError(f"player must be 1 or 2, got {player!r}")
-    n, n_paths = int(n), int(n_paths)
-    cum_a = np.cumsum(check_strategy(instance, Phi, 1), axis=1)
-    cum_b = np.cumsum(check_strategy(instance, Psi, 2), axis=1)
-    cum_p = np.cumsum(instance.transition, axis=3)
     cost = instance.cost(player)
-    # one fixed block of uniforms: draws[t, k, i] is path i's k-th draw at
-    # step t, independent of evaluation order
-    draws = np.random.default_rng(seed).random((n, 3, n_paths))
-    state = np.full(n_paths, int(x))
-    total = np.zeros(n_paths)
-    prev_total = np.zeros(n_paths)
-    for t in range(n):
-        a = (cum_a[state] <= draws[t, 0][:, None]).sum(axis=1)
-        b = (cum_b[state] <= draws[t, 1][:, None]).sum(axis=1)
-        a = np.minimum(a, instance.n_actions_a - 1)
-        b = np.minimum(b, instance.n_actions_b - 1)
-        if t == n - 1:
-            prev_total = total.copy()
-        total = total + cost[state, a, b]
-        rows = cum_p[state, a, b]
-        state = np.minimum(
-            (rows <= draws[t, 2][:, None]).sum(axis=1), instance.n_states - 1
-        )
+    steps = _walk(instance, Phi, Psi, x, n, n_paths, seed)
+    n_paths = int(n_paths)
+    total = prev_total = np.zeros(n_paths)
+    for xs, a, b, _ in steps:
+        prev_total, total = total, total + cost[xs, a, b]
     z_n = instance.theta * total
     z_m = instance.theta * prev_total
     value = float(logsumexp(z_n) - logsumexp(z_m))
@@ -162,5 +158,5 @@ def mc_cost_estimate(
             np.sqrt(n_paths / (n_paths - 1.0)) * np.sqrt(((p - q) ** 2).sum())
         )
     return McEstimate(
-        value=value, std_error=std_error, n_paths=n_paths, horizon=n, seed=int(seed)
+        value=value, std_error=std_error, n_paths=n_paths, horizon=int(n), seed=int(seed)
     )

@@ -33,6 +33,9 @@ from .transforms import log_twisted_tensor
 
 DEFAULT_TOL = 1e-12
 MAX_POWER_STEPS = 100_000
+#: bracket floor per unit of the largest |growth| in a step: growths near M
+#: carry rounding of about eps*M, so a bracket below a few of those is noise
+_NOISE_FLOOR = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,6 +92,7 @@ def perron_value(Q, tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:
     Q is a TwistedMatrix (its ln Q is used directly) or a plain matrix.
     Power iteration in log space.  Each step's per-state growth brackets the
     log radius (Collatz-Wielandt); once the bracket is narrower than tol,
+    or than the step's rounding noise 4 eps max|growth| if that is wider,
     one more step gives the value at the anchor.  Returns (ln r, w) with w
     scaled so w[anchor] = 1 (anchor 0 for a bare matrix); w overflows only
     if its entries spread past ~e^709.
@@ -112,7 +116,8 @@ def perron_value(Q, tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:
     for growth, log_u, _ in islice(_log_powers(log_q), MAX_POWER_STEPS):
         if bracketed:
             return float(growth[anchor]), np.exp(log_u - log_u[anchor])
-        bracketed = growth.max() - growth.min() < tol
+        top, bottom = growth.max(), growth.min()
+        bracketed = top - bottom < max(tol, _NOISE_FLOOR * max(top, -bottom))
     raise RuntimeError(f"power iteration did not converge in {MAX_POWER_STEPS} steps")
 
 

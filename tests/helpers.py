@@ -68,3 +68,13 @@ def enumerate_kappa(instance: rs.GameInstance) -> float:
                             return float("inf")
                         worst = max(worst, num / den)
     return worst
+
+
+def pairwise_tv_distances(instance: rs.GameInstance) -> np.ndarray:
+    """L1 distances between all pure transition rows, built in one tensor.
+
+    The one-shot (X*A*B)^2 * X form that game_model's tiled pass replaces;
+    kept as the reference for that pass.
+    """
+    rows = instance.transition.reshape(-1, instance.n_states)
+    return np.abs(rows[:, None, :] - rows[None, :, :]).sum(-1)

@@ -1,14 +1,22 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import rsgame as rs
+from rsgame import game_model
 from rsgame.cli import main
 from rsgame.game_model import compute_delta, compute_kappa, dumps_decimal, span_bound
 
-from helpers import corpus_instance, enumerate_delta, enumerate_kappa, random_pair
+from helpers import (
+    corpus_instance,
+    enumerate_delta,
+    enumerate_kappa,
+    pairwise_tv_distances,
+    random_pair,
+)
 
 
 class TestG2Fixture:
@@ -129,6 +137,78 @@ class TestValidation:
     def test_check_keys_are_stable(self, g2):
         diag = rs.validate(g2)
         assert list(diag.checks) == ["1", "2(i)", "2(ii)", "3.1", "3.2", "4.1", "4.2"]
+
+
+def point_mass_instance(seed: int, dims=(12, 3, 3)) -> rs.GameInstance:
+    """Every row a point mass, mostly on state 0.
+
+    A row on state 0 has disjoint support only with the few rows elsewhere,
+    so the first 20 disjoint pairs span several rows of the distance matrix.
+    """
+    rng = np.random.default_rng(seed)
+    targets = np.where(rng.random(dims) < 0.1, rng.integers(1, dims[0], size=dims), 0)
+    t = np.zeros(dims + (dims[0],))
+    np.put_along_axis(t, targets[..., None], 1.0, axis=3)
+    return rs.GameInstance(t, np.zeros(dims), np.zeros(dims))
+
+
+class TestDistancePass:
+    """delta, kappa and the 2(i) violations in bounded memory."""
+
+    # on 12 x 3 x 3 instances (108 rows of 12 entries), 64 B tiles hold one
+    # distance, 4 KiB tiles a run of columns of one row, 64 KiB tiles several
+    # whole rows, and the default (None) one tile
+    TILE_BYTES = [64, 4096, 65536, None]
+
+    @staticmethod
+    def set_tile_bytes(monkeypatch, tile_bytes):
+        if tile_bytes is not None:
+            monkeypatch.setattr(game_model, "_TV_TILE_BYTES", tile_bytes)
+
+    @pytest.mark.parametrize("tile_bytes", TILE_BYTES)
+    def test_tiled_delta_equals_one_shot_form(self, monkeypatch, tile_bytes):
+        inst = rs.random_instance(2, dims=(12, 3, 3), min_prob=0.001)
+        self.set_tile_bytes(monkeypatch, tile_bytes)
+        assert compute_delta(inst) == 0.5 * float(pairwise_tv_distances(inst).max())
+
+    @pytest.mark.parametrize("tile_bytes", TILE_BYTES)
+    def test_disjoint_pairs_come_in_row_major_order(self, monkeypatch, tile_bytes):
+        inst = point_mass_instance(5)
+        self.set_tile_bytes(monkeypatch, tile_bytes)
+        check = rs.validate(inst).checks["2(i)"]
+        bad = np.argwhere(pairwise_tv_distances(inst) >= 2.0 - game_model.EXACT_TOL)
+        shape = inst.transition.shape[:3]
+        want = tuple(
+            (np.unravel_index(i, shape), np.unravel_index(j, shape)) for i, j in bad[:20]
+        )
+        assert len({i for i, _ in bad[:20]}) > 1  # the pairs span several rows
+        assert check.status == "FAIL"
+        assert check.violations == want
+
+    def test_kappa_ignores_an_all_zero_next_state_column(self):
+        t = np.random.default_rng(4).dirichlet(np.ones(4), size=(4, 2, 3))
+        t[..., 2] = 0.0  # no row reaches state 2: every ratio there is 0/0
+        t /= t.sum(axis=-1, keepdims=True)
+        inst = rs.GameInstance(t, np.zeros((4, 2, 3)), np.zeros((4, 2, 3)))
+        assert np.isfinite(compute_kappa(inst))
+        assert compute_kappa(inst) == enumerate_kappa(inst)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kappa_equals_the_pairwise_enumeration(self, seed):
+        inst = corpus_instance(seed, arat=bool(seed % 2))
+        assert compute_kappa(inst) == enumerate_kappa(inst)
+
+    def test_validate_peak_memory_is_bounded(self):
+        # the one-shot distance tensor alone is 640^2 * 40 * 8 B = 131 MB here
+        inst = rs.random_instance(0, dims=(40, 4, 4))
+        tracemalloc.start()
+        try:
+            diag = rs.validate(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert diag.passed
+        assert peak < 64 * 2**20
 
 
 class TestConstruction:

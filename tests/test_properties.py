@@ -3,7 +3,8 @@
 Shifting every cost by a constant k multiplies the twisted kernel by
 e^{theta*k}, so every ergodic value, optimal value and growth increment
 shifts by theta*k.  theta*k runs up to 1e3, far past where e^{theta*c}
-overflows a double.
+overflows a double, and up to 1e6 in the fixed cases, where one ulp of
+the values is above the solvers' 1e-12 stopping tolerance.
 """
 import numpy as np
 import pytest
@@ -53,3 +54,25 @@ def test_cost_shift_shifts_every_value_by_theta_k(seed, dims, theta, theta_k, pl
     base, high = values(inst), values(shifted)
     for name, value in base.items():
         assert high[name] == pytest.approx(value + theta_k, abs=1e-9), name
+
+
+@pytest.mark.parametrize("theta_k", [1e4, 1e5, 1e6])
+def test_large_cost_shift_converges_and_shifts_values(theta_k):
+    """The solvers stop on the rounding floor of values near theta*k."""
+    slack = 1e-9 + 1e-14 * theta_k
+    for seed in range(8):
+        inst = rs.random_instance(seed, dims=(4, 2, 2))
+        shifted = rs.GameInstance(
+            inst.transition, inst.cost1 + theta_k, inst.cost2 + theta_k
+        )
+        phi, psi = rs.uniform_strategy(inst, 1), rs.uniform_strategy(inst, 2)
+        for player, opponent in ((1, psi), (2, phi)):
+            base = rs.solve_optimality(inst, player, opponent)
+            high = rs.solve_optimality(shifted, player, opponent)
+            assert high.converged, (seed, player, high.residual)
+            assert high.rho == pytest.approx(base.rho + theta_k, abs=slack)
+            for value in (
+                lambda game: rs.ergodic_cost(game, player, phi, psi),
+                lambda game: rs.finite_horizon_growth(game, player, phi, psi, 0, 30),
+            ):
+                assert value(shifted) == pytest.approx(value(inst) + theta_k, abs=slack)

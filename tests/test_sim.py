@@ -1,10 +1,13 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 import rsgame as rs
 
-from helpers import corpus_instance
+from helpers import corpus_instance, random_pair
 
 
 def deterministic_cycle_instance():
@@ -158,3 +161,83 @@ class TestMcCostEstimate:
             rs.mc_cost_estimate(g2, 3, phi, psi, x=0, n=5, n_paths=10, seed=1)
         with pytest.raises(ValueError):
             rs.mc_cost_estimate(g2, 2, phi, psi, x=9, n=5, n_paths=10, seed=1)
+
+
+def golden_game(name: str):
+    """(instance, Phi, Psi) for the golden sampler tests."""
+    if name == "g2":
+        g2 = rs.g2_instance()
+        return g2, rs.uniform_strategy(g2, 1), rs.uniform_strategy(g2, 2)
+    inst = corpus_instance(1)  # 6 states, 3 x 4 actions
+    return (inst, *random_pair(inst, np.random.default_rng(3)))
+
+
+def sha256_of(values: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=float).tobytes()).hexdigest()
+
+
+#: sample_path(..., x0=1, n=25, seed=9): states, actions_a, actions_b and the
+#: sha256 of the float64 bytes of cost_sums
+GOLDEN_PATHS = {
+    "g2": (
+        [1, 1, 1, 0, 0, 1, 1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 1, 0, 1, 1, 1],
+        [1, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1, 0, 1, 1, 1, 0, 1],
+        [0, 1, 1, 0, 1, 0, 1, 1, 1, 1, 1, 0, 1, 0, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1],
+        "2a5910e8f530d4296ed9381a81c42251e379becd1b3f93e55f68b2ba955b3dcf",
+    ),
+    "corpus1": (
+        [1, 3, 5, 0, 0, 5, 5, 1, 5, 3, 0, 1, 0, 1, 3, 5, 0, 1, 4, 3, 2, 4, 2, 3, 4, 2],
+        [1, 2, 2, 2, 0, 2, 0, 0, 2, 2, 2, 1, 1, 0, 2, 2, 2, 0, 2, 1, 2, 1, 2, 1, 1],
+        [1, 3, 3, 3, 3, 0, 2, 3, 3, 3, 3, 0, 3, 1, 0, 0, 3, 2, 1, 0, 3, 3, 0, 0, 3],
+        "50848f1cf6cc6c2c02c69c6725bd4f7ce5d226304d5ef0b15087dcc5c34d8f83",
+    ),
+}
+
+#: mc_cost_estimate(..., player, x=1, n=30, n_paths=400, seed=5): value, std_error
+GOLDEN_MC = {
+    ("g2", 1): (0.5485781977684709, 0.031007049970212305),
+    ("g2", 2): (0.6998813435345603, 0.06819001776681796),
+    ("corpus1", 1): (0.5502989101257789, 0.041710174454697165),
+    ("corpus1", 2): (0.5336668817200767, 0.0375553786750742),
+}
+
+
+class TestStream:
+    """Both entry points walk one seeded stream, bit for bit as pinned."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_PATHS))
+    def test_sample_path_matches_golden(self, name):
+        inst, phi, psi = golden_game(name)
+        traj = rs.sample_path(inst, phi, psi, x0=1, n=25, seed=9)
+        states, actions_a, actions_b, cost_digest = GOLDEN_PATHS[name]
+        assert traj.states.tolist() == states
+        assert traj.actions_a.tolist() == actions_a
+        assert traj.actions_b.tolist() == actions_b
+        assert sha256_of(traj.cost_sums) == cost_digest
+
+    @pytest.mark.parametrize("name, player", sorted(GOLDEN_MC))
+    def test_mc_estimate_matches_golden(self, name, player):
+        inst, phi, psi = golden_game(name)
+        est = rs.mc_cost_estimate(inst, player, phi, psi, x=1, n=30, n_paths=400, seed=5)
+        assert (est.value, est.std_error) == GOLDEN_MC[name, player]
+
+    @pytest.mark.parametrize("player", [1, 2])
+    def test_one_path_estimate_reads_the_sampled_path(self, player):
+        base = corpus_instance(1)
+        inst = rs.GameInstance(base.transition, base.cost1, base.cost2, theta=0.7)
+        phi, psi = random_pair(inst, np.random.default_rng(8))
+        traj = rs.sample_path(inst, phi, psi, x0=2, n=40, seed=11)
+        est = rs.mc_cost_estimate(inst, player, phi, psi, x=2, n=40, n_paths=1, seed=11)
+        sums = traj.cost_sums[player - 1]
+        assert est.value == inst.theta * sums[-1] - inst.theta * sums[-2]
+
+    def test_mc_peak_memory_is_bounded(self, g2, g2_uniform):
+        # holding every draw at once would take 200 * 3 * 20_000 * 8 B = 96 MB
+        phi, psi = g2_uniform
+        tracemalloc.start()
+        try:
+            rs.mc_cost_estimate(g2, 1, phi, psi, x=0, n=200, n_paths=20_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20

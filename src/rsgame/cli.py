@@ -14,7 +14,8 @@ serialized as decimals with 17 significant digits, enough to round-trip IEEE
 doubles exactly.
 
 Exit codes: 0 success / all checks PASS; 1 assumption failure or
-non-convergence; 2 usage error; 3 unreadable or unparseable input.
+non-convergence; 2 usage error; 3 unreadable or unparseable input, or an
+unwritable output file.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, replace
 from typing import Any
 
 from . import __version__
@@ -38,7 +39,6 @@ from .game_model import (
     instance_digest,
     instance_from_dict,
     instance_to_dict,
-    load_instance,
     random_instance,
     strategy_from_dict,
     uniform_strategy,
@@ -56,16 +56,6 @@ from .nash import (
 )
 from .sim import mc_cost_estimate
 from .spectral import ergodic_cost, finite_horizon_growth
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: the command plus every flag as parsed."""
-
-    command: str
-    instance_path: str | None
-    output_path: str | None
-    flags: dict[str, Any]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,189 +141,146 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_json(path: str):
-    with open(path) as f:
-        return json.load(f)
+class _InputError(Exception):
+    """An input document could not be read, parsed or fitted to the instance."""
+
+
+def _read(path: str, parse):
+    """``parse`` applied to the JSON document at ``path``; failures are input errors."""
+    try:
+        with open(path) as f:
+            return parse(json.load(f))
+    except json.JSONDecodeError as e:
+        raise _InputError(
+            f"invalid document: {e.msg} at line {e.lineno} column {e.colno}"
+        ) from e
+    except (OSError, ValueError) as e:
+        raise _InputError(str(e)) from e
 
 
 def _load_instance(args) -> GameInstance:
-    instance = instance_from_dict(_load_json(args.instance))
-    if getattr(args, "theta", None) is not None:
-        instance = GameInstance(
-            instance.transition, instance.cost1, instance.cost2,
-            args.theta, instance.anchor_state, instance.arat,
-        )
-    return instance
+    def parse(doc):
+        instance = instance_from_dict(doc)
+        return instance if args.theta is None else replace(instance, theta=args.theta)
+
+    return _read(args.instance, parse)
 
 
-def _resolve_strategy(spec: str, instance: GameInstance, player: int) -> StationaryStrategy:
-    if spec == "uniform":
+def _strategy(spec: str | None, instance: GameInstance, player: int) -> StationaryStrategy:
+    """A strategy file, or the uniform strategy for ``uniform`` or no file."""
+    if spec is None or spec == "uniform":
         return uniform_strategy(instance, player)
-    strategy = strategy_from_dict(_load_json(spec))
+    strategy = _read(spec, strategy_from_dict)
     try:
         check_strategy(instance, strategy, player)
     except ValueError as e:
-        raise ValueError(f"{spec}: {e}") from e
+        raise _InputError(f"{spec}: {e}") from e
     return strategy
 
 
-def _solve_payload(result) -> dict:
-    return {
-        "rho": result.rho,
-        "v": result.v.tolist(),
-        "selector": result.selector.tolist(),
-        "residual": result.residual,
-        "iterations": result.iterations,
-        "converged": result.converged,
+# Handlers: (args, instance) -> (exit code, payload).  Library functions are
+# looked up as module attributes at call time, so tracing can patch them.
+
+def _validate(args, instance) -> tuple[int, dict]:
+    diag = validate(instance, min_prob=args.min_prob)
+    payload = {"passed": diag.passed, **asdict(diag)}
+    for check in payload["checks"].values():
+        del check["key"]
+    for c in diag.failures():
+        print(c.message, file=sys.stderr)
+    return (0 if diag.passed else 1), payload
+
+
+def _solve(args, instance) -> tuple[int, dict]:
+    opponent = _strategy(args.opponent, instance, 3 - args.player)
+    result = solve_optimality(
+        instance, args.player, opponent, tol=args.tol, max_iter=args.max_iter
+    )
+    _, tied = apply_T(instance, args.player, opponent, result.v)
+    if not result.converged:
+        print(
+            f"solve did not reach tol {args.tol:g} in {args.max_iter} iterations "
+            f"(residual {result.residual:g})",
+            file=sys.stderr,
+        )
+    payload = {**asdict(result), "tied_actions": tied}
+    return (0 if result.converged else 1), payload
+
+
+def _eval(args, instance) -> tuple[int, dict]:
+    Phi = _strategy(args.phi, instance, 1)
+    Psi = _strategy(args.psi, instance, 2)
+    if args.mc and args.horizon is None:
+        raise ValueError("--mc requires --horizon")
+    payload: dict[str, Any] = {
+        f"J{i}": ergodic_cost(instance, i, Phi, Psi) for i in (1, 2)
+    }
+    x = instance.anchor_state if args.x is None else args.x
+    if args.horizon is not None:
+        payload["finite_horizon"] = {"n": args.horizon, "x": x, **{
+            f"growth{i}": finite_horizon_growth(instance, i, Phi, Psi, x, args.horizon)
+            for i in (1, 2)
+        }}
+    if args.mc:
+        payload["mc"] = {
+            f"player{i}": asdict(mc_cost_estimate(
+                instance, i, Phi, Psi, x, args.horizon, args.paths, args.seed
+            ))
+            for i in (1, 2)
+        }
+    return 0, payload
+
+
+def _nash(args, instance) -> tuple[int, dict]:
+    init = (_strategy(args.phi0, instance, 1), _strategy(args.psi0, instance, 2))
+    schedule = None if args.no_smoothing else (args.tau0, args.tau_min, args.tau_decay)
+    cert = best_response_dynamics(
+        instance, init_pair=init, beta=args.beta, tau_schedule=schedule,
+        max_rounds=args.rounds, eps_target=args.eps, tol=args.tol,
+    )
+    verified = verify_certificate(instance, cert, args.eps)
+    if not cert.converged:
+        print(
+            f"dynamics did not certify eps <= {args.eps:g} within {args.rounds} "
+            f"rounds (best max gap {cert.max_gap:g})",
+            file=sys.stderr,
+        )
+    payload = {**certificate_to_dict(cert), "max_gap": cert.max_gap, "verified": verified}
+    return (0 if cert.converged and verified else 1), payload
+
+
+def _brute(args, instance) -> tuple[int, dict]:
+    result = brute_force_nash(instance, grid_step=args.grid, eps=args.eps, tol=args.tol)
+    return 0, {
+        "grid_step": result.grid_step,
+        "eps": result.eps,
+        "searched_pairs": result.searched_pairs,
+        "survivors": len(result),
+        "existence": result.label,
+        "certificates": [certificate_to_dict(c) for c in result[: max(0, args.top)]],
     }
 
 
-def _estimate_payload(est) -> dict:
-    return {
-        "value": est.value, "std_error": est.std_error,
-        "n_paths": est.n_paths, "horizon": est.horizon, "seed": est.seed,
-    }
-
-
-def _execute(config: RunConfig, instance, extra) -> tuple[int, dict]:
-    """Run one command; returns (exit_code, report payload)."""
-    args = config.flags
-    cmd = config.command
-
-    if cmd == "validate":
-        diag = validate(instance, min_prob=args["min_prob"])
-        payload = {
-            "passed": diag.passed,
-            "delta": diag.delta,
-            "kappa": diag.kappa,
-            "c_bar": diag.c_bar,
-            "span_bound": diag.span_bound,
-            "min_prob": diag.min_prob,
-            "checks": {
-                key: {
-                    "description": c.description,
-                    "status": c.status,
-                    "message": c.message,
-                    "violations": [list(v) for v in c.violations],
-                }
-                for key, c in diag.checks.items()
-            },
-        }
-        for c in diag.failures():
-            print(c.message, file=sys.stderr)
-        return (0 if diag.passed else 1), payload
-
-    if cmd == "solve":
-        opponent = extra["opponent"]
-        result = solve_optimality(
-            instance, args["player"], opponent,
-            tol=args["tol"], max_iter=args["max_iter"],
-        )
-        _, tied = apply_T(instance, args["player"], opponent, result.v)
-        payload = _solve_payload(result)
-        payload["tied_actions"] = [t.tolist() for t in tied]
-        if not result.converged:
-            print(
-                f"solve did not reach tol {args['tol']:g} in "
-                f"{args['max_iter']} iterations (residual {result.residual:g})",
-                file=sys.stderr,
-            )
-        return (0 if result.converged else 1), payload
-
-    if cmd == "eval":
-        Phi, Psi = extra["phi"], extra["psi"]
-        payload: dict[str, Any] = {
-            "J1": ergodic_cost(instance, 1, Phi, Psi),
-            "J2": ergodic_cost(instance, 2, Phi, Psi),
-        }
-        x = args["x"] if args["x"] is not None else instance.anchor_state
-        if args["horizon"] is not None:
-            payload["finite_horizon"] = {
-                "n": args["horizon"],
-                "x": x,
-                "growth1": finite_horizon_growth(instance, 1, Phi, Psi, x, args["horizon"]),
-                "growth2": finite_horizon_growth(instance, 2, Phi, Psi, x, args["horizon"]),
-            }
-        if args["mc"]:
-            if args["horizon"] is None:
-                raise ValueError("--mc requires --horizon")
-            payload["mc"] = {
-                f"player{i}": _estimate_payload(
-                    mc_cost_estimate(
-                        instance, i, Phi, Psi, x,
-                        args["horizon"], args["paths"], args["seed"],
-                    )
-                )
-                for i in (1, 2)
-            }
-        return 0, payload
-
-    if cmd == "nash":
-        schedule = None if args["no_smoothing"] else (
-            args["tau0"], args["tau_min"], args["tau_decay"]
-        )
-        init = None
-        if extra.get("phi0") is not None or extra.get("psi0") is not None:
-            init = (
-                extra.get("phi0") or uniform_strategy(instance, 1),
-                extra.get("psi0") or uniform_strategy(instance, 2),
-            )
-        cert = best_response_dynamics(
-            instance, init_pair=init, beta=args["beta"], tau_schedule=schedule,
-            max_rounds=args["rounds"], eps_target=args["eps"], tol=args["tol"],
-        )
-        verified = verify_certificate(instance, cert, args["eps"])
-        payload = certificate_to_dict(cert)
-        payload["max_gap"] = cert.max_gap
-        payload["verified"] = verified
-        ok = cert.converged and verified
-        if not cert.converged:
-            print(
-                f"dynamics did not certify eps <= {args['eps']:g} within "
-                f"{args['rounds']} rounds (best max gap {cert.max_gap:g})",
-                file=sys.stderr,
-            )
-        return (0 if ok else 1), payload
-
-    if cmd == "brute":
-        result = brute_force_nash(
-            instance, grid_step=args["grid"], eps=args["eps"], tol=args["tol"]
-        )
-        payload = {
-            "grid_step": result.grid_step,
-            "eps": result.eps,
-            "searched_pairs": result.searched_pairs,
-            "survivors": len(result),
-            "existence": result.label,
-            "certificates": [
-                certificate_to_dict(c) for c in result[: max(0, args["top"])]
-            ],
-        }
-        return 0, payload
-
-    raise ValueError(f"unknown command {cmd!r}")
-
-
-def _run_gen(config: RunConfig) -> int:
-    args = config.flags
-    if args["fixture"] == "g2":
-        instance = g2_instance()
+def _gen(args, instance) -> tuple[int, dict]:
+    """The payload is the generated instance document itself."""
+    if args.fixture == "g2":
+        generated = g2_instance()
     else:
-        instance = random_instance(
-            seed=args["seed"],
-            dims=(args["states"], args["actions_a"], args["actions_b"]),
-            min_prob=args["min_prob"],
-            arat_flag=args["arat"],
-            c_bar=args["c_bar"],
-            theta=args["theta"],
+        generated = random_instance(
+            seed=args.seed,
+            dims=(args.states, args.actions_a, args.actions_b),
+            min_prob=args.min_prob,
+            arat_flag=args.arat,
+            c_bar=args.c_bar,
+            theta=args.theta,
         )
-    text = dumps_decimal(instance_to_dict(instance)) + "\n"
-    if config.output_path:
-        with open(config.output_path, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return 0, instance_to_dict(generated)
+
+
+_HANDLERS = {
+    "validate": _validate, "solve": _solve, "eval": _eval,
+    "nash": _nash, "brute": _brute, "gen": _gen,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -341,78 +288,31 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    flags = {k: v for k, v in vars(args).items() if k != "command"}
-    config = RunConfig(
-        command=args.command,
-        instance_path=getattr(args, "instance", None),
-        output_path=args.output,
-        flags=flags,
-    )
     t0 = time.perf_counter()
-
-    if config.command == "gen":
-        try:
-            return _run_gen(config)
-        except (OSError, ValueError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 3 if isinstance(e, OSError) else 2
-
-    # input phase: unreadable or unparseable documents exit 3
     try:
-        instance = _load_instance(args)
-        extra: dict[str, Any] = {}
-        if config.command == "solve":
-            extra["opponent"] = _resolve_strategy(
-                args.opponent, instance, 2 if args.player == 1 else 1
-            )
-        elif config.command == "eval":
-            extra["phi"] = _resolve_strategy(args.phi, instance, 1)
-            extra["psi"] = _resolve_strategy(args.psi, instance, 2)
-        elif config.command == "nash":
-            if args.phi0 is not None:
-                extra["phi0"] = _resolve_strategy(args.phi0, instance, 1)
-            if args.psi0 is not None:
-                extra["psi0"] = _resolve_strategy(args.psi0, instance, 2)
-    except json.JSONDecodeError as e:
-        print(
-            f"error: invalid document: {e.msg} at line {e.lineno} column {e.colno}",
-            file=sys.stderr,
-        )
-        return 3
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-
-    try:
-        code, payload = _execute(config, instance, extra)
-    except AssumptionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-
-    report = {
-        "command": config.command,
-        "version": __version__,
-        "instance_digest": instance_digest(instance),
-        "flags": config.flags,
-        "wall_clock_s": time.perf_counter() - t0,
-    }
-    report.update(payload)
-    text = dumps_decimal(report) + "\n"
-    try:
-        if config.output_path:
-            with open(config.output_path, "w") as f:
+        instance = None if args.command == "gen" else _load_instance(args)
+        code, report = _HANDLERS[args.command](args, instance)
+        if instance is not None:
+            report = {
+                "command": args.command,
+                "version": __version__,
+                "instance_digest": instance_digest(instance),
+                "flags": {k: v for k, v in vars(args).items() if k != "command"},
+                "wall_clock_s": time.perf_counter() - t0,
+                **report,
+            }
+        text = dumps_decimal(report) + "\n"
+        if args.output:
+            with open(args.output, "w") as f:
                 f.write(text)
         else:
             sys.stdout.write(text)
-    except OSError as e:
+    except (_InputError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3
+        if isinstance(e, AssumptionError):  # a ValueError subclass
+            return 1
+        # any other ValueError is a usage error; bad input or output is 3
+        return 2 if isinstance(e, ValueError) else 3
     return code
 
 

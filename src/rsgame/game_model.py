@@ -295,6 +295,8 @@ _DESCRIPTIONS = {
 
 #: float64 scratch bytes one tile of the pairwise-distance pass may use
 _TV_TILE_BYTES = 4 * 2**20
+#: violating index tuples a FAIL verdict lists: the first ones, row-major
+_MAX_VIOLATIONS = 20
 
 
 def _tv_distances(instance: GameInstance) -> tuple[float, list]:
@@ -306,7 +308,7 @@ def _tv_distances(instance: GameInstance) -> tuple[float, list]:
     the distance matrix, or a run of columns of one row when a row alone
     is over budget.  Either way tiles are visited in row-major order, so
     the pairs (i, j) at distance >= 2 - EXACT_TOL (disjoint supports) come
-    out in that order; the first 20 are returned.
+    out in that order; the first _MAX_VIOLATIONS are returned.
     """
     rows = instance.transition.reshape(-1, instance.n_states)
     n_rows, width = rows.shape
@@ -319,7 +321,7 @@ def _tv_distances(instance: GameInstance) -> tuple[float, list]:
             diff = rows[i:i + tile_rows, None, :] - rows[None, j:j + tile_cols, :]
             dist = np.abs(diff, out=diff).sum(axis=-1)
             worst = max(worst, float(dist.max()))
-            hits = np.argwhere(dist >= 2.0 - EXACT_TOL)[: 20 - len(disjoint)]
+            hits = np.argwhere(dist >= 2.0 - EXACT_TOL)[: _MAX_VIOLATIONS - len(disjoint)]
             disjoint.extend((i + p, j + q) for p, q in hits)
     return worst, disjoint
 
@@ -356,8 +358,20 @@ def span_bound(instance: GameInstance, kappa: float | None = None) -> float:
     return math.log(k) + 3.0 * instance.theta * instance.c_bar if k < math.inf else math.inf
 
 
-def _clip_violations(idx: np.ndarray, limit: int = 20) -> tuple:
-    return tuple(tuple(int(i) for i in row) for row in idx[:limit])
+def _first_violations(*masks: np.ndarray) -> tuple:
+    """Index tuples of the first _MAX_VIOLATIONS true entries, mask after mask.
+
+    Each mask is scanned one state slab (leading index) at a time in
+    row-major order, so no index array outgrows one slab.
+    """
+    found: list[tuple] = []
+    for mask in masks:
+        for x, slab in enumerate(mask):
+            hits = np.argwhere(slab)[: _MAX_VIOLATIONS - len(found)]
+            found.extend((x, *(int(i) for i in hit)) for hit in hits)
+            if len(found) == _MAX_VIOLATIONS:
+                return tuple(found)
+    return tuple(found)
 
 
 def validate(instance: GameInstance, min_prob: float = DEFAULT_MIN_PROB) -> ModelDiagnostics:
@@ -371,11 +385,12 @@ def validate(instance: GameInstance, min_prob: float = DEFAULT_MIN_PROB) -> Mode
         ModelDiagnostics with delta, kappa, c_bar, the span bound
         ln(kappa) + 3*theta*c_bar, and a PASS/FAIL/SKIP verdict per
         assumption keyed "1", "2(i)", "2(ii)", "3.1", "3.2", "4.1", "4.2".
-        FAIL verdicts carry the violating index tuples (first 20).
+        FAIL verdicts carry the first violating index tuples (at most 20).
 
     Memory stays bounded: the pairwise row distances behind delta and the
-    2(i) violations come from one tiled pass, and kappa needs only the
-    per-(a, b, y) extremes over states.
+    2(i) violations come from one tiled pass, kappa needs only the
+    per-(a, b, y) extremes over states, and the other failures are counted
+    on boolean masks and listed one state slab at a time.
     """
     if min_prob <= 0.0:
         raise ValueError(f"min_prob must be > 0, got {min_prob!r}")
@@ -398,15 +413,16 @@ def validate(instance: GameInstance, min_prob: float = DEFAULT_MIN_PROB) -> Mode
         )
         add("2(i)", "FAIL", f"Assumption 2(i): delta = {delta:.6g} >= 1", pairs)
 
-    low = np.argwhere(t < min_prob)
-    if low.size == 0:
+    low = t < min_prob
+    n_low = np.count_nonzero(low)
+    if n_low == 0:
         add("2(ii)", "PASS", f"all transition probabilities >= {min_prob:g}")
     else:
         add(
             "2(ii)",
             "FAIL",
-            f"Assumption 2(ii): {len(low)} transition entries below min_prob = {min_prob:g}",
-            _clip_violations(low),
+            f"Assumption 2(ii): {n_low} transition entries below min_prob = {min_prob:g}",
+            _first_violations(low),
         )
 
     add("3.1", "PASS", "densities are the transition probabilities themselves")
@@ -415,34 +431,33 @@ def validate(instance: GameInstance, min_prob: float = DEFAULT_MIN_PROB) -> Mode
     if math.isfinite(kappa):
         add("3.2", "PASS", f"kappa = {kappa:.6g}")
     else:
-        zeros = np.argwhere(t == 0.0)
         add("3.2", "FAIL", "Assumption 3.2: kappa infinite (zero transition entries)",
-            _clip_violations(zeros))
+            _first_violations(t == 0.0))
 
     if instance.arat is None:
         add("4.1", "SKIP", "no additive decomposition attached")
         add("4.2", "SKIP", "no additive decomposition attached")
     else:
         a = instance.arat
-        recon = a.p1[:, :, None, :] + a.p2[:, None, :, :]
-        bad = np.argwhere(np.abs(recon - t) > EXACT_TOL)
-        if bad.size == 0:
+        err = a.p1[:, :, None, :] + a.p2[:, None, :, :] - t
+        bad = np.abs(err, out=err) > EXACT_TOL
+        n_bad = np.count_nonzero(bad)
+        if n_bad == 0:
             add("4.1", "PASS", "p1 + p2 reproduces the transition law")
         else:
             add("4.1", "FAIL",
                 f"Assumption 4.1: p1 + p2 differs from the transition law at "
-                f"{len(bad)} indices", _clip_violations(bad))
+                f"{n_bad} indices", _first_violations(bad))
         r1 = a.c11[:, :, None] + a.c12[:, None, :] - instance.cost1
         r2 = a.c21[:, :, None] + a.c22[:, None, :] - instance.cost2
-        bad1 = np.argwhere(np.abs(r1) > EXACT_TOL)
-        bad2 = np.argwhere(np.abs(r2) > EXACT_TOL)
-        if bad1.size == 0 and bad2.size == 0:
+        bad1, bad2 = np.abs(r1) > EXACT_TOL, np.abs(r2) > EXACT_TOL
+        n_bad = np.count_nonzero(bad1) + np.count_nonzero(bad2)
+        if n_bad == 0:
             add("4.2", "PASS", "cost components reproduce both cost tables")
         else:
             add("4.2", "FAIL",
                 f"Assumption 4.2: additive cost components differ from the cost "
-                f"tables at {len(bad1) + len(bad2)} indices",
-                _clip_violations(np.vstack([bad1.reshape(-1, 3), bad2.reshape(-1, 3)])))
+                f"tables at {n_bad} indices", _first_violations(bad1, bad2))
 
     return ModelDiagnostics(
         delta=delta,

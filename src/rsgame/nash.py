@@ -41,6 +41,7 @@ from .game_model import (
     StationaryStrategy,
     pure_strategy,
     require_solvable,
+    strategy_to_dict,
     uniform_strategy,
     validate,
 )
@@ -456,8 +457,8 @@ def brute_force_nash(
 
 def certificate_to_dict(certificate: NashCertificate) -> dict:
     d = {
-        "phi": {"player": 1, "rows": certificate.Phi.rows.tolist()},
-        "psi": {"player": 2, "rows": certificate.Psi.rows.tolist()},
+        "phi": strategy_to_dict(certificate.Phi),
+        "psi": strategy_to_dict(certificate.Psi),
         "J1": certificate.J1,
         "J2": certificate.J2,
         "rho1_star": certificate.rho1_star,

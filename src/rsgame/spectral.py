@@ -151,6 +151,8 @@ def finite_horizon_growth(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if not 0 <= x < instance.n_states:
+        raise ValueError(f"start state {x} out of range")
     growth, _, _ = _nth_power(twisted_matrix(instance, player, Phi, Psi).log_matrix, int(n))
     return float(growth[x])
 
@@ -170,6 +172,8 @@ def horizon_log_mgf(
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    if not 0 <= x < instance.n_states:
+        raise ValueError(f"start state {x} out of range")
     log_q = twisted_matrix(instance, player, Phi, Psi).log_matrix
     if n == 0:
         return 0.0

@@ -209,6 +209,17 @@ class TestEvalCommand:
         assert code == 2
         assert "--horizon" in err
 
+    @pytest.mark.parametrize("x", [-1, 2])
+    def test_out_of_range_start_state_is_usage_error(self, g2_path, capsys, x):
+        code, report, err = run(
+            ["eval", "--instance", g2_path, "--phi", "uniform", "--psi", "uniform",
+             "--horizon", "3", "--x", str(x)],
+            capsys,
+        )
+        assert code == 2
+        assert report is None
+        assert err == f"error: start state {x} out of range\n"
+
     def test_theta_override_changes_values_and_digest(self, g2_path, capsys):
         _, base, _ = run(
             ["eval", "--instance", g2_path, "--phi", "uniform", "--psi", "uniform"],
@@ -378,3 +389,93 @@ class TestReportDeterminism:
         psi = rs.uniform_strategy(inst, 2)
         assert report["J1"] == rs.ergodic_cost(inst, 1, phi, psi)
         assert report["J2"] == rs.ergodic_cost(inst, 2, phi, psi)
+
+
+def key_paths(doc, prefix=""):
+    """Every key of a JSON document as a dotted path, depth first in document order."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield prefix + key
+            yield from key_paths(value, f"{prefix}{key}.")
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from key_paths(value, f"{prefix}{i}.")
+
+
+ENVELOPE = "command version instance_digest flags flags.instance flags.theta flags.output"
+CHECK_KEYS = ("1", "2(i)", "2(ii)", "3.1", "3.2", "4.1", "4.2")
+CHECK_FIELDS = ("description", "status", "message", "violations")
+VALIDATE_PATHS = (
+    f"{ENVELOPE} flags.min_prob wall_clock_s passed delta kappa c_bar span_bound "
+    "min_prob checks " + " ".join(
+        f"checks.{k} " + " ".join(f"checks.{k}.{f}" for f in CHECK_FIELDS)
+        for k in CHECK_KEYS
+    )
+)
+CERTIFICATE_KEYS = (
+    "phi phi.player phi.rows psi psi.player psi.rows J1 J2 rho1_star rho2_star "
+    "eps1 eps2 rounds converged"
+)
+
+# argv ("G2" and "BAD" stand for instance files), exit code, stderr, key paths
+SHAPES = {
+    "gen": (
+        ["gen", "--seed", "1", "--states", "2", "--arat"], 0, "",
+        "theta anchor_state states actions_a actions_b transition cost1 cost2 "
+        "arat arat.p1 arat.p2 arat.c11 arat.c21 arat.c12 arat.c22",
+    ),
+    "validate-pass": (["validate", "--instance", "G2"], 0, "", VALIDATE_PATHS),
+    "validate-fail": (
+        ["validate", "--instance", "BAD"], 1,
+        "Assumption 2(i): delta = 1 >= 1\n"
+        "Assumption 2(ii): 2 transition entries below min_prob = 1e-06\n"
+        "Assumption 3.2: kappa infinite (zero transition entries)\n",
+        VALIDATE_PATHS,
+    ),
+    "solve": (
+        ["solve", "--instance", "G2", "--player", "2", "--opponent", "uniform"], 0, "",
+        f"{ENVELOPE} flags.player flags.opponent flags.tol flags.max_iter wall_clock_s "
+        "rho v selector residual iterations converged tied_actions",
+    ),
+    "eval": (
+        ["eval", "--instance", "G2", "--phi", "uniform", "--psi", "uniform",
+         "--horizon", "5", "--mc", "--paths", "100"], 0, "",
+        f"{ENVELOPE} flags.phi flags.psi flags.horizon flags.mc flags.paths flags.seed "
+        "flags.x wall_clock_s J1 J2 finite_horizon finite_horizon.n finite_horizon.x "
+        "finite_horizon.growth1 finite_horizon.growth2 mc " + " ".join(
+            f"mc.player{i} " + " ".join(
+                f"mc.player{i}.{k}" for k in ("value", "std_error", "n_paths", "horizon", "seed")
+            )
+            for i in (1, 2)
+        ),
+    ),
+    "nash": (
+        ["nash", "--instance", "G2"], 0, "",
+        f"{ENVELOPE} flags.eps flags.beta flags.tau0 flags.tau_min flags.tau_decay "
+        f"flags.no_smoothing flags.rounds flags.tol flags.phi0 flags.psi0 wall_clock_s "
+        f"{CERTIFICATE_KEYS} max_gap verified",
+    ),
+    "brute": (
+        ["brute", "--instance", "G2", "--grid", "0.5", "--eps", "0.3", "--top", "2"], 0, "",
+        f"{ENVELOPE} flags.grid flags.eps flags.top flags.tol wall_clock_s grid_step eps "
+        "searched_pairs survivors existence certificates " + " ".join(
+            f"certificates.{i}.{k}" for i in (0, 1) for k in CERTIFICATE_KEYS.split()
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SHAPES)
+def test_report_shape(name, g2_path, tmp_path, capsys):
+    """Exit code, stderr and the ordered key paths of each subcommand's report."""
+    argv, want_code, want_err, want_paths = SHAPES[name]
+    t = np.zeros((2, 1, 1, 2))
+    t[0, 0, 0, 0] = 1.0
+    t[1, 0, 0, 1] = 1.0
+    bad_path = tmp_path / "bad.json"
+    rs.save_instance(rs.GameInstance(t, np.zeros((2, 1, 1)), np.zeros((2, 1, 1))), bad_path)
+    files = {"G2": g2_path, "BAD": str(bad_path)}
+    code, report, err = run([files.get(a, a) for a in argv], capsys)
+    assert code == want_code
+    assert err == want_err
+    assert list(key_paths(report)) == want_paths.split()

@@ -211,6 +211,75 @@ class TestDistancePass:
         assert peak < 64 * 2**20
 
 
+class TestViolationLists:
+    """FAIL verdicts count violations on masks and list the first ones slab by slab."""
+
+    DIMS = (12, 2, 2)
+
+    @classmethod
+    def failing_case(cls, key):
+        """(instance, min_prob, masks) with the reference violation masks of ``key``."""
+        rng = np.random.default_rng(11)
+        base = rs.random_instance(11, dims=cls.DIMS, min_prob=0.02, arat_flag=True)
+        a, t = base.arat, base.transition.copy()
+        c1, c2 = base.cost1, base.cost2
+        min_prob = game_model.DEFAULT_MIN_PROB
+        if key == "2(ii)":
+            min_prob = float(np.quantile(t, 0.1))
+        elif key == "3.2":
+            t[..., 1:][rng.random(t[..., 1:].shape) < 0.08] = 0.0
+            t /= t.sum(axis=-1, keepdims=True)
+        elif key == "4.1":
+            moved = rng.random(cls.DIMS) < 0.15
+            t[moved, 0] += 1e-3
+            t[moved, 1] -= 1e-3
+        else:
+            c1 = c1 + 0.05 * (rng.random(cls.DIMS) < 0.3)
+            c2 = c2 + 0.05 * (rng.random(cls.DIMS) < 0.5)
+        inst = rs.GameInstance(t, c1, c2, arat=a)
+        tol = game_model.EXACT_TOL
+        t = inst.transition
+        masks = {
+            "2(ii)": [t < min_prob],
+            "3.2": [t == 0.0],
+            "4.1": [np.abs(a.p1[:, :, None, :] + a.p2[:, None, :, :] - t) > tol],
+            "4.2": [
+                np.abs(a.c11[:, :, None] + a.c12[:, None, :] - inst.cost1) > tol,
+                np.abs(a.c21[:, :, None] + a.c22[:, None, :] - inst.cost2) > tol,
+            ],
+        }[key]
+        return inst, min_prob, masks
+
+    @pytest.mark.parametrize("key", ["2(ii)", "3.2", "4.1", "4.2"])
+    def test_violations_equal_the_argwhere_reference(self, key):
+        inst, min_prob, masks = self.failing_case(key)
+        check = rs.validate(inst, min_prob=min_prob).checks[key]
+        hits = np.vstack([np.argwhere(m) for m in masks])
+        want = tuple(tuple(int(i) for i in h) for h in hits[:20])
+        assert len({v[0] for v in want}) > 1  # the first 20 span several slabs
+        if len(masks) > 1:
+            assert np.count_nonzero(masks[0]) < 20  # cost2's indices follow cost1's
+        assert check.status == "FAIL"
+        assert check.violations == want
+        if key != "3.2":  # the 3.2 message carries no count
+            assert f" {len(hits)} " in check.message
+
+    def test_failing_validate_peak_memory_is_bounded(self):
+        # every one of the 360,000 entries fails 2(ii); indices for all of
+        # them would take 11.5 MB
+        inst = rs.random_instance(0, dims=(600, 1, 1), min_prob=1e-4)
+        tracemalloc.start()
+        try:
+            diag = rs.validate(inst, min_prob=0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        check = diag.checks["2(ii)"]
+        assert check.message.startswith("Assumption 2(ii): 360000 transition entries")
+        assert len(check.violations) == 20
+        assert peak < 8 * 2**20
+
+
 class TestConstruction:
     def test_rejects_bad_rows(self):
         t = np.tile(np.array([0.6, 0.5]), (2, 1, 1, 1))

@@ -212,11 +212,24 @@ class TestFiniteHorizonGrowth:
         with pytest.raises(ValueError):
             rs.finite_horizon_growth(g2, 2, phi, psi, x=0, n=0)
 
+    @pytest.mark.parametrize("x", [-1, 2])
+    def test_rejects_out_of_range_start_state(self, g2, g2_uniform, x):
+        phi, psi = g2_uniform
+        with pytest.raises(ValueError, match=f"start state {x} out of range"):
+            rs.finite_horizon_growth(g2, 2, phi, psi, x=x, n=3)
+
 
 class TestHorizonLogMgf:
     def test_zero_horizon_is_zero(self, g2, g2_uniform):
         phi, psi = g2_uniform
         assert rs.horizon_log_mgf(g2, 2, phi, psi, x=0, n=0) == 0.0
+
+    @pytest.mark.parametrize("n", [0, 3])
+    @pytest.mark.parametrize("x", [-1, 2])
+    def test_rejects_out_of_range_start_state(self, g2, g2_uniform, x, n):
+        phi, psi = g2_uniform
+        with pytest.raises(ValueError, match=f"start state {x} out of range"):
+            rs.horizon_log_mgf(g2, 2, phi, psi, x=x, n=n)
 
     def test_increments_reproduce_growth(self, g2, g2_uniform):
         phi, psi = g2_uniform

@@ -25,9 +25,9 @@ kernel = np.exp(rs.log_twisted_tensor(g2, 2))
 print("twisted row sums equal e^{theta*c2}:",
       np.allclose(kernel.sum(axis=-1), np.exp(g2.cost2)))
 
-ev = rs.normalized_kernel(g2, 2, 0, phi.rows[0], np.array([0.5, 0.5]))
-print(f"normalizer c~ at x=0 under uniform play: {ev.c_tilde:.12f}")
-print(f"  log-cost c^ = {ev.c_hat:.12f}, normalized row = {ev.p_hat}")
+c_hat, p_hat = rs.normalized_kernel(g2, 2, 0, phi.rows[0], np.array([0.5, 0.5]))
+print(f"log-normalizer c^ at x=0 under uniform play: {c_hat:.12f}")
+print(f"  normalized row P^ = {p_hat}")
 
 # the same objective in two forms: direct log-sum-exp vs. entropy dual
 v = np.array([0.1, -0.4])

@@ -30,19 +30,14 @@ from .game_model import (
     StationaryStrategy,
     assemble_from_arat,
     check_strategy,
-    compute_delta,
     compute_kappa,
     g2_instance,
     instance_digest,
     instance_from_dict,
     instance_to_dict,
-    load_instance,
-    load_strategy,
     pure_strategy,
     random_instance,
     require_solvable,
-    save_instance,
-    save_strategy,
     strategy_from_dict,
     strategy_to_dict,
     uniform_strategy,
@@ -60,7 +55,6 @@ from .nash import (
 )
 from .sim import McEstimate, Trajectory, mc_cost_estimate, sample_path
 from .spectral import (
-    TwistedMatrix,
     ergodic_cost,
     finite_horizon_growth,
     horizon_log_mgf,
@@ -68,10 +62,7 @@ from .spectral import (
     twisted_matrix,
 )
 from .transforms import (
-    MixedEvaluation,
-    frozen_pair_instance,
     log_twisted_tensor,
-    mix_transition,
     normalized_kernel,
     relative_entropy,
     twisted_measure,
@@ -79,19 +70,17 @@ from .transforms import (
 
 __all__ = [
     "AratStructure", "AssumptionCheck", "AssumptionError", "BestResponse",
-    "BruteForceResult", "GameInstance", "McEstimate", "MixedEvaluation",
-    "ModelDiagnostics", "NashCertificate", "SolveResult",
-    "StationaryStrategy", "Trajectory", "TwistedMatrix",
+    "BruteForceResult", "GameInstance", "McEstimate", "ModelDiagnostics",
+    "NashCertificate", "SolveResult", "StationaryStrategy", "Trajectory",
     "action_values", "apply_T", "assemble_from_arat", "best_response",
     "best_response_dynamics", "brute_force_nash", "check_strategy",
-    "compute_delta", "compute_kappa", "dual_value", "epsilon_gap",
-    "ergodic_cost", "finite_horizon_growth", "frozen_pair_instance",
-    "g2_instance", "horizon_log_mgf", "instance_digest", "instance_from_dict",
-    "instance_to_dict", "load_instance", "load_strategy", "log_twisted_tensor",
-    "mc_cost_estimate", "measured_contraction", "mix_transition",
+    "compute_kappa", "dual_value", "epsilon_gap", "ergodic_cost",
+    "finite_horizon_growth", "g2_instance", "horizon_log_mgf",
+    "instance_digest", "instance_from_dict", "instance_to_dict",
+    "log_twisted_tensor", "mc_cost_estimate", "measured_contraction",
     "mixed_objective", "normalized_kernel", "perron_value", "pure_strategy",
     "random_instance", "relative_entropy", "require_solvable", "sample_path",
-    "save_instance", "save_strategy", "solve_optimality", "span",
-    "strategy_from_dict", "strategy_to_dict", "twisted_matrix",
-    "twisted_measure", "uniform_strategy", "validate", "verify_certificate",
+    "solve_optimality", "span", "strategy_from_dict", "strategy_to_dict",
+    "twisted_matrix", "twisted_measure", "uniform_strategy", "validate",
+    "verify_certificate",
 ]

@@ -148,10 +148,10 @@ def mixed_objective(
     c^_i(x, phi, psi) + ln sum_y e^{v(y)} P^_i(y | x, phi, psi).  For player
     2 this is the inner objective as a function of psi; for player 1, of phi.
     """
-    ev = normalized_kernel(instance, player, x, phi, psi)
+    c_hat, p_hat = normalized_kernel(instance, player, x, phi, psi)
     v = np.asarray(v, dtype=float)
     top = v.max()
-    return ev.c_hat + float(np.log(ev.p_hat @ np.exp(v - top)) + top)
+    return c_hat + float(np.log(p_hat @ np.exp(v - top)) + top)
 
 
 def dual_value(instance: GameInstance, player: int, x: int, phi, psi, v) -> float:
@@ -162,10 +162,10 @@ def dual_value(instance: GameInstance, player: int, x: int, phi, psi, v) -> floa
     :func:`mixed_objective` to ~1e-10; the twisted measure maximizes the
     bracketed concave functional over all next-state measures.
     """
-    ev = normalized_kernel(instance, player, x, phi, psi)
+    c_hat, p_hat = normalized_kernel(instance, player, x, phi, psi)
     v = np.asarray(v, dtype=float)
-    mu = twisted_measure(ev.p_hat, v)
-    return ev.c_hat + float(mu @ v) - relative_entropy(mu, ev.p_hat)
+    mu = twisted_measure(p_hat, v)
+    return c_hat + float(mu @ v) - relative_entropy(mu, p_hat)
 
 
 def relative_value_iteration(
@@ -173,16 +173,15 @@ def relative_value_iteration(
     anchor: int,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    v0: np.ndarray | None = None,
 ) -> SolveResult:
     """Relative value iteration on a stack of log kernels L[..., x, k, y].
 
     Iterates v <- Tv - (Tv)(anchor), with (Tv)(x) = min_k ln sum_y
-    e^{L(x,k,y) + v(y)}, from v0 (zero by default) until the span of
-    successive differences is below tol for every kernel in the stack, then
-    reads rho = (Tv)(anchor) and the selector off one more sweep.  The
-    result's rho, v and selector carry the stack's leading axes; residual is
-    the largest span over the stack.  With one own action rho is the log
+    e^{L(x,k,y) + v(y)}, from v = 0 until the span of successive
+    differences is below tol for every kernel in the stack, then reads
+    rho = (Tv)(anchor) and the selector off one more sweep.  The result's
+    rho, v and selector carry the stack's leading axes; residual is the
+    largest span over the stack.  With one own action rho is the log
     Perron root of e^L.
 
     The stop never asks for less than the sweep's rounding noise: once the
@@ -190,7 +189,7 @@ def relative_value_iteration(
     so values near theta*c = 1e6 converge as values near 1 do.
     """
     kernel, shift = _shifted(log_kernel)
-    v = np.zeros(log_kernel.shape[:-2]) if v0 is None else v0 - v0[..., anchor, None]
+    v = np.zeros(log_kernel.shape[:-2])
     residual = np.inf
     converged = False
     iterations = 0
@@ -224,13 +223,12 @@ def solve_optimality(
     opponent_strategy: StationaryStrategy,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    v0: np.ndarray | None = None,
 ) -> SolveResult:
     """Relative value iteration for one player against a fixed opponent.
 
-    Iterates v <- Tv - (Tv)(anchor) from v0 (zero by default) until
-    span(v_{k+1} - v_k) < tol, or until it stalls below the rounding floor
-    of :func:`relative_value_iteration`, then reads rho and a minimizing
+    Iterates v <- Tv - (Tv)(anchor) from v = 0 until span(v_{k+1} - v_k)
+    < tol, or until it stalls below the rounding floor of
+    :func:`relative_value_iteration`, then reads rho and a minimizing
     selector off a final operator application.  At the fixed point
     rho + v = Tv, rho is the player's optimal ergodic value against the
     fixed opponent, and every stationary strategy supported on per-state
@@ -240,8 +238,6 @@ def solve_optimality(
         tol: stopping tolerance on the span of successive differences.
         max_iter: iteration cap; on hitting it the last iterate is returned
             with converged=False and the final residual.
-        v0: optional starting vector (re-anchored internally); useful for
-            warm starts.
 
     Raises:
         AssumptionError: if the instance has nonpositive transition entries.
@@ -250,11 +246,7 @@ def solve_optimality(
         raise ValueError(f"tol must be > 0, got {tol!r}")
     require_solvable(instance)
     ln_m = _log_mixed_kernel(instance, player, opponent_strategy)
-    if v0 is not None:
-        v0 = np.asarray(v0, dtype=float)
-        if v0.shape != (instance.n_states,):
-            raise ValueError(f"v0 shape {v0.shape} != ({instance.n_states},)")
-    result = relative_value_iteration(ln_m, instance.anchor_state, tol, max_iter, v0)
+    result = relative_value_iteration(ln_m, instance.anchor_state, tol, max_iter)
     return replace(result, rho=float(result.rho))
 
 

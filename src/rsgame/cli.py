@@ -146,36 +146,44 @@ class _InputError(Exception):
 
 
 def _read(path: str, parse):
-    """``parse`` applied to the JSON document at ``path``; failures are input errors."""
+    """``parse`` applied to the JSON document at ``path``; failures are input errors.
+
+    Every message names the file, so a bad --phi is told apart from a bad
+    --psi or --instance; an OSError's message carries the path already.  A
+    TypeError means a field, or the document itself, has the wrong JSON kind.
+    """
     try:
         with open(path) as f:
             return parse(json.load(f))
+    except OSError as e:
+        raise _InputError(str(e)) from e
     except json.JSONDecodeError as e:
         raise _InputError(
-            f"invalid document: {e.msg} at line {e.lineno} column {e.colno}"
+            f"{path}: invalid document: {e.msg} at line {e.lineno} column {e.colno}"
         ) from e
-    except (OSError, ValueError) as e:
-        raise _InputError(str(e)) from e
+    except (ValueError, TypeError) as e:
+        raise _InputError(f"{path}: {e}") from e
 
 
 def _load_instance(args) -> GameInstance:
-    def parse(doc):
-        instance = instance_from_dict(doc)
+    instance = _read(args.instance, instance_from_dict)
+    try:
         return instance if args.theta is None else replace(instance, theta=args.theta)
-
-    return _read(args.instance, parse)
+    except ValueError as e:  # a rejected --theta override
+        raise _InputError(str(e)) from e
 
 
 def _strategy(spec: str | None, instance: GameInstance, player: int) -> StationaryStrategy:
     """A strategy file, or the uniform strategy for ``uniform`` or no file."""
     if spec is None or spec == "uniform":
         return uniform_strategy(instance, player)
-    strategy = _read(spec, strategy_from_dict)
-    try:
+
+    def parse(doc):
+        strategy = strategy_from_dict(doc)
         check_strategy(instance, strategy, player)
-    except ValueError as e:
-        raise _InputError(f"{spec}: {e}") from e
-    return strategy
+        return strategy
+
+    return _read(spec, parse)
 
 
 # Handlers: (args, instance) -> (exit code, payload).  Library functions are
@@ -184,8 +192,6 @@ def _strategy(spec: str | None, instance: GameInstance, player: int) -> Stationa
 def _validate(args, instance) -> tuple[int, dict]:
     diag = validate(instance, min_prob=args.min_prob)
     payload = {"passed": diag.passed, **asdict(diag)}
-    for check in payload["checks"].values():
-        del check["key"]
     for c in diag.failures():
         print(c.message, file=sys.stderr)
     return (0 if diag.passed else 1), payload
@@ -250,6 +256,8 @@ def _nash(args, instance) -> tuple[int, dict]:
 
 
 def _brute(args, instance) -> tuple[int, dict]:
+    if args.top < 0:
+        raise ValueError(f"--top must be >= 0, got {args.top}")
     result = brute_force_nash(instance, grid_step=args.grid, eps=args.eps, tol=args.tol)
     return 0, {
         "grid_step": result.grid_step,
@@ -257,7 +265,7 @@ def _brute(args, instance) -> tuple[int, dict]:
         "searched_pairs": result.searched_pairs,
         "survivors": len(result),
         "existence": result.label,
-        "certificates": [certificate_to_dict(c) for c in result[: max(0, args.top)]],
+        "certificates": [certificate_to_dict(c) for c in result[: args.top]],
     }
 
 

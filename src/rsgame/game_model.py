@@ -138,6 +138,8 @@ class GameInstance:
             raise ValueError(
                 f"transition must be [x][a][b][y] with matching state axes, got {t.shape}"
             )
+        if 0 in t.shape:
+            raise ValueError(f"transition {t.shape} has an empty state or action axis")
         t = _check_rows("transition", t)
         object.__setattr__(self, "transition", _readonly(t))
         for f in ("cost1", "cost2"):
@@ -256,7 +258,6 @@ def pure_strategy(
 class AssumptionCheck:
     """Verdict for one standing model condition."""
 
-    key: str
     description: str
     status: str  # "PASS" | "FAIL" | "SKIP"
     message: str = ""
@@ -326,16 +327,6 @@ def _tv_distances(instance: GameInstance) -> tuple[float, list]:
     return worst, disjoint
 
 
-def compute_delta(instance: GameInstance) -> float:
-    """Half the largest total-variation distance between transition rows.
-
-    The maximum over mixed-strategy-induced rows is attained at pure action
-    tuples (the row is affine in each mixing weight and TV distance is convex
-    in each argument), so only pure rows are enumerated.
-    """
-    return 0.5 * _tv_distances(instance)[0]
-
-
 def compute_kappa(instance: GameInstance) -> float:
     """Largest ratio P(y|x,a,b) / P(y|x',a,b) over states x, x'.
 
@@ -398,10 +389,13 @@ def validate(instance: GameInstance, min_prob: float = DEFAULT_MIN_PROB) -> Mode
     checks: dict[str, AssumptionCheck] = {}
 
     def add(key, status, message="", violations=()):
-        checks[key] = AssumptionCheck(key, _DESCRIPTIONS[key], status, message, violations)
+        checks[key] = AssumptionCheck(_DESCRIPTIONS[key], status, message, violations)
 
     add("1", "PASS", "finite state and action spaces: continuity is automatic")
 
+    # delta is half the largest TV distance between pure rows: a mixed row is
+    # affine in each mixing weight and TV distance is convex in each
+    # argument, so no mixed pair lies farther apart
     max_dist, disjoint = _tv_distances(instance)
     delta = 0.5 * max_dist
     if delta < 1.0:
@@ -514,6 +508,8 @@ def random_instance(
     carries it.
     """
     nx, na, nb = dims
+    if min(dims) < 1:
+        raise ValueError(f"dims {tuple(dims)} must be positive state and action counts")
     if min_prob * nx >= 1.0:
         raise ValueError(f"min_prob {min_prob} infeasible: {min_prob} * {nx} >= 1")
     rng = np.random.default_rng(seed)
@@ -670,26 +666,6 @@ def strategy_from_dict(d: dict) -> StationaryStrategy:
         return StationaryStrategy(int(d["player"]), np.array(d["rows"], dtype=float))
     except KeyError as e:
         raise ValueError(f"strategy document missing field {e.args[0]!r}") from e
-
-
-def save_instance(instance: GameInstance, path) -> None:
-    with open(path, "w") as f:
-        f.write(dumps_decimal(instance_to_dict(instance)) + "\n")
-
-
-def load_instance(path) -> GameInstance:
-    with open(path) as f:
-        return instance_from_dict(json.load(f))
-
-
-def save_strategy(strategy: StationaryStrategy, path) -> None:
-    with open(path, "w") as f:
-        f.write(dumps_decimal(strategy_to_dict(strategy)) + "\n")
-
-
-def load_strategy(path) -> StationaryStrategy:
-    with open(path) as f:
-        return strategy_from_dict(json.load(f))
 
 
 def instance_digest(instance: GameInstance) -> str:

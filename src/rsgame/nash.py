@@ -471,19 +471,3 @@ def certificate_to_dict(certificate: NashCertificate) -> dict:
     if certificate.cycle is not None:
         d["cycle"] = dict(certificate.cycle)
     return d
-
-
-def certificate_from_dict(d: dict) -> NashCertificate:
-    try:
-        return NashCertificate(
-            Phi=StationaryStrategy(1, np.array(d["phi"]["rows"], dtype=float)),
-            Psi=StationaryStrategy(2, np.array(d["psi"]["rows"], dtype=float)),
-            J1=float(d["J1"]), J2=float(d["J2"]),
-            rho1_star=float(d["rho1_star"]), rho2_star=float(d["rho2_star"]),
-            eps1=float(d["eps1"]), eps2=float(d["eps2"]),
-            rounds=int(d.get("rounds", 0)),
-            converged=bool(d.get("converged", True)),
-            cycle=d.get("cycle"),
-        )
-    except KeyError as e:
-        raise ValueError(f"certificate document missing field {e.args[0]!r}") from e

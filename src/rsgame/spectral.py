@@ -23,7 +23,6 @@ the oracle stays an independent check on them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -38,28 +37,13 @@ MAX_POWER_STEPS = 100_000
 _NOISE_FLOOR = 4.0 * np.finfo(float).eps
 
 
-@dataclass(frozen=True, eq=False)
-class TwistedMatrix:
-    """Strategy-mixed twisted matrix, held as ln Q[x][y], plus the scaling anchor."""
-
-    player: int
-    log_matrix: np.ndarray
-    anchor_state: int = 0
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Q itself; entries overflow to inf once ln Q passes ~709."""
-        return np.exp(self.log_matrix)
-
-
 def twisted_matrix(
     instance: GameInstance, player: int, Phi: StationaryStrategy, Psi: StationaryStrategy
-) -> TwistedMatrix:
-    """Q[x][y] = sum_{a,b} Phi(a|x) Psi(b|x) e^{theta*c_i(x,a,b)} P(y|x,a,b)."""
-    log_q = log_twisted_tensor(
+) -> np.ndarray:
+    """ln Q[x][y], Q[x][y] = sum_{a,b} Phi(a|x) Psi(b|x) e^{theta*c_i(x,a,b)} P(y|x,a,b)."""
+    return log_twisted_tensor(
         instance, player, check_strategy(instance, Phi, 1), check_strategy(instance, Psi, 2)
     )
-    return TwistedMatrix(player, log_q, instance.anchor_state)
 
 
 def _log_powers(log_q: np.ndarray):
@@ -86,36 +70,35 @@ def _nth_power(log_q: np.ndarray, n: int):
     return next(islice(_log_powers(log_q), n - 1, None))
 
 
-def perron_value(Q, tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:
-    """Log spectral radius and right eigenvector of a positive matrix.
+def perron_value(
+    log_q: np.ndarray, anchor: int = 0, tol: float = DEFAULT_TOL
+) -> tuple[float, np.ndarray]:
+    """Log spectral radius and log right eigenvector of a positive matrix Q, given ln Q.
 
-    Q is a TwistedMatrix (its ln Q is used directly) or a plain matrix.
     Power iteration in log space.  Each step's per-state growth brackets the
     log radius (Collatz-Wielandt); once the bracket is narrower than tol,
     or than the step's rounding noise 4 eps max|growth| if that is wider,
-    one more step gives the value at the anchor.  Returns (ln r, w) with w
-    scaled so w[anchor] = 1 (anchor 0 for a bare matrix); w overflows only
-    if its entries spread past ~e^709.
+    one more step gives the value at the anchor.  Returns (ln r, ln w), the
+    eigenvector w scaled so ln w[anchor] = 0; w itself would overflow once
+    its entries spread past ~e^709.
 
     Raises:
-        ValueError: if the matrix is not square and strictly positive.
+        ValueError: if ln Q is not square, has an entry that is not finite
+            (Q not strictly positive), or anchor is out of range.
         RuntimeError: if the step cap is hit (cannot happen for strictly
             positive matrices; kept as a defensive guard).
     """
-    if isinstance(Q, TwistedMatrix):
-        anchor, log_q = Q.anchor_state, Q.log_matrix
-    else:
-        anchor = 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_q = np.log(np.asarray(Q, dtype=float))
+    log_q = np.asarray(log_q, dtype=float)
     if log_q.ndim != 2 or log_q.shape[0] != log_q.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {log_q.shape}")
     if not np.all(np.isfinite(log_q)):
         raise ValueError("perron_value requires a strictly positive matrix")
+    if not 0 <= anchor < log_q.shape[0]:
+        raise ValueError(f"anchor {anchor} out of range for {log_q.shape[0]} states")
     bracketed = False
     for growth, log_u, _ in islice(_log_powers(log_q), MAX_POWER_STEPS):
         if bracketed:
-            return float(growth[anchor]), np.exp(log_u - log_u[anchor])
+            return float(growth[anchor]), log_u - log_u[anchor]
         top, bottom = growth.max(), growth.min()
         bracketed = top - bottom < max(tol, _NOISE_FLOOR * max(top, -bottom))
     raise RuntimeError(f"power iteration did not converge in {MAX_POWER_STEPS} steps")
@@ -129,7 +112,7 @@ def ergodic_cost(
     Equals the limit of (1/n) ln E_x[e^{theta * n-step cost}], independent of
     the start state for strictly positive transition laws.
     """
-    ln_r, _ = perron_value(twisted_matrix(instance, player, Phi, Psi))
+    ln_r, _ = perron_value(twisted_matrix(instance, player, Phi, Psi), instance.anchor_state)
     return ln_r
 
 
@@ -153,7 +136,7 @@ def finite_horizon_growth(
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 <= x < instance.n_states:
         raise ValueError(f"start state {x} out of range")
-    growth, _, _ = _nth_power(twisted_matrix(instance, player, Phi, Psi).log_matrix, int(n))
+    growth, _, _ = _nth_power(twisted_matrix(instance, player, Phi, Psi), int(n))
     return float(growth[x])
 
 
@@ -174,7 +157,7 @@ def horizon_log_mgf(
         raise ValueError(f"n must be >= 0, got {n}")
     if not 0 <= x < instance.n_states:
         raise ValueError(f"start state {x} out of range")
-    log_q = twisted_matrix(instance, player, Phi, Psi).log_matrix
+    log_q = twisted_matrix(instance, player, Phi, Psi)
     if n == 0:
         return 0.0
     _, log_u, scale = _nth_power(log_q, int(n))

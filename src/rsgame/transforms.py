@@ -2,41 +2,19 @@
 
 Everything downstream of the raw model works with the twisted kernel
 e^{theta*c_i(x,a,b)} * P(y|x,a,b), mixed over the players' strategies, and
-with its normalization: the normalizing constant c~_i(x, phi, psi), the
-log-normalizer c^_i = ln c~_i, and the normalized probability kernel P^_i.
+with its normalization: the log-normalizer c^_i(x, phi, psi) (the log of
+the normalizing constant c~_i) and the normalized probability kernel P^_i.
 :func:`log_twisted_tensor` is the one place where theta * cost meets the
 transition law.  It works in log space with the weights shifted by their
 maximum, so large theta * cost never overflows.  This module also provides
-the twisted next-state measure that attains the entropy dual, relative
-entropy itself, and plain bilinear strategy mixing of the transition law.
+the twisted next-state measure that attains the entropy dual and relative
+entropy itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .game_model import GameInstance, StationaryStrategy, check_strategy
-
-
-@dataclass(frozen=True, eq=False)
-class MixedEvaluation:
-    """Normalized twisted kernel at one state under a mixed-action pair.
-
-    c_hat is the log-normalizer, p_hat the normalized next-state
-    probability row, and c_tilde = e^{c_hat} the normalizing constant (in
-    [1, e^{theta*c_bar}]); c_tilde overflows to inf once c_hat passes ~709.
-    """
-
-    x: int
-    phi: np.ndarray
-    psi: np.ndarray
-    c_hat: float
-    p_hat: np.ndarray
-
-    @property
-    def c_tilde(self) -> float:
-        return float(np.exp(self.c_hat))
+from .game_model import GameInstance
 
 
 def _check_simplex(name: str, w: np.ndarray, size: int) -> np.ndarray:
@@ -84,19 +62,16 @@ def log_twisted_tensor(
         return np.log(mixed) + shift.squeeze(axis=axes)[..., None]
 
 
-def mix_transition(instance: GameInstance, x: int, phi, psi) -> np.ndarray:
-    """Transition row at x under mixed actions: sum_{a,b} P(.|x,a,b) phi(a) psi(b)."""
-    phi = _check_simplex("phi", phi, instance.n_actions_a)
-    psi = _check_simplex("psi", psi, instance.n_actions_b)
-    return np.einsum("a,b,aby->y", phi, psi, instance.transition[x])
-
-
-def normalized_kernel(instance: GameInstance, player: int, x: int, phi, psi) -> MixedEvaluation:
-    """Mixed twisted row at x, normalized into a probability row.
+def normalized_kernel(
+    instance: GameInstance, player: int, x: int, phi, psi
+) -> tuple[float, np.ndarray]:
+    """Mixed twisted row at x, normalized into a probability row: (c_hat, p_hat).
 
     Row x of ln Q = log_twisted_tensor(instance, player, phi, psi) with phi
-    and psi played in every state gives c_hat = ln sum_y Q(x, y) (the
-    transition rows sum to one) and p_hat = Q(x, .) / e^{c_hat}.
+    and psi played in every state gives the log-normalizer c_hat = ln sum_y
+    Q(x, y) (the transition rows sum to one) and the normalized row p_hat =
+    Q(x, .) / e^{c_hat}, formed from ln Q shifted by its maximum so neither
+    overflows.
     """
     phi = _check_simplex("phi", phi, instance.n_actions_a)
     psi = _check_simplex("psi", psi, instance.n_actions_b)
@@ -105,16 +80,10 @@ def normalized_kernel(instance: GameInstance, player: int, x: int, phi, psi) -> 
         instance, player, np.broadcast_to(phi, (n, phi.size)),
         np.broadcast_to(psi, (n, psi.size)),
     )
-    c_hat, p_hat = _normalize(log_q[x])
-    return MixedEvaluation(x=x, phi=phi, psi=psi, c_hat=float(c_hat), p_hat=p_hat)
-
-
-def _normalize(log_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row log-sums and normalized rows of e^{log_q}, without overflow."""
-    top = log_q.max(axis=-1, keepdims=True)
-    rows = np.exp(log_q - top)
-    total = rows.sum(axis=-1, keepdims=True)
-    return (np.log(total) + top)[..., 0], rows / total
+    top = log_q[x].max()
+    row = np.exp(log_q[x] - top)
+    total = row.sum()
+    return float(np.log(total) + top), row / total
 
 
 def twisted_measure(p_hat: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -140,29 +109,3 @@ def relative_entropy(p, q) -> float:
     if np.any(q[on] == 0.0):
         return float("inf")
     return float(np.sum(p[on] * np.log(p[on] / q[on])))
-
-
-def frozen_pair_instance(
-    instance: GameInstance,
-    player: int,
-    Phi: StationaryStrategy,
-    Psi: StationaryStrategy,
-) -> GameInstance:
-    """Single-action game equivalent to holding both strategies fixed.
-
-    The new transition rows are the normalized twisted rows P^_i(.|x, Phi(x),
-    Psi(x)) and the player's cost is c^_i / theta, so running value iteration
-    on the result reproduces the frozen pair's ergodic value.  The other
-    player's cost is zeroed (irrelevant once both strategies are frozen).
-    """
-    log_q = log_twisted_tensor(
-        instance, player, check_strategy(instance, Phi, 1), check_strategy(instance, Psi, 2)
-    )
-    c_hat, p_hat = _normalize(log_q)
-    # c_hat >= 0 for nonnegative costs; clip the rounding of a zero-cost row
-    own_cost = np.maximum(c_hat, 0.0)[:, None, None] / instance.theta
-    zero = np.zeros_like(own_cost)
-    cost1, cost2 = (own_cost, zero) if player == 1 else (zero, own_cost)
-    return GameInstance(
-        p_hat[:, None, None, :], cost1, cost2, instance.theta, instance.anchor_state
-    )

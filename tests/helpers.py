@@ -1,9 +1,13 @@
-"""Shared corpus builders for the test suite."""
+"""Shared corpus builders, reference oracles and file writers for the test suite."""
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import numpy as np
 
 import rsgame as rs
+from rsgame.game_model import dumps_decimal
 
 
 def corpus_instance(seed: int, arat: bool = False, dims=None) -> rs.GameInstance:
@@ -78,3 +82,47 @@ def pairwise_tv_distances(instance: rs.GameInstance) -> np.ndarray:
     """
     rows = instance.transition.reshape(-1, instance.n_states)
     return np.abs(rows[:, None, :] - rows[None, :, :]).sum(-1)
+
+
+def mix_transition(instance: rs.GameInstance, x: int, phi, psi) -> np.ndarray:
+    """Transition row at x under mixed actions: sum_{a,b} P(.|x,a,b) phi(a) psi(b)."""
+    return np.einsum("a,b,aby->y", phi, psi, instance.transition[x])
+
+
+def frozen_pair_instance(
+    instance: rs.GameInstance,
+    player: int,
+    Phi: rs.StationaryStrategy,
+    Psi: rs.StationaryStrategy,
+) -> rs.GameInstance:
+    """Single-action game equivalent to holding both strategies fixed.
+
+    The new transition rows are the normalized twisted rows P^_i(.|x, Phi(x),
+    Psi(x)) and the player's cost is c^_i / theta, so running value iteration
+    on the result reproduces the frozen pair's ergodic value.  The other
+    player's cost is zeroed (irrelevant once both strategies are frozen).
+    """
+    log_q = rs.twisted_matrix(instance, player, Phi, Psi)
+    top = log_q.max(axis=1, keepdims=True)
+    rows = np.exp(log_q - top)
+    total = rows.sum(axis=1, keepdims=True)
+    c_hat = (np.log(total) + top)[:, 0]
+    # c_hat >= 0 for nonnegative costs; clip the rounding of a zero-cost row
+    own_cost = np.maximum(c_hat, 0.0)[:, None, None] / instance.theta
+    zero = np.zeros_like(own_cost)
+    cost1, cost2 = (own_cost, zero) if player == 1 else (zero, own_cost)
+    return rs.GameInstance(
+        (rows / total)[:, None, None, :], cost1, cost2, instance.theta, instance.anchor_state
+    )
+
+
+def write_document(path, doc: dict) -> str:
+    """Write ``doc`` as a decimal JSON document, as the CLI reads it; returns the path."""
+    with open(path, "w") as f:
+        f.write(dumps_decimal(doc) + "\n")
+    return str(path)
+
+
+def read_instance(path) -> rs.GameInstance:
+    """The instance in a JSON document written by :func:`write_document` or the CLI."""
+    return rs.instance_from_dict(json.loads(Path(path).read_text()))

@@ -12,7 +12,13 @@ from scipy.special import logsumexp
 
 import rsgame as rs
 
-from helpers import corpus_instance, enumerate_delta, enumerate_kappa, random_pair
+from helpers import (
+    corpus_instance,
+    enumerate_delta,
+    enumerate_kappa,
+    frozen_pair_instance,
+    random_pair,
+)
 
 
 def _report(capsys, n, ok, detail):
@@ -36,7 +42,7 @@ def test_criterion_1_growth_matches_spectral_radius(capsys):
                 direct = rs.ergodic_cost(inst, player, phi, psi)
                 growth = rs.finite_horizon_growth(inst, player, phi, psi, x=0, n=2000)
                 worst_growth = max(worst_growth, abs(direct - growth))
-                frozen = rs.frozen_pair_instance(inst, player, phi, psi)
+                frozen = frozen_pair_instance(inst, player, phi, psi)
                 res = rs.solve_optimality(
                     frozen, player, rs.uniform_strategy(frozen, 3 - player)
                 )
@@ -113,12 +119,12 @@ def test_criterion_3_entropy_dual_representation(capsys):
             dual = rs.dual_value(inst, 2, x, phi.rows[x], psi.rows[x], v)
             worst_diff = max(worst_diff, abs(direct - dual))
             # the twisted measure must beat 1e4 random simplex points
-            ev = rs.normalized_kernel(inst, 2, x, phi.rows[x], psi.rows[x])
-            mu_star = rs.twisted_measure(ev.p_hat, v)
-            best = float(mu_star @ v) - rs.relative_entropy(mu_star, ev.p_hat)
+            _, p_hat = rs.normalized_kernel(inst, 2, x, phi.rows[x], psi.rows[x])
+            mu_star = rs.twisted_measure(p_hat, v)
+            best = float(mu_star @ v) - rs.relative_entropy(mu_star, p_hat)
             mus = rng.dirichlet(np.ones(inst.n_states), size=10_000)
             with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(mus > 0.0, mus / ev.p_hat, 1.0)
+                ratio = np.where(mus > 0.0, mus / p_hat, 1.0)
                 kl = np.where(mus > 0.0, mus * np.log(ratio), 0.0).sum(axis=1)
             values = mus @ v - kl
             worst_shortfall = max(worst_shortfall, float(values.max()) - best)

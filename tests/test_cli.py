@@ -11,6 +11,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 import rsgame as rs
 from rsgame.cli import main
 
+from helpers import read_instance, write_document
+
 # sha256 of the bundled fixture's canonical serialization; pins both the
 # fixture and the file format
 G2_DIGEST = "d41c13612c2b92cb2244a25fd4fc1db02593874dd2442dc16cf8eb159c24e041"
@@ -19,7 +21,7 @@ G2_DIGEST = "d41c13612c2b92cb2244a25fd4fc1db02593874dd2442dc16cf8eb159c24e041"
 @pytest.fixture()
 def g2_path(tmp_path, g2):
     path = tmp_path / "g2.json"
-    rs.save_instance(g2, path)
+    write_document(path, rs.instance_to_dict(g2))
     return str(path)
 
 
@@ -35,7 +37,7 @@ class TestGen:
         out = tmp_path / "fixture.json"
         code = main(["gen", "--fixture", "g2", "-o", str(out)])
         assert code == 0
-        loaded = rs.load_instance(out)
+        loaded = read_instance(out)
         assert_array_equal(loaded.transition, g2.transition)
         assert_array_equal(loaded.cost1, g2.cost1)
         assert rs.instance_digest(loaded) == G2_DIGEST
@@ -60,6 +62,16 @@ class TestGen:
         code = main(["gen", "--fixture", "g2", "-o", "/nonexistent/dir/x.json"])
         assert code == 3
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--states", "0"), ("--states", "-1"), ("--actions-a", "0"), ("--actions-b", "0")],
+    )
+    def test_empty_or_negative_dimension_is_usage_error(self, capsys, flag, value):
+        code, report, err = run(["gen", flag, value], capsys)
+        assert code == 2
+        assert report is None
+        assert err.startswith("error: dims (") and "must be positive" in err
 
 
 class TestValidateCommand:
@@ -98,7 +110,7 @@ class TestValidateCommand:
         t[1, 0, 0, 1] = 1.0
         inst = rs.GameInstance(t, np.zeros((2, 1, 1)), np.zeros((2, 1, 1)))
         path = tmp_path / "bad.json"
-        rs.save_instance(inst, path)
+        write_document(path, rs.instance_to_dict(inst))
         code, report, err = run(["validate", "--instance", str(path)], capsys)
         assert code == 1
         assert report["passed"] is False
@@ -140,7 +152,7 @@ class TestSolveCommand:
     def test_opponent_strategy_file(self, g2_path, tmp_path, capsys, g2):
         psi = rs.pure_strategy(g2, 2, [1, 1])
         psi_path = tmp_path / "psi.json"
-        rs.save_strategy(psi, psi_path)
+        write_document(psi_path, rs.strategy_to_dict(psi))
         code, report, err = run(
             ["solve", "--instance", g2_path, "--player", "1",
              "--opponent", str(psi_path)],
@@ -163,7 +175,7 @@ class TestSolveCommand:
     def test_wrong_player_strategy_file_exits_3(self, g2_path, tmp_path, capsys, g2):
         phi = rs.uniform_strategy(g2, 1)
         path = tmp_path / "phi.json"
-        rs.save_strategy(phi, path)
+        write_document(path, rs.strategy_to_dict(phi))
         # solving for player 1 needs a player-2 opponent file
         code, report, err = run(
             ["solve", "--instance", g2_path, "--player", "1",
@@ -261,8 +273,8 @@ class TestNashCommand:
         phi = rs.pure_strategy(g2, 1, [0, 0])
         psi = rs.pure_strategy(g2, 2, [1, 1])
         phi_path, psi_path = tmp_path / "phi.json", tmp_path / "psi.json"
-        rs.save_strategy(phi, phi_path)
-        rs.save_strategy(psi, psi_path)
+        write_document(phi_path, rs.strategy_to_dict(phi))
+        write_document(psi_path, rs.strategy_to_dict(psi))
         code, report, err = run(
             ["nash", "--instance", g2_path,
              "--phi0", str(phi_path), "--psi0", str(psi_path)],
@@ -287,6 +299,14 @@ class TestBruteCommand:
         best = report["certificates"][0]
         assert best["eps1"] <= 1e-12
         assert best["eps2"] <= 1e-12
+
+    def test_negative_top_is_usage_error(self, g2_path, capsys):
+        code, report, err = run(
+            ["brute", "--instance", g2_path, "--grid", "0.5", "--top", "-1"], capsys
+        )
+        assert code == 2
+        assert report is None
+        assert err == "error: --top must be >= 0, got -1\n"
 
     def test_oversized_grid_is_usage_error(self, g2_path, capsys):
         code, report, err = run(
@@ -317,6 +337,43 @@ class TestErrorPaths:
         code, report, err = run(["validate", "--instance", str(path)], capsys)
         assert code == 3
         assert "transition" in err
+
+    # (--instance document, --phi document, stderr after "error: <path>: ")
+    BAD_DOCUMENTS = {
+        "json": (
+            b'{"theta": 1.0,\n"transition" []}', b'{"player": 1,\n"rows" []}',
+            "invalid document: Expecting ':' delimiter at line 2 column",
+        ),
+        "utf8": (b"\xff", b"\xff", "'utf-8' codec can't decode byte 0xff"),
+        "missing": (
+            b'{"theta": 1.0}', b'{"rows": [[1, 0], [1, 0]]}', "document missing field",
+        ),
+        "fit": (None, b'{"player": 1, "rows": [[0.5, 0.6], [1, 0]]}', "sums to"),
+        "kind": (b"[1, 2]", b'{"player": null, "rows": [[1, 0], [1, 0]]}', ""),
+    }
+
+    @pytest.mark.parametrize("flag", ["--instance", "--phi"])
+    @pytest.mark.parametrize("kind", list(BAD_DOCUMENTS))
+    def test_input_errors_name_the_file(self, g2, g2_path, tmp_path, capsys, kind, flag):
+        instance_doc, phi_doc, message = self.BAD_DOCUMENTS[kind]
+        path = tmp_path / "bad.json"
+        if flag == "--phi":
+            path.write_bytes(phi_doc)
+            argv = ["eval", "--instance", g2_path, "--phi", str(path), "--psi", "uniform"]
+        else:
+            if instance_doc is None:  # declared dimensions that the tables do not have
+                doc = rs.instance_to_dict(g2)
+                doc["states"] = 3
+                write_document(path, doc)
+                message = "declared states = 3 but tables have 2"
+            else:
+                path.write_bytes(instance_doc)
+            argv = ["eval", "--instance", str(path), "--phi", "uniform", "--psi", "uniform"]
+        code, report, err = run(argv, capsys)
+        assert code == 3
+        assert report is None
+        assert err.startswith(f"error: {path}: ")
+        assert message in err
 
     def test_usage_errors_exit_2(self, g2_path, capsys):
         assert main(["frobnicate"]) == 2
@@ -384,7 +441,7 @@ class TestReportDeterminism:
             capsys,
         )
         # the serialized decimal parses back to the library's float, bit for bit
-        inst = rs.load_instance(g2_path)
+        inst = read_instance(g2_path)
         phi = rs.uniform_strategy(inst, 1)
         psi = rs.uniform_strategy(inst, 2)
         assert report["J1"] == rs.ergodic_cost(inst, 1, phi, psi)
@@ -473,7 +530,8 @@ def test_report_shape(name, g2_path, tmp_path, capsys):
     t[0, 0, 0, 0] = 1.0
     t[1, 0, 0, 1] = 1.0
     bad_path = tmp_path / "bad.json"
-    rs.save_instance(rs.GameInstance(t, np.zeros((2, 1, 1)), np.zeros((2, 1, 1))), bad_path)
+    bad = rs.GameInstance(t, np.zeros((2, 1, 1)), np.zeros((2, 1, 1)))
+    write_document(bad_path, rs.instance_to_dict(bad))
     files = {"G2": g2_path, "BAD": str(bad_path)}
     code, report, err = run([files.get(a, a) for a in argv], capsys)
     assert code == want_code

@@ -8,14 +8,17 @@ from numpy.testing import assert_allclose, assert_array_equal
 import rsgame as rs
 from rsgame import game_model
 from rsgame.cli import main
-from rsgame.game_model import compute_delta, compute_kappa, dumps_decimal, span_bound
+from rsgame.game_model import compute_kappa, dumps_decimal, span_bound
 
 from helpers import (
     corpus_instance,
     enumerate_delta,
     enumerate_kappa,
+    mix_transition,
     pairwise_tv_distances,
     random_pair,
+    read_instance,
+    write_document,
 )
 
 
@@ -64,7 +67,7 @@ class TestValidation:
     def test_identical_rows_give_delta_zero(self):
         t = np.tile(np.array([0.25, 0.75]), (2, 1, 1, 1))
         inst = rs.GameInstance(t, np.zeros((2, 1, 1)), np.zeros((2, 1, 1)))
-        assert compute_delta(inst) == 0.0
+        assert rs.validate(inst).delta == 0.0
         assert compute_kappa(inst) == 1.0
 
     def test_disjoint_rows_fail_minorization(self):
@@ -169,7 +172,7 @@ class TestDistancePass:
     def test_tiled_delta_equals_one_shot_form(self, monkeypatch, tile_bytes):
         inst = rs.random_instance(2, dims=(12, 3, 3), min_prob=0.001)
         self.set_tile_bytes(monkeypatch, tile_bytes)
-        assert compute_delta(inst) == 0.5 * float(pairwise_tv_distances(inst).max())
+        assert rs.validate(inst).delta == 0.5 * float(pairwise_tv_distances(inst).max())
 
     @pytest.mark.parametrize("tile_bytes", TILE_BYTES)
     def test_disjoint_pairs_come_in_row_major_order(self, monkeypatch, tile_bytes):
@@ -289,6 +292,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="negative"):
             rs.GameInstance(t, np.zeros((2, 1, 1)), np.zeros((2, 1, 1)))
 
+    @pytest.mark.parametrize("shape", [(2, 0, 2, 2), (2, 2, 0, 2), (0, 1, 1, 0)])
+    def test_rejects_an_empty_axis(self, shape):
+        t = np.zeros(shape)
+        with pytest.raises(ValueError, match="empty state or action axis"):
+            rs.GameInstance(t, np.zeros(shape[:3]), np.zeros(shape[:3]))
+
     def test_renormalizes_small_row_drift(self):
         t = np.tile(np.array([0.5 + 3e-10, 0.5]), (2, 1, 1, 1))
         inst = rs.GameInstance(t, np.zeros((2, 1, 1)), np.zeros((2, 1, 1)))
@@ -387,8 +396,8 @@ class TestCheckStrategy:
         psi = rs.uniform_strategy(g2, 2)
         if consumer == "cli eval":
             instance_path, phi_path = tmp_path / "g2.json", tmp_path / "phi.json"
-            rs.save_instance(g2, instance_path)
-            rs.save_strategy(phi, phi_path)
+            write_document(instance_path, rs.instance_to_dict(g2))
+            write_document(phi_path, rs.strategy_to_dict(phi))
             code = main(["eval", "--instance", str(instance_path),
                          "--phi", str(phi_path), "--psi", "uniform"])
             err = capsys.readouterr().err
@@ -420,6 +429,12 @@ class TestRandomInstances:
             assert diag.checks["4.2"].status == "PASS"
             assert diag.passed, diag.failures()
 
+    @pytest.mark.parametrize("dims", [(0, 2, 2), (-1, 2, 2), (3, 0, 2), (3, 2, 0)])
+    @pytest.mark.parametrize("arat_flag", [False, True])
+    def test_nonpositive_dims_rejected_first(self, dims, arat_flag):
+        with pytest.raises(ValueError, match=r"dims \(.*\) must be positive"):
+            rs.random_instance(0, dims=dims, arat_flag=arat_flag)
+
     def test_infeasible_min_prob_rejected(self):
         with pytest.raises(ValueError):
             rs.random_instance(0, dims=(5, 2, 2), min_prob=0.3)
@@ -434,12 +449,10 @@ class TestRandomInstances:
 class TestMixedMinorization:
     def test_mixed_tv_never_exceeds_pure_delta(self):
         """The minorization defect is attained on pure tuples."""
-        from rsgame.transforms import mix_transition
-
         rng = np.random.default_rng(42)
         for seed in range(5):
             inst = corpus_instance(seed)
-            delta = compute_delta(inst)
+            delta = rs.validate(inst).delta
             for _ in range(200):
                 x1, x2 = rng.integers(0, inst.n_states, size=2)
                 phi1, psi1 = random_pair(inst, rng)
@@ -453,8 +466,8 @@ class TestMixedMinorization:
 class TestSerialization:
     def test_instance_roundtrip_is_bit_exact(self, g2, tmp_path):
         path = tmp_path / "g2.json"
-        rs.save_instance(g2, path)
-        loaded = rs.load_instance(path)
+        write_document(path, rs.instance_to_dict(g2))
+        loaded = read_instance(path)
         assert_array_equal(loaded.transition, g2.transition)
         assert_array_equal(loaded.cost1, g2.cost1)
         assert_array_equal(loaded.cost2, g2.cost2)
@@ -468,8 +481,8 @@ class TestSerialization:
     def test_random_instance_roundtrip(self, tmp_path):
         inst = corpus_instance(11)
         path = tmp_path / "inst.json"
-        rs.save_instance(inst, path)
-        loaded = rs.load_instance(path)
+        write_document(path, rs.instance_to_dict(inst))
+        loaded = read_instance(path)
         assert_array_equal(loaded.transition, inst.transition)
         assert rs.instance_digest(loaded) == rs.instance_digest(inst)
 
@@ -497,8 +510,8 @@ class TestSerialization:
     def test_strategy_roundtrip(self, g2, tmp_path):
         psi = rs.StationaryStrategy(2, np.array([[0.25, 0.75], [0.9, 0.1]]))
         path = tmp_path / "psi.json"
-        rs.save_strategy(psi, path)
-        loaded = rs.load_strategy(path)
+        write_document(path, rs.strategy_to_dict(psi))
+        loaded = rs.strategy_from_dict(json.loads(path.read_text()))
         assert loaded.player == 2
         assert_array_equal(loaded.rows, psi.rows)
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import rsgame as rs
 
-from helpers import random_pair
+from helpers import frozen_pair_instance, random_pair
 
 
 def other(player: int) -> int:
@@ -38,7 +38,7 @@ def test_cost_shift_shifts_every_value_by_theta_k(seed, dims, theta, theta_k, pl
     opponent = psi if player == 1 else phi
 
     def values(game):
-        frozen = rs.frozen_pair_instance(game, player, phi, psi)
+        frozen = frozen_pair_instance(game, player, phi, psi)
         solve = rs.solve_optimality(game, player, opponent)
         frozen_solve = rs.solve_optimality(
             frozen, player, rs.uniform_strategy(frozen, other(player))
@@ -76,3 +76,47 @@ def test_large_cost_shift_converges_and_shifts_values(theta_k):
                 lambda game: rs.finite_horizon_growth(game, player, phi, psi, 0, 30),
             ):
                 assert value(shifted) == pytest.approx(value(inst) + theta_k, abs=slack)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    dims=st.tuples(st.integers(2, 4), st.integers(1, 3), st.integers(1, 3)),
+    anchor=st.integers(0, 3),
+    data=st.data(),
+)
+def test_relabelling_states_and_actions_leaves_every_value_unchanged(
+    seed, dims, anchor, data
+):
+    """Renaming states (the anchor with them) and actions is a symmetry of the game."""
+    n, na, nb = dims
+    base = rs.random_instance(seed, dims=dims, min_prob=0.02)
+    inst = rs.GameInstance(base.transition, base.cost1, base.cost2, anchor_state=anchor % n)
+    sx, sa, sb = (np.array(data.draw(st.permutations(range(k)))) for k in dims)
+    # entry (x, a, b, y) of the game becomes entry (sx[x], sa[a], sb[b], sx[y])
+    ix = np.ix_(sx, sa, sb)
+    transition = np.empty_like(inst.transition)
+    transition[ix] = inst.transition[..., np.argsort(sx)]
+    cost1, cost2 = np.empty_like(inst.cost1), np.empty_like(inst.cost2)
+    cost1[ix], cost2[ix] = inst.cost1, inst.cost2
+    relabelled = rs.GameInstance(
+        transition, cost1, cost2, inst.theta, anchor_state=int(sx[inst.anchor_state])
+    )
+    phi, psi = random_pair(inst, np.random.default_rng(seed))
+
+    def rename(strategy, actions):
+        rows = np.empty_like(strategy.rows)
+        rows[np.ix_(sx, actions)] = strategy.rows
+        return rs.StationaryStrategy(strategy.player, rows)
+
+    phi2, psi2 = rename(phi, sa), rename(psi, sb)
+    for player, opponent, opponent2 in ((1, psi, psi2), (2, phi, phi2)):
+        assert rs.ergodic_cost(relabelled, player, phi2, psi2) == pytest.approx(
+            rs.ergodic_cost(inst, player, phi, psi), abs=1e-10
+        )
+        assert rs.solve_optimality(relabelled, player, opponent2).rho == pytest.approx(
+            rs.solve_optimality(inst, player, opponent).rho, abs=1e-10
+        )
+    cert, cert2 = rs.epsilon_gap(inst, phi, psi), rs.epsilon_gap(relabelled, phi2, psi2)
+    assert cert2.eps1 == pytest.approx(cert.eps1, abs=1e-10)
+    assert cert2.eps2 == pytest.approx(cert.eps2, abs=1e-10)

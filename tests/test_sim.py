@@ -7,7 +7,7 @@ from numpy.testing import assert_array_equal
 
 import rsgame as rs
 
-from helpers import corpus_instance, random_pair
+from helpers import corpus_instance, mix_transition, random_pair
 
 
 def deterministic_cycle_instance():
@@ -63,7 +63,7 @@ class TestSamplePath:
         phi, psi = g2_uniform
         traj = rs.sample_path(g2, phi, psi, x0=0, n=60_000, seed=11)
         rows = np.stack([
-            rs.mix_transition(g2, x, phi.rows[x], psi.rows[x]) for x in range(2)
+            mix_transition(g2, x, phi.rows[x], psi.rows[x]) for x in range(2)
         ])
         for x in range(2):
             here = traj.states[:-1] == x

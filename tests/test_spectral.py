@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import rsgame as rs
 
-from helpers import corpus_instance, random_pair
+from helpers import corpus_instance, frozen_pair_instance, random_pair
 
 # Twisted matrices under the uniform pair on the bundled fixture, entry by
 # entry from the defining 4-term sums.
@@ -32,40 +32,38 @@ def quadratic_log_radius(q):
 class TestTwistedMatrix:
     def test_entries_match_defining_sum(self, g2, g2_uniform):
         phi, psi = g2_uniform
-        tm = rs.twisted_matrix(g2, 2, phi, psi)
+        q = np.exp(rs.twisted_matrix(g2, 2, phi, psi))
         expected = np.zeros((2, 2))
         for x in range(2):
             for a in range(2):
                 for b in range(2):
                     w = phi.rows[x, a] * psi.rows[x, b] * math.exp(g2.cost2[x, a, b])
                     expected[x] += w * g2.transition[x, a, b]
-        assert_allclose(tm.matrix, expected, rtol=1e-14)
-        assert_allclose(tm.matrix, G2_Q2_UNIFORM, atol=1e-15)
-        assert tm.player == 2
-        assert tm.anchor_state == 0
+        assert_allclose(q, expected, rtol=1e-14)
+        assert_allclose(q, G2_Q2_UNIFORM, atol=1e-15)
 
     def test_player1_uniform_literal(self, g2, g2_uniform):
         phi, psi = g2_uniform
         assert_allclose(
-            rs.twisted_matrix(g2, 1, phi, psi).matrix, G2_Q1_UNIFORM, atol=1e-15
+            np.exp(rs.twisted_matrix(g2, 1, phi, psi)), G2_Q1_UNIFORM, atol=1e-15
         )
 
     def test_pure_pair_slices_twisted_kernel(self, g2):
         phi = rs.pure_strategy(g2, 1, [1, 0])
         psi = rs.pure_strategy(g2, 2, [0, 1])
-        tm = rs.twisted_matrix(g2, 1, phi, psi)
+        q = np.exp(rs.twisted_matrix(g2, 1, phi, psi))
         table = np.exp(rs.log_twisted_tensor(g2, 1))
-        assert_allclose(tm.matrix[0], table[0, 1, 0], rtol=1e-15)
-        assert_allclose(tm.matrix[1], table[1, 0, 1], rtol=1e-15)
+        assert_allclose(q[0], table[0, 1, 0], rtol=1e-15)
+        assert_allclose(q[1], table[1, 0, 1], rtol=1e-15)
 
     def test_zero_cost_matrix_is_stochastic(self):
         base = corpus_instance(2)
         z = np.zeros(base.cost1.shape)
         inst = rs.GameInstance(base.transition, z, z)
-        tm = rs.twisted_matrix(
+        log_q = rs.twisted_matrix(
             inst, 1, rs.uniform_strategy(inst, 1), rs.uniform_strategy(inst, 2)
         )
-        assert_allclose(tm.matrix.sum(axis=1), 1.0, atol=1e-13)
+        assert_allclose(np.exp(log_q).sum(axis=1), 1.0, atol=1e-13)
 
     def test_strategy_validation(self, g2, g2_uniform):
         phi, psi = g2_uniform
@@ -78,48 +76,60 @@ class TestTwistedMatrix:
 
 class TestPerronValue:
     def test_scalar_matrix(self):
-        ln_r, w = rs.perron_value(np.array([[2.0]]))
+        ln_r, log_w = rs.perron_value(np.log([[2.0]]))
         assert ln_r == pytest.approx(math.log(2.0), abs=1e-14)
-        assert_allclose(w, [1.0])
+        assert_allclose(np.exp(log_w), [1.0])
 
     def test_all_ones(self):
-        ln_r, w = rs.perron_value(np.ones((2, 2)))
+        ln_r, log_w = rs.perron_value(np.zeros((2, 2)))
         assert ln_r == pytest.approx(math.log(2.0), abs=1e-13)
-        assert_allclose(w, [1.0, 1.0], atol=1e-12)
+        assert_allclose(np.exp(log_w), [1.0, 1.0], atol=1e-12)
 
     def test_fixture_matches_quadratic_formula(self, g2, g2_uniform):
         phi, psi = g2_uniform
         for player, expected in ((1, G2_J1_UNIFORM), (2, G2_J2_UNIFORM)):
-            tm = rs.twisted_matrix(g2, player, phi, psi)
-            ln_r, w = rs.perron_value(tm)
-            assert ln_r == pytest.approx(quadratic_log_radius(tm.matrix), abs=1e-13)
+            log_q = rs.twisted_matrix(g2, player, phi, psi)
+            ln_r, log_w = rs.perron_value(log_q, g2.anchor_state)
+            q, w = np.exp(log_q), np.exp(log_w)
+            assert ln_r == pytest.approx(quadratic_log_radius(q), abs=1e-13)
             assert ln_r == pytest.approx(expected, abs=1e-13)
             assert w[0] == 1.0  # anchored eigenvector
             # eigen residual: Q w = r w
-            assert_allclose(tm.matrix @ w, math.exp(ln_r) * w, rtol=1e-10)
+            assert_allclose(q @ w, math.exp(ln_r) * w, rtol=1e-10)
 
     def test_cross_checks_dense_eigensolver(self):
         rng = np.random.default_rng(31)
         for _ in range(25):
             n = int(rng.integers(2, 7))
             q = rng.uniform(0.05, 2.0, size=(n, n))
-            ln_r, w = rs.perron_value(q)
+            ln_r, log_w = rs.perron_value(np.log(q))
             lam = np.abs(np.linalg.eigvals(q)).max()
             assert ln_r == pytest.approx(math.log(lam), abs=1e-11)
-            assert np.all(w > 0.0)
+            assert np.all(np.exp(log_w) > 0.0)
 
     def test_scaling_shifts_log_radius(self):
         rng = np.random.default_rng(5)
         q = rng.uniform(0.1, 1.0, size=(3, 3))
-        base, _ = rs.perron_value(q)
-        scaled, _ = rs.perron_value(7.5 * q)
+        base, _ = rs.perron_value(np.log(q))
+        scaled, _ = rs.perron_value(np.log(7.5 * q))
         assert scaled == pytest.approx(base + math.log(7.5), abs=1e-12)
+
+    def test_anchor_pins_eigenvector_entry(self, g2, g2_uniform):
+        log_q = rs.twisted_matrix(g2, 1, *g2_uniform)
+        ln_r0, log_w0 = rs.perron_value(log_q)
+        ln_r1, log_w1 = rs.perron_value(log_q, anchor=1)
+        assert ln_r1 == pytest.approx(ln_r0, abs=1e-13)
+        assert log_w1[1] == 0.0
+        assert_allclose(log_w1, log_w0 - log_w0[1], atol=1e-10)
+        for anchor in (-1, 2):
+            with pytest.raises(ValueError, match="anchor"):
+                rs.perron_value(log_q, anchor=anchor)
 
     def test_rejects_bad_matrices(self):
         with pytest.raises(ValueError):
-            rs.perron_value(np.array([[1.0, 0.0], [0.0, 1.0]]))
+            rs.perron_value(np.array([[0.0, -np.inf], [-np.inf, 0.0]]))  # ln I
         with pytest.raises(ValueError):
-            rs.perron_value(np.ones((2, 3)))
+            rs.perron_value(np.zeros((2, 3)))
 
 
 class TestErgodicCost:
@@ -160,6 +170,18 @@ class TestErgodicCost:
             inst.transition, inst.cost1 + 0.25, inst.cost2, theta=inst.theta
         )
         assert rs.ergodic_cost(bumped, 1, phi, psi) >= base + 0.2
+
+    def test_cost_spread_across_states_past_overflow(self, g2, g2_uniform):
+        """Costs 800 apart between states leave the value and eigenvector finite."""
+        cost1 = g2.cost1.copy()
+        cost1[1] += 800.0
+        spread = rs.GameInstance(g2.transition, cost1, g2.cost2)
+        ln_r, log_w = rs.perron_value(rs.twisted_matrix(spread, 1, *g2_uniform))
+        assert log_w[1] - log_w[0] > 709.0
+        assert rs.ergodic_cost(spread, 1, *g2_uniform) == ln_r
+        frozen = frozen_pair_instance(spread, 1, *g2_uniform)
+        rho = rs.solve_optimality(frozen, 1, rs.uniform_strategy(frozen, 2)).rho
+        assert ln_r == pytest.approx(rho, abs=1e-8)
 
     def test_grows_with_risk_parameter(self, g2, g2_uniform):
         phi, psi = g2_uniform
@@ -257,7 +279,7 @@ class TestFrozenPairEquivalence:
             inst = corpus_instance(seed)
             phi, psi = random_pair(inst, rng)
             direct = rs.ergodic_cost(inst, 2, phi, psi)
-            frozen = rs.frozen_pair_instance(inst, 2, phi, psi)
+            frozen = frozen_pair_instance(inst, 2, phi, psi)
             res = rs.solve_optimality(
                 frozen, 2, rs.uniform_strategy(frozen, 1)
             )

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import rsgame as rs
 from rsgame.transforms import log_twisted_tensor
 
-from helpers import corpus_instance, random_pair
+from helpers import corpus_instance, frozen_pair_instance, mix_transition, random_pair
 
 
 def zero_cost_instance(seed=0, dims=(3, 2, 2)):
@@ -92,11 +92,11 @@ class TestTwist:
 
 class TestMixTransition:
     def test_pure_masses_select_rows(self, g2):
-        row = rs.mix_transition(g2, 1, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        row = mix_transition(g2, 1, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
         assert_allclose(row, g2.transition[1, 1, 0], atol=1e-15)
 
     def test_uniform_mix_on_fixture(self, g2):
-        row = rs.mix_transition(g2, 0, UNIFORM2, UNIFORM2)
+        row = mix_transition(g2, 0, UNIFORM2, UNIFORM2)
         assert_allclose(row, [0.35, 0.65], atol=1e-15)
 
     def test_matches_double_loop(self):
@@ -109,18 +109,10 @@ class TestMixTransition:
                 for b in range(inst.n_actions_b):
                     expected += phi.rows[x, a] * psi.rows[x, b] * inst.transition[x, a, b]
             assert_allclose(
-                rs.mix_transition(inst, x, phi.rows[x], psi.rows[x]),
+                mix_transition(inst, x, phi.rows[x], psi.rows[x]),
                 expected,
                 rtol=1e-13,
             )
-
-    def test_rejects_non_simplex_inputs(self, g2):
-        with pytest.raises(ValueError):
-            rs.mix_transition(g2, 0, np.array([0.7, 0.7]), UNIFORM2)
-        with pytest.raises(ValueError):
-            rs.mix_transition(g2, 0, np.array([1.5, -0.5]), UNIFORM2)
-        with pytest.raises(ValueError):
-            rs.mix_transition(g2, 0, np.array([1.0]), UNIFORM2)
 
 
 class TestNormalizer:
@@ -129,20 +121,19 @@ class TestNormalizer:
         rng = np.random.default_rng(1)
         phi, psi = random_pair(inst, rng)
         for x in range(inst.n_states):
-            val = rs.normalized_kernel(inst, 1, x, phi.rows[x], psi.rows[x]).c_tilde
+            c_hat, _ = rs.normalized_kernel(inst, 1, x, phi.rows[x], psi.rows[x])
+            val = math.exp(c_hat)
             assert val == pytest.approx(1.0, abs=1e-13)
 
     def test_pure_pair_is_exp_cost(self, g2):
-        val = rs.normalized_kernel(
-            g2, 1, 1, np.array([0.0, 1.0]), np.array([0.0, 1.0])
-        ).c_tilde
+        c_hat, _ = rs.normalized_kernel(g2, 1, 1, np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        val = math.exp(c_hat)
         assert val == pytest.approx(math.exp(g2.cost1[1, 1, 1]), rel=1e-15)
 
     def test_fixture_uniform_values(self, g2):
-        assert rs.normalized_kernel(g2, 1, 0, UNIFORM2, UNIFORM2).c_tilde == pytest.approx(
-            1.3049957091090754, abs=1e-15
-        )
-        c2 = rs.normalized_kernel(g2, 2, 0, UNIFORM2, UNIFORM2).c_tilde
+        c1 = math.exp(rs.normalized_kernel(g2, 1, 0, UNIFORM2, UNIFORM2)[0])
+        assert c1 == pytest.approx(1.3049957091090754, abs=1e-15)
+        c2 = math.exp(rs.normalized_kernel(g2, 2, 0, UNIFORM2, UNIFORM2)[0])
         assert c2 == pytest.approx(1.6500372698745871, abs=1e-15)
         # additive costs factor the normalizer across the two players
         assert c2 == pytest.approx(
@@ -160,7 +151,7 @@ class TestNormalizer:
         for (x, b), want in expected.items():
             pure = np.zeros(2)
             pure[b] = 1.0
-            got = rs.normalized_kernel(g2, 2, x, UNIFORM2, pure).c_hat
+            got, _ = rs.normalized_kernel(g2, 2, x, UNIFORM2, pure)
             assert got == pytest.approx(want, abs=1e-14)
 
     def test_additive_factorization_on_random_arat(self):
@@ -173,7 +164,8 @@ class TestNormalizer:
                 phi, psi = random_pair(inst, rng)
                 f1 = float(np.exp(arat.c21[x]) @ phi.rows[x])
                 f2 = float(np.exp(arat.c22[x]) @ psi.rows[x])
-                got = rs.normalized_kernel(inst, 2, x, phi.rows[x], psi.rows[x]).c_tilde
+                c_hat, _ = rs.normalized_kernel(inst, 2, x, phi.rows[x], psi.rows[x])
+                got = math.exp(c_hat)
                 assert got == pytest.approx(f1 * f2, rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -188,7 +180,7 @@ class TestNormalizer:
         g2 = rs.g2_instance()
         phi = np.array(w1) / np.sum(w1)
         psi = np.array(w2) / np.sum(w2)
-        val = rs.normalized_kernel(g2, player, x, phi, psi).c_tilde
+        val = math.exp(rs.normalized_kernel(g2, player, x, phi, psi)[0])
         assert 1.0 - 1e-12 <= val <= math.exp(g2.theta * g2.c_bar) + 1e-12
 
 
@@ -198,34 +190,33 @@ class TestNormalizedKernel:
         for _ in range(20):
             phi, psi = random_pair(g2, rng)
             x = int(rng.integers(2))
-            ev = rs.normalized_kernel(g2, 2, x, phi.rows[x], psi.rows[x])
-            assert ev.p_hat.sum() == pytest.approx(1.0, abs=1e-12)
-            assert ev.c_hat == pytest.approx(math.log(ev.c_tilde), abs=1e-15)
+            c_hat, p_hat = rs.normalized_kernel(g2, 2, x, phi.rows[x], psi.rows[x])
+            assert p_hat.sum() == pytest.approx(1.0, abs=1e-12)
             weights = np.outer(phi.rows[x], psi.rows[x]) * np.exp(g2.cost2[x])
-            assert ev.c_tilde == pytest.approx(weights.sum(), rel=1e-15)
+            assert math.exp(c_hat) == pytest.approx(weights.sum(), rel=1e-15)
             # un-normalizing must recover the mixed twisted row
             mixed = np.einsum("ab,aby->y", weights, g2.transition[x])
-            assert_allclose(ev.p_hat * ev.c_tilde, mixed, rtol=1e-13)
+            assert_allclose(p_hat * math.exp(c_hat), mixed, rtol=1e-13)
 
     def test_zero_cost_reduces_to_plain_mixing(self):
         inst = zero_cost_instance(seed=2)
         rng = np.random.default_rng(2)
         phi, psi = random_pair(inst, rng)
         for x in range(inst.n_states):
-            ev = rs.normalized_kernel(inst, 1, x, phi.rows[x], psi.rows[x])
-            assert ev.c_tilde == pytest.approx(1.0, abs=1e-13)
+            c_hat, p_hat = rs.normalized_kernel(inst, 1, x, phi.rows[x], psi.rows[x])
+            assert math.exp(c_hat) == pytest.approx(1.0, abs=1e-13)
             assert_allclose(
-                ev.p_hat,
-                rs.mix_transition(inst, x, phi.rows[x], psi.rows[x]),
+                p_hat,
+                mix_transition(inst, x, phi.rows[x], psi.rows[x]),
                 rtol=1e-12,
             )
 
     def test_pure_pair_recovers_transition_row(self, g2):
-        ev = rs.normalized_kernel(g2, 1, 1, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        assert_allclose(ev.p_hat, g2.transition[1, 0, 1], rtol=1e-15)
+        _, p_hat = rs.normalized_kernel(g2, 1, 1, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        assert_allclose(p_hat, g2.transition[1, 0, 1], rtol=1e-15)
 
     def test_fixture_uniform_row_against_loop(self, g2):
-        ev = rs.normalized_kernel(g2, 2, 0, UNIFORM2, UNIFORM2)
+        _, p_hat = rs.normalized_kernel(g2, 2, 0, UNIFORM2, UNIFORM2)
         num = np.zeros(2)
         den = 0.0
         for a in range(2):
@@ -234,7 +225,15 @@ class TestNormalizedKernel:
                 num += w * g2.transition[0, a, b]
                 den += w
         assert den == pytest.approx(1.6500372698745871, abs=1e-15)
-        assert_allclose(ev.p_hat, num / den, rtol=1e-14)
+        assert_allclose(p_hat, num / den, rtol=1e-14)
+
+    def test_rejects_non_simplex_inputs(self, g2):
+        with pytest.raises(ValueError):
+            rs.normalized_kernel(g2, 1, 0, np.array([0.7, 0.7]), UNIFORM2)
+        with pytest.raises(ValueError):
+            rs.normalized_kernel(g2, 1, 0, np.array([1.5, -0.5]), UNIFORM2)
+        with pytest.raises(ValueError):
+            rs.normalized_kernel(g2, 1, 0, np.array([1.0]), UNIFORM2)
 
 
 class TestTwistedMeasure:
@@ -300,21 +299,19 @@ class TestRelativeEntropy:
 class TestFrozenPair:
     def test_rows_and_costs_match_normalized_kernel(self, g2, g2_uniform):
         phi, psi = g2_uniform
-        frozen = rs.frozen_pair_instance(g2, 2, phi, psi)
+        frozen = frozen_pair_instance(g2, 2, phi, psi)
         assert frozen.n_actions_a == frozen.n_actions_b == 1
         for x in range(2):
-            ev = rs.normalized_kernel(g2, 2, x, phi.rows[x], psi.rows[x])
-            assert_allclose(frozen.transition[x, 0, 0], ev.p_hat, rtol=1e-14)
-            assert frozen.cost2[x, 0, 0] == pytest.approx(
-                ev.c_hat / g2.theta, rel=1e-15
-            )
+            c_hat, p_hat = rs.normalized_kernel(g2, 2, x, phi.rows[x], psi.rows[x])
+            assert_allclose(frozen.transition[x, 0, 0], p_hat, rtol=1e-14)
+            assert frozen.cost2[x, 0, 0] == pytest.approx(c_hat / g2.theta, rel=1e-15)
         assert_array_equal(frozen.cost1, np.zeros((2, 1, 1)))
         assert frozen.theta == g2.theta
 
     def test_preserves_ergodic_value(self, g2, g2_uniform):
         phi, psi = g2_uniform
         for player in (1, 2):
-            frozen = rs.frozen_pair_instance(g2, player, phi, psi)
+            frozen = frozen_pair_instance(g2, player, phi, psi)
             one_a = rs.uniform_strategy(frozen, 1)
             one_b = rs.uniform_strategy(frozen, 2)
             assert rs.ergodic_cost(frozen, player, one_a, one_b) == pytest.approx(

@@ -167,10 +167,7 @@ def _read(path: str, parse):
 
 def _load_instance(args) -> GameInstance:
     instance = _read(args.instance, instance_from_dict)
-    try:
-        return instance if args.theta is None else replace(instance, theta=args.theta)
-    except ValueError as e:  # a rejected --theta override
-        raise _InputError(str(e)) from e
+    return instance if args.theta is None else replace(instance, theta=args.theta)
 
 
 def _strategy(spec: str | None, instance: GameInstance, player: int) -> StationaryStrategy:

@@ -58,7 +58,7 @@ def _check_rows(name: str, rows: np.ndarray, tol: float = ROW_SUM_TOL) -> np.nda
     if np.any(err > tol):
         idx = tuple(int(i) for i in np.argwhere(err > tol)[0])
         raise ValueError(
-            f"{name} row {idx} sums to {sums[idx]!r}, off by more than {tol:g}"
+            f"{name} row {idx} sums to {float(sums[idx])!r}, off by more than {tol:g}"
         )
     if np.any(err > EXACT_TOL):
         rows = rows / sums[..., None]

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,6 +61,8 @@ CYCLE_WINDOW = 50
 MAX_GRID_PAIRS = 10_000_000
 #: grid pairs evaluated per brute-force chunk, bounding its memory
 CHUNK_PAIRS = 250_000
+#: brute-force certificates built per step when a result is iterated
+_CERTIFICATE_BLOCK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,20 +282,34 @@ def best_response_dynamics(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class BruteForceResult:
-    """Outcome of a grid enumeration: surviving certificates, best first.
+class BruteForceResult(Sequence):
+    """Outcome of a grid enumeration: a lazy sequence of survivors, best first.
 
-    existence_guaranteed is True when the instance carries an additive
-    decomposition that checks out numerically; without it an equilibrium
-    need not exist and an empty survivor list is not a contradiction.
-    Iterating the result iterates the certificates.
+    The survivors are held as columns in best-first order: the Phi and Psi
+    map indices into maps_a and maps_b, and J1, J2, rho1_star, rho2_star,
+    eps1 and eps2.  Indexing, slicing and iteration build the
+    NashCertificate objects on demand; certificates of one result share one
+    StationaryStrategy per map index.  existence_guaranteed is True when the
+    instance carries an additive decomposition that checks out numerically;
+    without it an equilibrium need not exist and an empty result is not a
+    contradiction.
     """
 
-    certificates: list[NashCertificate]
+    phi_index: np.ndarray
+    psi_index: np.ndarray
+    J1: np.ndarray
+    J2: np.ndarray
+    rho1_star: np.ndarray
+    rho2_star: np.ndarray
+    eps1: np.ndarray
+    eps2: np.ndarray
+    maps_a: np.ndarray
+    maps_b: np.ndarray
     grid_step: float
     eps: float
     searched_pairs: int
     existence_guaranteed: bool
+    _strategies: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def label(self) -> str:
@@ -301,13 +318,35 @@ class BruteForceResult:
         return "existence not guaranteed (no verified additive decomposition)"
 
     def __len__(self) -> int:
-        return len(self.certificates)
+        return len(self.phi_index)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self._certificates(key)
+        k = range(len(self))[key]  # IndexError past either end
+        return self._certificates(slice(k, k + 1))[0]
 
     def __iter__(self):
-        return iter(self.certificates)
+        for start in range(0, len(self), _CERTIFICATE_BLOCK):
+            yield from self._certificates(slice(start, start + _CERTIFICATE_BLOCK))
 
-    def __getitem__(self, i):
-        return self.certificates[i]
+    def _strategy(self, player: int, k: int) -> StationaryStrategy:
+        strategy = self._strategies.get((player, k))
+        if strategy is None:
+            maps = self.maps_a if player == 1 else self.maps_b
+            strategy = self._strategies[player, k] = StationaryStrategy(player, maps[k])
+        return strategy
+
+    def _certificates(self, rows: slice) -> list[NashCertificate]:
+        columns = (self.phi_index, self.psi_index, self.J1, self.J2,
+                   self.rho1_star, self.rho2_star, self.eps1, self.eps2)
+        return [
+            NashCertificate(
+                Phi=self._strategy(1, a), Psi=self._strategy(2, b), J1=v1, J2=v2,
+                rho1_star=r1, rho2_star=r2, eps1=e1, eps2=e2,
+            )
+            for a, b, v1, v2, r1, r2, e1, e2 in zip(*(c[rows].tolist() for c in columns))
+        ]
 
 
 def _simplex_grid(n: int, step: float) -> np.ndarray:
@@ -330,15 +369,14 @@ def _strategy_maps(n_states: int, points: np.ndarray) -> np.ndarray:
     return points[combos]
 
 
-def _log_mix(log_table: np.ndarray, log_weights: np.ndarray, axis: int) -> np.ndarray:
-    """Weighted log-sum-exp: ln sum_k w_k e^{log_table_k} over one axis.
+def _log_mix(z: np.ndarray) -> np.ndarray:
+    """Log-sum-exp over axis 0, ln sum_k e^{z_k}; z is overwritten.
 
-    log_weights broadcasts against log_table; a zero weight enters as -inf
-    and drops out.  Callers guarantee a finite term in every sum (strictly
-    positive transitions and weights summing to one).
+    The mixed axis comes first because reductions over a short inner axis
+    are slow.  Callers guarantee a finite term in every sum (strictly
+    positive transitions and weights summing to one); a zero weight enters
+    as -inf and drops out.
     """
-    # the mixed axis goes first: reductions over a short inner axis are slow
-    z = np.ascontiguousarray(np.moveaxis(log_table + log_weights, axis, 0))
     top = z.max(axis=0)
     z -= top
     np.exp(z, out=z)
@@ -383,10 +421,11 @@ def brute_force_nash(
     Both players' stationary strategies are restricted to per-state mixing
     weights in multiples of grid_step; every resulting pair is certified via
     its spectral values against the grid-free best responses, and all pairs
-    with max(eps1, eps2) <= eps are returned sorted by gap.  The enumeration
-    is refused above MAX_GRID_PAIRS pairs.  Kernels are mixed in log space
-    and values taken on row-shifted kernels, so large theta * cost cannot
-    overflow; pairs are evaluated in chunks of CHUNK_PAIRS to bound memory.
+    with max(eps1, eps2) <= eps are returned, sorted by gap, as a lazy
+    BruteForceResult.  The enumeration is refused above MAX_GRID_PAIRS
+    pairs.  Kernels are mixed in log space and values taken on row-shifted
+    kernels, so large theta * cost cannot overflow; pairs are evaluated in
+    chunks of at most CHUNK_PAIRS to bound memory.
     """
     require_solvable(instance)
     points_a = _simplex_grid(instance.n_actions_a, grid_step)
@@ -399,8 +438,6 @@ def brute_force_nash(
             f"grid too large: {s1} x {s2} = {s1 * s2} pairs exceeds {MAX_GRID_PAIRS}"
         )
     anchor = instance.anchor_state
-    with np.errstate(divide="ignore"):
-        log_psi = np.log(maps_b)  # [map, x, action]
     # each Phi map mixed into both players' kernels once: [i, x, b, y]; the
     # player-2 kernel is also the kernel of player 2's reply to Phi
     by_phi1 = log_twisted_tensor(instance, 1, phi=maps_a)
@@ -411,39 +448,46 @@ def brute_force_nash(
     rho1_star = _rvi_values(log_twisted_tensor(instance, 1, psi=maps_b), anchor, tol)
     rho2_star = _rvi_values(by_phi2, anchor, tol)
 
+    # Psi's action axis first, so a chunk's mixing terms are one broadcast
+    # sum: by_phi [b, i, x, y] + log_psi [b, j, x]
+    by_phi1, by_phi2 = (np.ascontiguousarray(np.moveaxis(t, 2, 0)) for t in (by_phi1, by_phi2))
+    with np.errstate(divide="ignore"):
+        log_psi = np.ascontiguousarray(np.moveaxis(np.log(maps_b), 2, 0))[..., None]
+
+    # chunks of whole Phi rows, or of one row's Psi tiles when a row alone
+    # exceeds CHUNK_PAIRS; pair order (Phi major) is the enumeration order
+    rows = max(1, CHUNK_PAIRS // s2)
+    cols = min(s2, CHUNK_PAIRS)
+    n = instance.n_states
     kept = []
-    for start in range(0, s1 * s2, CHUNK_PAIRS):
-        idx = np.arange(start, min(start + CHUNK_PAIRS, s1 * s2))
-        i, j = idx // s2, idx % s2
-        psi_j = log_psi[j][..., None]
-        j1 = _log_perron(_log_mix(by_phi1[i], psi_j, axis=2), anchor)
-        j2 = _log_perron(_log_mix(by_phi2[i], psi_j, axis=2), anchor)
-        keep = np.maximum(j1 - rho1_star[j], j2 - rho2_star[i]) <= eps
-        kept.append((idx[keep], j1[keep], j2[keep]))
+    for i0 in range(0, s1, rows):
+        ia = slice(i0, min(i0 + rows, s1))
+        for j0 in range(0, s2, cols):
+            jb = slice(j0, min(j0 + cols, s2))
+            psi_t = log_psi[:, None, jb]
+            j1, j2 = (
+                _log_perron(_log_mix(by_phi[:, ia, None] + psi_t).reshape(-1, n, n), anchor)
+                .reshape(ia.stop - i0, jb.stop - j0)
+                for by_phi in (by_phi1, by_phi2)
+            )
+            keep = np.maximum(j1 - rho1_star[jb], j2 - rho2_star[ia, None]) <= eps
+            i, j = np.nonzero(keep)
+            kept.append((i + i0, j + j0, j1[keep], j2[keep]))
 
     # survivors in pair order, then a stable sort by gap
-    idx, j1, j2 = map(np.concatenate, zip(*kept))
-    i, j = idx // s2, idx % s2
+    i, j, j1, j2 = map(np.concatenate, zip(*kept))
     eps1 = j1 - rho1_star[j]
     eps2 = j2 - rho2_star[i]
     order = np.argsort(np.maximum(eps1, eps2), kind="stable")
-    phis = {k: StationaryStrategy(1, maps_a[k]) for k in np.unique(i).tolist()}
-    psis = {k: StationaryStrategy(2, maps_b[k]) for k in np.unique(j).tolist()}
-    columns = (i, j, j1, j2, rho1_star[j], rho2_star[i], eps1, eps2)
-    certificates = [
-        NashCertificate(
-            Phi=phis[a], Psi=psis[b], J1=v1, J2=v2,
-            rho1_star=r1, rho2_star=r2, eps1=e1, eps2=e2,
-        )
-        for a, b, v1, v2, r1, r2, e1, e2 in zip(*(c[order].tolist() for c in columns))
-    ]
     if instance.arat is None:
         guaranteed = False
     else:
         checks = validate(instance).checks
         guaranteed = checks["4.1"].status == "PASS" and checks["4.2"].status == "PASS"
     return BruteForceResult(
-        certificates=certificates,
+        phi_index=i[order], psi_index=j[order], J1=j1[order], J2=j2[order],
+        rho1_star=rho1_star[j][order], rho2_star=rho2_star[i][order],
+        eps1=eps1[order], eps2=eps2[order], maps_a=maps_a, maps_b=maps_b,
         grid_step=float(grid_step),
         eps=float(eps),
         searched_pairs=s1 * s2,

@@ -248,6 +248,16 @@ class TestEvalCommand:
         assert hot["instance_digest"] != base["instance_digest"]
         assert hot["flags"]["theta"] == 2.0
 
+    def test_rejected_theta_is_usage_error(self, g2_path, capsys):
+        code, report, err = run(
+            ["eval", "--instance", g2_path, "--theta", "-1",
+             "--phi", "uniform", "--psi", "uniform"],
+            capsys,
+        )
+        assert code == 2
+        assert report is None
+        assert err == "error: theta must be a positive finite real, got -1.0\n"
+
 
 class TestNashCommand:
     def test_dynamics_certify_fixture(self, g2_path, capsys):
@@ -349,6 +359,13 @@ class TestErrorPaths:
             b'{"theta": 1.0}', b'{"rows": [[1, 0], [1, 0]]}', "document missing field",
         ),
         "fit": (None, b'{"player": 1, "rows": [[0.5, 0.6], [1, 0]]}', "sums to"),
+        "sum": (
+            b'{"theta": 1.0, "anchor_state": 0, "states": 1, "actions_a": 1,'
+            b' "actions_b": 1, "transition": [[[[1.1]]]], "cost1": [[[0]]],'
+            b' "cost2": [[[0]]]}',
+            b'{"player": 1, "rows": [[0.5, 0.6], [1, 0]]}',
+            "sums to 1.1, off by more than 1e-09",
+        ),
         "kind": (b"[1, 2]", b'{"player": null, "rows": [[1, 0], [1, 0]]}', ""),
     }
 
@@ -374,6 +391,7 @@ class TestErrorPaths:
         assert report is None
         assert err.startswith(f"error: {path}: ")
         assert message in err
+        assert "np.float64" not in err
 
     def test_usage_errors_exit_2(self, g2_path, capsys):
         assert main(["frobnicate"]) == 2

@@ -6,10 +6,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 import rsgame as rs
+from rsgame import nash
 from rsgame.game_model import dumps_decimal
 from rsgame.nash import _simplex_grid, certificate_to_dict
 
 from helpers import corpus_instance, random_pair
+
+# BruteForceResult's survivor columns, and the certificate fields they fill
+RESULT_COLUMNS = ("phi_index", "psi_index", "J1", "J2", "rho1_star", "rho2_star",
+                  "eps1", "eps2")
+CERTIFICATE_FIELDS = ("J1", "J2", "rho1_star", "rho2_star", "eps1", "eps2",
+                      "rounds", "converged", "cycle")
 
 # Deviation gaps of the uniform pair on the bundled fixture, frozen from a
 # converged high-precision run.
@@ -217,6 +224,74 @@ class TestBruteForce:
         assert gaps == sorted(gaps)
         assert all(g <= 0.05 + 1e-12 for g in gaps)
 
+    def test_result_is_a_best_first_sequence(self, g2, monkeypatch):
+        # blocks of two make iteration cross block boundaries
+        monkeypatch.setattr(nash, "_CERTIFICATE_BLOCK", 2)
+        result = rs.brute_force_nash(g2, grid_step=0.25, eps=0.3)
+        n = len(result)
+        assert n > 5
+        listed, sliced = list(result), result[:]
+        assert len(listed) == len(sliced) == n
+
+        def same(a, b):
+            assert a.Phi.rows.tobytes() == b.Phi.rows.tobytes()
+            assert a.Psi.rows.tobytes() == b.Psi.rows.tobytes()
+            for name in CERTIFICATE_FIELDS:
+                assert getattr(a, name) == getattr(b, name), name
+
+        for a, b in zip(listed, sliced):
+            same(a, b)
+        same(result[0], listed[0])
+        same(result[-1], listed[n - 1])
+        same(result[np.int64(3)], listed[3])
+        window = result[2:5]
+        assert len(window) == 3
+        for a, b in zip(window, listed[2:5]):
+            same(a, b)
+        assert [c.J1 for c in result[::-2]] == [c.J1 for c in listed[::-2]]
+        # the columns hold the certificates' values, best first
+        assert [c.eps2 for c in listed] == result.eps2.tolist()
+        gaps = np.maximum(result.eps1, result.eps2)
+        assert np.all(gaps[:-1] <= gaps[1:])
+        for k in (n, -n - 1):
+            with pytest.raises(IndexError):
+                result[k]
+
+    @pytest.mark.parametrize("states", [2, 3])
+    def test_chunk_tiling_keeps_the_result(self, g2, states, monkeypatch):
+        if states == 2:
+            inst, step = g2, 0.25
+        else:
+            inst, step = rs.random_instance(5, dims=(3, 2, 2)), 0.5
+        base = rs.brute_force_nash(inst, grid_step=step, eps=0.1)
+        assert len(base) > 5
+        n_psi = len(base.maps_b)
+        batches = []
+        perron = nash._log_perron
+
+        def recorded(log_q, anchor):
+            batches.append(log_q.shape[0])
+            return perron(log_q, anchor)
+
+        monkeypatch.setattr(nash, "_log_perron", recorded)
+        # below the Psi map count Psi is tiled; above it, whole Phi rows
+        for chunk in (2, 7, n_psi - 1, n_psi, n_psi + 1, 3 * n_psi + 2):
+            monkeypatch.setattr(nash, "CHUNK_PAIRS", chunk)
+            batches.clear()
+            tiled = rs.brute_force_nash(inst, grid_step=step, eps=0.1)
+            assert sum(batches) == 2 * tiled.searched_pairs
+            assert max(batches) <= chunk
+            assert tiled.phi_index.tobytes() == base.phi_index.tobytes()
+            assert tiled.psi_index.tobytes() == base.psi_index.tobytes()
+            for name in RESULT_COLUMNS[2:]:
+                if states == 2:  # closed-form Perron roots: pair by pair
+                    assert getattr(tiled, name).tobytes() == getattr(base, name).tobytes()
+                else:
+                    # relative value iteration stops when every pair in its
+                    # batch has converged, so the last bits follow the chunk
+                    assert_allclose(getattr(tiled, name), getattr(base, name),
+                                    rtol=0, atol=1e-11)
+
     def test_survivor_certificates_verify_fresh(self, g2):
         result = rs.brute_force_nash(g2, grid_step=0.5, eps=0.3)
         assert result.searched_pairs == 81
@@ -246,7 +321,11 @@ class TestBruteForce:
         c2 = np.array([[[1.2, 0.0], [0.0, 0.7]]])
         inst = rs.GameInstance(t, c1, c2)
         result = rs.brute_force_nash(inst, grid_step=0.5, eps=1e-15)
-        assert len(result) == 0
+        assert len(result) == 0 and not result
+        assert list(result) == [] and result[:] == []
+        for k in (0, -1):
+            with pytest.raises(IndexError):
+                result[k]
         assert result.searched_pairs == 9
         # with a generous threshold the same grid keeps its best pairs
         loose = rs.brute_force_nash(inst, grid_step=0.5, eps=0.5)

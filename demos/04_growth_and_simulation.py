@@ -6,7 +6,7 @@ radius of the twisted matrix Q.  Two independent routes confirm it:
 * exact n-step growth increments ln E[e^{theta S_n}] - ln E[e^{theta S_{n-1}}],
   computed by stabilized matrix powers, converge to ln r(Q) geometrically;
 * Monte Carlo over sampled paths estimates the same increment with a
-  delta-method standard error.
+  delta-method standard error; one walk of the paths serves both players.
 
 The increment form matters: the plain time average (1/n) ln E[e^{theta S_n}]
 carries an O(1/n) bias that is still visible at n = 2000.
@@ -39,7 +39,7 @@ print("\none sampled path:", traj.states.tolist())
 print("  player-2 running cost sums:", traj.cost_sums[1].round(3).tolist())
 
 target = rs.finite_horizon_growth(g2, 2, phi, psi, x=0, n=50)
-est = rs.mc_cost_estimate(g2, 2, phi, psi, x=0, n=50, n_paths=10_000, seed=3)
+_, est = rs.mc_cost_estimate(g2, phi, psi, x=0, n=50, n_paths=10_000, seed=3)
 z = (est.value - target) / est.std_error
 print(f"\nMC increment over {est.n_paths} paths: {est.value:.6f}"
       f" +- {est.std_error:.6f}")
@@ -48,7 +48,7 @@ print(f"exact increment {target:.6f}; standardized error z = {z:+.2f}")
 # replicate to see the 3-sigma interval do its job
 hits = 0
 for rep in range(20):
-    e = rs.mc_cost_estimate(g2, 2, phi, psi, x=0, n=50, n_paths=4_000, seed=rep)
+    _, e = rs.mc_cost_estimate(g2, phi, psi, x=0, n=50, n_paths=4_000, seed=rep)
     hits += abs(e.value - target) <= 3.0 * e.std_error
 print(f"coverage over 20 replicates: {hits}/20 within 3 SE")
 
@@ -56,7 +56,8 @@ print(f"coverage over 20 replicates: {hits}/20 within 3 SE")
 flat = rs.GameInstance(
     g2.transition, np.full_like(g2.cost1, 0.3), np.full_like(g2.cost2, 0.3)
 )
-e = rs.mc_cost_estimate(flat, 2, rs.uniform_strategy(flat, 1),
-                        rs.uniform_strategy(flat, 2), x=0, n=8, n_paths=100, seed=0)
-print(f"\nconstant-cost sanity check: estimate {e.value:.12f} (exact 0.3),"
-      f" SE {e.std_error:.1e}")
+flat_mc = rs.mc_cost_estimate(flat, rs.uniform_strategy(flat, 1),
+                              rs.uniform_strategy(flat, 2), x=0, n=8, n_paths=100, seed=0)
+print("\nconstant-cost sanity check (exact 0.3), both players from one walk:")
+for i, e in enumerate(flat_mc, 1):
+    print(f"  player {i}: estimate {e.value:.12f}, SE {e.std_error:.1e}")

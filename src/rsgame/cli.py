@@ -225,12 +225,10 @@ def _eval(args, instance) -> tuple[int, dict]:
             for i in (1, 2)
         }}
     if args.mc:
-        payload["mc"] = {
-            f"player{i}": asdict(mc_cost_estimate(
-                instance, i, Phi, Psi, x, args.horizon, args.paths, args.seed
-            ))
-            for i in (1, 2)
-        }
+        estimates = mc_cost_estimate(
+            instance, Phi, Psi, x, args.horizon, args.paths, args.seed
+        )
+        payload["mc"] = {f"player{i}": asdict(e) for i, e in enumerate(estimates, 1)}
     return 0, payload
 
 

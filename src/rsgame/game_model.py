@@ -36,10 +36,15 @@ class AssumptionError(ValueError):
     """A model condition required by the solvers does not hold."""
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Mark an array this module owns read-only, in place."""
+    a.flags.writeable = False
+    return a
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.flags.writeable = False
-    return out
+    """A read-only float copy of a caller's array."""
+    return _frozen(np.array(a, dtype=float))
 
 
 def _check_rows(name: str, rows: np.ndarray, tol: float = ROW_SUM_TOL) -> np.ndarray:
@@ -55,8 +60,9 @@ def _check_rows(name: str, rows: np.ndarray, tol: float = ROW_SUM_TOL) -> np.nda
         raise ValueError(f"{name} has negative entry at index {idx}")
     sums = rows.sum(axis=-1)
     err = np.abs(sums - 1.0)
-    if np.any(err > tol):
-        idx = tuple(int(i) for i in np.argwhere(err > tol)[0])
+    off = ~(err <= tol)  # a NaN entry makes its row's sum NaN: off too
+    if np.any(off):
+        idx = tuple(int(i) for i in np.argwhere(off)[0])
         raise ValueError(
             f"{name} row {idx} sums to {float(sums[idx])!r}, off by more than {tol:g}"
         )
@@ -140,8 +146,9 @@ class GameInstance:
             )
         if 0 in t.shape:
             raise ValueError(f"transition {t.shape} has an empty state or action axis")
-        t = _check_rows("transition", t)
-        object.__setattr__(self, "transition", _readonly(t))
+        # t is this instance's own copy: freeze it rather than copy it again
+        t = _frozen(_check_rows("transition", t))
+        object.__setattr__(self, "transition", t)
         for f in ("cost1", "cost2"):
             c = _readonly(getattr(self, f))
             if c.shape != t.shape[:3]:
@@ -203,8 +210,7 @@ class StationaryStrategy:
         r = np.array(self.rows, dtype=float)
         if r.ndim != 2:
             raise ValueError(f"rows must be a 2-d [state][action] table, got {r.shape}")
-        r = _check_rows("strategy", r)
-        object.__setattr__(self, "rows", _readonly(r))
+        object.__setattr__(self, "rows", _frozen(_check_rows("strategy", r)))
 
     @property
     def n_states(self) -> int:
@@ -564,6 +570,9 @@ def g2_instance() -> GameInstance:
 # ---------------------------------------------------------------------------
 
 def _render(obj: Any, indent: int | None, level: int = 0) -> str:
+    # plain finite floats are most of every document: format them first
+    if type(obj) is float and math.isfinite(obj):
+        return format(obj, ".17g")
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:

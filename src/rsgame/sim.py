@@ -12,7 +12,9 @@ stream a one-path Monte Carlo run sees.
 mc_cost_estimate targets the n-th increment of the log moment generating
 function, ln E_x[e^{theta S_n}] - ln E_x[e^{theta S_{n-1}}] — the exact
 quantity spectral.finite_horizon_growth computes — by evaluating both
-log-mean-exponentials on the same sample of paths.  The standard error
+log-mean-exponentials on the same sample of paths.  One walk serves both
+players: each path's two cost sums are kept side by side, so the estimates
+for players 1 and 2 come from the same paths.  The standard error
 comes from the delta method: the increment is a smooth function of two
 sample means, and its influence-function variance is the sum of squared
 differences of the two exponential-weight vectors.  Like any log-mean-exp
@@ -54,6 +56,31 @@ class McEstimate:
     seed: int
 
 
+def _drawer(probs: np.ndarray, n_paths: int):
+    """Draw function over the rows of a probability table.
+
+    ``draw(r, u)`` returns, for each path i, the first index whose
+    cumulative probability in row r[i] exceeds u[i]; rows are numbered in
+    row-major order over the table's leading axes.  The last cumulative
+    entry is set to +inf, so a u at or above a last sum that rounds below 1
+    picks the last index.  Rows of a nonnegative cumulative sum never
+    decrease in floating point, so the pick equals the count of entries
+    <= u, clamped to the last index.  The gathered rows and the comparison
+    reuse two buffers from step to step.
+    """
+    cum = np.cumsum(probs, axis=-1).reshape(-1, probs.shape[-1])
+    cum[:, -1] = np.inf
+    rows = np.empty((n_paths, cum.shape[1]))
+    hits = np.empty(rows.shape, dtype=bool)
+
+    def draw(r: np.ndarray, u: np.ndarray) -> np.ndarray:
+        # every r is in range: 'clip' only skips the buffered bounds check
+        cum.take(r, axis=0, out=rows, mode="clip")
+        return np.greater(rows, u[:, None], out=hits).argmax(axis=1)
+
+    return draw
+
+
 def _walk(
     instance: GameInstance,
     Phi: StationaryStrategy,
@@ -67,19 +94,18 @@ def _walk(
 
     Each step is (x, a, b, y): int arrays over paths holding the state, both
     actions and the next state.  A step draws one (3, n_paths) block of
-    uniforms u and picks each index as the count of cumulative
-    probabilities <= u, clamped to the last index against rounding in the
-    cumulative sums.
+    uniforms u and picks each index as the first whose cumulative
+    probability exceeds u (see _drawer).
     """
     if n < 1 or n_paths < 1:
         raise ValueError(f"n and n_paths must be >= 1, got {n} and {n_paths}")
     if not 0 <= x0 < instance.n_states:
         raise ValueError(f"start state {x0} out of range")
-    cum_a = np.cumsum(check_strategy(instance, Phi, 1), axis=1)
-    cum_b = np.cumsum(check_strategy(instance, Psi, 2), axis=1)
-    cum_p = np.cumsum(instance.transition, axis=3)
-    na, nb, nx = instance.n_actions_a, instance.n_actions_b, instance.n_states
     n, n_paths = int(n), int(n_paths)
+    draw_a = _drawer(check_strategy(instance, Phi, 1), n_paths)
+    draw_b = _drawer(check_strategy(instance, Psi, 2), n_paths)
+    draw_y = _drawer(instance.transition, n_paths)
+    na, nb = instance.n_actions_a, instance.n_actions_b
 
     def steps():
         rng = np.random.default_rng(seed)
@@ -87,9 +113,9 @@ def _walk(
         for _ in range(n):
             x = y
             u = rng.random((3, n_paths))
-            a = np.minimum((cum_a[x] <= u[0][:, None]).sum(axis=1), na - 1)
-            b = np.minimum((cum_b[x] <= u[1][:, None]).sum(axis=1), nb - 1)
-            y = np.minimum((cum_p[x, a, b] <= u[2][:, None]).sum(axis=1), nx - 1)
+            a = draw_a(x, u[0])
+            b = draw_b(x, u[1])
+            y = draw_y((x * na + a) * nb + b, u[2])
             yield x, a, b, y
 
     return steps()
@@ -119,17 +145,17 @@ def sample_path(
 
 def mc_cost_estimate(
     instance: GameInstance,
-    player: int,
     Phi: StationaryStrategy,
     Psi: StationaryStrategy,
     x: int,
     n: int,
     n_paths: int,
     seed: int,
-) -> McEstimate:
-    """Estimate the n-step growth increment by simulation.
+) -> tuple[McEstimate, McEstimate]:
+    """Estimate both players' n-step growth increments by simulation.
 
-    Simulates n_paths independent paths from x and returns
+    Simulates n_paths independent paths from x once and returns one
+    estimate per player, (player 1, player 2), each
 
         value = ln sum_paths e^{theta S_n} - ln sum_paths e^{theta S_{n-1}},
 
@@ -138,16 +164,25 @@ def mc_cost_estimate(
     exponents never overflow.  std_error is the delta-method standard error
     of the difference, accounting for the correlation induced by sharing
     paths between the two terms.  Memory is O(n_paths): only the running
-    sums S_n and S_{n-1} are kept.
+    sums S_n and S_{n-1} of both players are kept.
     """
-    cost = instance.cost(player)
+    # both cost tables as [player, flat (x, a, b)] columns: one take per step
+    costs = np.stack([instance.cost1, instance.cost2]).reshape(2, -1)
+    na, nb = instance.n_actions_a, instance.n_actions_b
     steps = _walk(instance, Phi, Psi, x, n, n_paths, seed)
     n_paths = int(n_paths)
-    total = prev_total = np.zeros(n_paths)
+    total = prev_total = np.zeros((2, n_paths))
     for xs, a, b, _ in steps:
-        prev_total, total = total, total + cost[xs, a, b]
-    z_n = instance.theta * total
-    z_m = instance.theta * prev_total
+        prev_total, total = total, total + costs.take((xs * na + a) * nb + b, axis=1)
+    return tuple(
+        _estimate(instance.theta * s_n, instance.theta * s_m, n, seed)
+        for s_n, s_m in zip(total, prev_total)
+    )
+
+
+def _estimate(z_n: np.ndarray, z_m: np.ndarray, n: int, seed: int) -> McEstimate:
+    """Increment and delta-method standard error from one player's exponents."""
+    n_paths = z_n.shape[0]
     value = float(logsumexp(z_n) - logsumexp(z_m))
     p = np.exp(z_n - logsumexp(z_n))
     q = np.exp(z_m - logsumexp(z_m))

@@ -265,8 +265,8 @@ def test_criterion_7_simulation_consistency(capsys):
         exact = rs.finite_horizon_growth(g2, 2, phi, psi, x=0, n=50)
         hits = 0
         for rep in range(100):
-            est = rs.mc_cost_estimate(
-                g2, 2, phi, psi, x=0, n=50, n_paths=10_000, seed=rep
+            _, est = rs.mc_cost_estimate(
+                g2, phi, psi, x=0, n=50, n_paths=10_000, seed=rep
             )
             hits += abs(est.value - exact) <= 3.0 * est.std_error
         elapsed = time.perf_counter() - t0

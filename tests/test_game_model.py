@@ -292,6 +292,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="negative"):
             rs.GameInstance(t, np.zeros((2, 1, 1)), np.zeros((2, 1, 1)))
 
+    def test_rejects_nan_entries(self):
+        t = np.full((2, 1, 1, 2), 0.5)
+        t[1, 0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match=r"transition row \(1, 0, 0\) sums to nan"):
+            rs.GameInstance(t, np.zeros((2, 1, 1)), np.zeros((2, 1, 1)))
+        with pytest.raises(ValueError, match=r"strategy row \(0,\) sums to nan"):
+            rs.StationaryStrategy(1, np.array([[np.nan, 1.0], [0.5, 0.5]]))
+
     @pytest.mark.parametrize("shape", [(2, 0, 2, 2), (2, 2, 0, 2), (0, 1, 1, 0)])
     def test_rejects_an_empty_axis(self, shape):
         t = np.zeros(shape)
@@ -330,6 +338,38 @@ class TestConstruction:
             g2.transition[0, 0, 0, 0] = 0.5
         with pytest.raises(ValueError):
             g2.cost1[0, 0, 0] = 0.5
+
+    @pytest.mark.parametrize("drift", [0.0, 3e-10])
+    def test_callers_arrays_are_copied_not_frozen(self, g2, drift):
+        t = g2.transition.copy()
+        t[..., 0] += drift  # 3e-10 takes the renormalizing path
+        c1, c2 = g2.cost1.copy(), g2.cost2.copy()
+        rows = np.array([[0.25 + drift, 0.75], [0.5, 0.5]])
+        arat = {f: getattr(g2.arat, f).copy() for f in ("p1", "p2", "c11", "c21", "c12", "c22")}
+        inst = rs.GameInstance(t, c1, c2, arat=rs.AratStructure(**arat))
+        psi = rs.StationaryStrategy(2, rows)
+        pairs = [(t, inst.transition), (c1, inst.cost1), (c2, inst.cost2),
+                 (rows, psi.rows)] + [(arat[f], getattr(inst.arat, f)) for f in arat]
+        for given, kept in pairs:
+            assert given.flags.writeable
+            assert not kept.flags.writeable
+            assert not np.shares_memory(given, kept)
+        before = inst.transition.copy()
+        t[...] = 0.0
+        assert_array_equal(inst.transition, before)
+
+    def test_construction_holds_one_copy_of_the_table(self):
+        rng = np.random.default_rng(0)
+        t = rng.dirichlet(np.ones(100), size=(100, 5, 5))  # 2 MB
+        c = rng.uniform(size=(100, 5, 5))
+        tracemalloc.start()
+        try:
+            rs.GameInstance(t, c, c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the caller's table, this instance's copy and the row-check scratch
+        assert t.nbytes + peak < 2.2 * t.nbytes
 
     def test_cost_accessor(self, g2):
         assert_array_equal(g2.cost(1), g2.cost1)
@@ -372,7 +412,7 @@ PAIR_CONSUMERS = {
     "solve_optimality": lambda inst, phi, psi: rs.solve_optimality(inst, 2, phi),
     "sample_path": lambda inst, phi, psi: rs.sample_path(inst, phi, psi, x0=0, n=3, seed=0),
     "mc_cost_estimate":
-        lambda inst, phi, psi: rs.mc_cost_estimate(inst, 1, phi, psi, 0, 3, 10, 0),
+        lambda inst, phi, psi: rs.mc_cost_estimate(inst, phi, psi, 0, 3, 10, 0),
     "cli eval": None,
 }
 
@@ -499,6 +539,23 @@ class TestSerialization:
         rendered = dumps_decimal({"b": 1.0, "a": 2.0}, indent=None)
         assert rendered == '{"a":2,"b":1}' or rendered == '{"a": 2, "b": 1}'
         assert rendered.index('"a"') < rendered.index('"b"')
+
+    def test_mixed_document_canonical_text(self):
+        doc = {
+            "b": [np.float64(0.1), float("inf"), float("nan"), -float("inf")],
+            "a": [True, False, 3, np.int64(-2), [1.5, [2.0, 1e-300]], None],
+            "c": 1 / 3, "d": np.float64(1e300), "e": -0.0, "f": np.float32(0.1),
+        }
+        assert dumps_decimal(doc, indent=None) == (
+            '{"a":[true,false,3,-2,[1.5,[2,1e-300]],null],'
+            '"b":[0.10000000000000001,"inf","nan","-inf"],"c":0.33333333333333331,'
+            '"d":1.0000000000000001e+300,"e":-0,"f":0.10000000149011612}'
+        )
+
+    def test_arat_corpus_digest_is_pinned(self):
+        assert rs.instance_digest(corpus_instance(5, arat=True)) == (
+            "46fb279bce78e3c03d072acf65dfd7a67801552dd615d0b41b86c3d18c57ff35"
+        )
 
     def test_digest_is_sha256_hex(self, g2):
         digest = rs.instance_digest(g2)

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import rsgame as rs
+from rsgame import sim
 
 from helpers import corpus_instance, mix_transition, random_pair
 
@@ -82,17 +83,77 @@ class TestSamplePath:
             rs.sample_path(g2, psi, phi, x0=0, n=4, seed=1)
 
 
+def count_rule(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Reference draw: the count of cumulative sums <= u, clamped to the last index."""
+    cum = np.cumsum(probs, axis=-1)
+    return np.minimum((cum <= u[:, None]).sum(axis=1), probs.shape[-1] - 1)
+
+
+class TestDrawRule:
+    """The walk picks the first index whose cumulative probability exceeds u."""
+
+    @staticmethod
+    def draw(probs, u):
+        rows = np.broadcast_to(np.asarray(probs, dtype=float), (len(u), len(probs)))
+        u = np.asarray(u, dtype=float)
+        got = sim._drawer(rows, len(u))(np.arange(len(u)), u)
+        assert_array_equal(got, count_rule(rows, u))
+        return got.tolist()
+
+    def test_u_on_a_cumulative_entry_takes_the_next_index(self):
+        assert self.draw([0.25, 0.25, 0.5], [0.0, 0.25, 0.5, 0.75]) == [0, 1, 2, 2]
+
+    def test_u_above_a_last_sum_that_rounds_below_one(self):
+        probs = np.full(10, 0.1)
+        last = np.cumsum(probs)[-1]
+        assert last < 1.0
+        assert self.draw(probs, [last, np.nextafter(1.0, 0.0)]) == [9, 9]
+
+    def test_zero_entries_are_never_drawn(self):
+        probs = [0.0, 0.5, 0.0, 0.5, 0.0]
+        assert self.draw(probs, [0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)]) == [
+            1, 1, 3, 3, 3,
+        ]
+
+    def test_matches_the_count_rule_on_every_tie(self):
+        rng = np.random.default_rng(4)
+        rows = rng.dirichlet(np.ones(7), size=300)
+        rows[rng.random(rows.shape) < 0.3] = 0.0
+        rows[:, 0] += rows.sum(axis=1) == 0.0
+        rows /= rows.sum(axis=1, keepdims=True)
+        ties = np.cumsum(rows, axis=1)  # each u equal to one cumulative entry
+        draw = sim._drawer(rows, len(rows))
+        for j in range(rows.shape[1]):
+            u = np.minimum(ties[:, j], np.nextafter(1.0, 0.0))
+            assert_array_equal(draw(np.arange(len(rows)), u), count_rule(rows, u))
+
+
 class TestMcCostEstimate:
+    def test_walks_once_for_both_players(self, g2, g2_uniform, monkeypatch):
+        walks = []
+        walk = sim._walk
+
+        def counted(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(sim, "_walk", counted)
+        estimates = rs.mc_cost_estimate(g2, *g2_uniform, x=0, n=5, n_paths=20, seed=3)
+        assert len(walks) == 1
+        assert len(estimates) == 2
+        assert all(isinstance(e, rs.McEstimate) for e in estimates)
+
     def test_zero_cost_estimates_zero_exactly(self):
         base = corpus_instance(1)
         z = np.zeros(base.cost1.shape)
         inst = rs.GameInstance(base.transition, z, z)
-        est = rs.mc_cost_estimate(
-            inst, 1, rs.uniform_strategy(inst, 1), rs.uniform_strategy(inst, 2),
+        estimates = rs.mc_cost_estimate(
+            inst, rs.uniform_strategy(inst, 1), rs.uniform_strategy(inst, 2),
             x=0, n=10, n_paths=64, seed=2,
         )
-        assert est.value == 0.0
-        assert est.std_error == 0.0
+        for est in estimates:
+            assert est.value == 0.0
+            assert est.std_error == 0.0
 
     def test_constant_cost_is_noise_free(self):
         inst = deterministic_cycle_instance()
@@ -101,29 +162,30 @@ class TestMcCostEstimate:
         inst = rs.GameInstance(inst.transition, c, c, theta=2.0)
         phi = rs.uniform_strategy(inst, 1)
         psi = rs.uniform_strategy(inst, 2)
-        est = rs.mc_cost_estimate(inst, 1, phi, psi, x=0, n=7, n_paths=50, seed=8)
-        assert est.value == pytest.approx(0.6, rel=1e-13)
-        assert est.std_error == pytest.approx(0.0, abs=1e-13)
+        for est in rs.mc_cost_estimate(inst, phi, psi, x=0, n=7, n_paths=50, seed=8):
+            assert est.value == pytest.approx(0.6, rel=1e-13)
+            assert est.std_error == pytest.approx(0.0, abs=1e-13)
 
     def test_deterministic_in_seed(self, g2, g2_uniform):
         phi, psi = g2_uniform
-        a = rs.mc_cost_estimate(g2, 2, phi, psi, x=0, n=25, n_paths=500, seed=4)
-        b = rs.mc_cost_estimate(g2, 2, phi, psi, x=0, n=25, n_paths=500, seed=4)
-        assert a.value == b.value
-        assert a.std_error == b.std_error
-        assert (a.n_paths, a.horizon, a.seed) == (500, 25, 4)
+        first = rs.mc_cost_estimate(g2, phi, psi, x=0, n=25, n_paths=500, seed=4)
+        again = rs.mc_cost_estimate(g2, phi, psi, x=0, n=25, n_paths=500, seed=4)
+        for a, b in zip(first, again, strict=True):
+            assert a.value == b.value
+            assert a.std_error == b.std_error
+            assert (a.n_paths, a.horizon, a.seed) == (500, 25, 4)
 
     def test_estimates_growth_increment_within_three_se(self, g2, g2_uniform):
         phi, psi = g2_uniform
         exact = rs.finite_horizon_growth(g2, 2, phi, psi, x=0, n=50)
-        est = rs.mc_cost_estimate(g2, 2, phi, psi, x=0, n=50, n_paths=10_000, seed=7)
+        _, est = rs.mc_cost_estimate(g2, phi, psi, x=0, n=50, n_paths=10_000, seed=7)
         assert est.std_error > 0.0
         assert abs(est.value - exact) <= 3.0 * est.std_error
 
     def test_single_path_has_zero_reported_error(self, g2, g2_uniform):
         phi, psi = g2_uniform
-        est = rs.mc_cost_estimate(g2, 2, phi, psi, x=0, n=5, n_paths=1, seed=1)
-        assert est.std_error == 0.0
+        for est in rs.mc_cost_estimate(g2, phi, psi, x=0, n=5, n_paths=1, seed=1):
+            assert est.std_error == 0.0
 
     def test_coverage_over_replicates(self, g2, g2_uniform):
         """The 3-SE interval should cover the exact increment almost always."""
@@ -131,8 +193,8 @@ class TestMcCostEstimate:
         exact = rs.finite_horizon_growth(g2, 2, phi, psi, x=0, n=20)
         hits = 0
         for rep in range(12):
-            est = rs.mc_cost_estimate(
-                g2, 2, phi, psi, x=0, n=20, n_paths=2_000, seed=100 + rep
+            _, est = rs.mc_cost_estimate(
+                g2, phi, psi, x=0, n=20, n_paths=2_000, seed=100 + rep
             )
             hits += abs(est.value - exact) <= 3.0 * est.std_error
         assert hits >= 10
@@ -143,8 +205,8 @@ class TestMcCostEstimate:
         exact = rs.finite_horizon_growth(g2, 2, phi, psi, x=0, n=20)
         errors = []
         for rep in range(40):
-            est = rs.mc_cost_estimate(
-                g2, 2, phi, psi, x=0, n=20, n_paths=2_000, seed=500 + rep
+            _, est = rs.mc_cost_estimate(
+                g2, phi, psi, x=0, n=20, n_paths=2_000, seed=500 + rep
             )
             errors.append(est.value - exact)
         errors = np.array(errors)
@@ -154,13 +216,11 @@ class TestMcCostEstimate:
     def test_input_validation(self, g2, g2_uniform):
         phi, psi = g2_uniform
         with pytest.raises(ValueError):
-            rs.mc_cost_estimate(g2, 2, phi, psi, x=0, n=0, n_paths=10, seed=1)
+            rs.mc_cost_estimate(g2, phi, psi, x=0, n=0, n_paths=10, seed=1)
         with pytest.raises(ValueError):
-            rs.mc_cost_estimate(g2, 2, phi, psi, x=0, n=5, n_paths=0, seed=1)
+            rs.mc_cost_estimate(g2, phi, psi, x=0, n=5, n_paths=0, seed=1)
         with pytest.raises(ValueError):
-            rs.mc_cost_estimate(g2, 3, phi, psi, x=0, n=5, n_paths=10, seed=1)
-        with pytest.raises(ValueError):
-            rs.mc_cost_estimate(g2, 2, phi, psi, x=9, n=5, n_paths=10, seed=1)
+            rs.mc_cost_estimate(g2, phi, psi, x=9, n=5, n_paths=10, seed=1)
 
 
 def golden_game(name: str):
@@ -193,7 +253,7 @@ GOLDEN_PATHS = {
     ),
 }
 
-#: mc_cost_estimate(..., player, x=1, n=30, n_paths=400, seed=5): value, std_error
+#: mc_cost_estimate(..., x=1, n=30, n_paths=400, seed=5)[player - 1]: value, std_error
 GOLDEN_MC = {
     ("g2", 1): (0.5485781977684709, 0.031007049970212305),
     ("g2", 2): (0.6998813435345603, 0.06819001776681796),
@@ -218,7 +278,7 @@ class TestStream:
     @pytest.mark.parametrize("name, player", sorted(GOLDEN_MC))
     def test_mc_estimate_matches_golden(self, name, player):
         inst, phi, psi = golden_game(name)
-        est = rs.mc_cost_estimate(inst, player, phi, psi, x=1, n=30, n_paths=400, seed=5)
+        est = rs.mc_cost_estimate(inst, phi, psi, x=1, n=30, n_paths=400, seed=5)[player - 1]
         assert (est.value, est.std_error) == GOLDEN_MC[name, player]
 
     @pytest.mark.parametrize("player", [1, 2])
@@ -227,7 +287,7 @@ class TestStream:
         inst = rs.GameInstance(base.transition, base.cost1, base.cost2, theta=0.7)
         phi, psi = random_pair(inst, np.random.default_rng(8))
         traj = rs.sample_path(inst, phi, psi, x0=2, n=40, seed=11)
-        est = rs.mc_cost_estimate(inst, player, phi, psi, x=2, n=40, n_paths=1, seed=11)
+        est = rs.mc_cost_estimate(inst, phi, psi, x=2, n=40, n_paths=1, seed=11)[player - 1]
         sums = traj.cost_sums[player - 1]
         assert est.value == inst.theta * sums[-1] - inst.theta * sums[-2]
 
@@ -236,7 +296,7 @@ class TestStream:
         phi, psi = g2_uniform
         tracemalloc.start()
         try:
-            rs.mc_cost_estimate(g2, 1, phi, psi, x=0, n=200, n_paths=20_000, seed=0)
+            rs.mc_cost_estimate(g2, phi, psi, x=0, n=200, n_paths=20_000, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

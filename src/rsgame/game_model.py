@@ -16,6 +16,7 @@ workers.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -389,7 +390,7 @@ def validate(instance: GameInstance, min_prob: float = DEFAULT_MIN_PROB) -> Mode
     per-(a, b, y) extremes over states, and the other failures are counted
     on boolean masks and listed one state slab at a time.
     """
-    if min_prob <= 0.0:
+    if not min_prob > 0.0:  # also rejects nan
         raise ValueError(f"min_prob must be > 0, got {min_prob!r}")
     t = instance.transition
     checks: dict[str, AssumptionCheck] = {}
@@ -569,6 +570,12 @@ def g2_instance() -> GameInstance:
 # file formats (decimal JSON, 17 significant digits) and digests
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=256)
+def _float_template(n: int) -> str:
+    """``%.17g`` n times, comma-separated: one list of n floats in one ``%``."""
+    return ",".join(["%.17g"] * n)
+
+
 def _render(obj: Any, indent: int | None, level: int = 0) -> str:
     # plain finite floats are most of every document: format them first
     if type(obj) is float and math.isfinite(obj):
@@ -591,6 +598,12 @@ def _render(obj: Any, indent: int | None, level: int = 0) -> str:
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
+        if indent is None and set(map(type, obj)) == {float}:
+            # the innermost rows of every table: one % call gives a canonical
+            # list of plain floats the same text as rendering each element
+            text = _float_template(len(obj)) % tuple(obj)
+            if "n" not in text:  # only inf and nan spell an "n"; they take the path below
+                return "[" + text + "]"
         items = [_render(v, indent, level + 1) for v in obj]
         if indent is None:
             return "[" + ",".join(items) + "]"

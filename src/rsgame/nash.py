@@ -351,7 +351,8 @@ class BruteForceResult(Sequence):
 
 def _simplex_grid(n: int, step: float) -> np.ndarray:
     """All probability vectors over n atoms with coordinates in multiples of step."""
-    k = round(1.0 / step)
+    # a step outside (0, 1], nan included, cannot divide 1: reject it before dividing
+    k = round(1.0 / step) if 0.0 < step <= 1.0 else 0
     if abs(k * step - 1.0) > 1e-9 or k < 1:
         raise ValueError(f"grid_step {step!r} must evenly divide 1")
     combos = itertools.combinations(range(k + n - 1), n - 1)

@@ -7,7 +7,10 @@ randomness for a run comes from one seeded generator.  The draws are
 streamed one (variable, path) block per step, so they are consumed in a
 fixed (step, variable, path) order: path i uses the same uniforms however
 many steps are held at once, and a single path (sample_path) sees the
-stream a one-path Monte Carlo run sees.
+stream a one-path Monte Carlo run sees.  Each index is drawn by inverse-CDF
+sampling, as the first whose cumulative probability exceeds its uniform,
+found by a vectorised binary search over the cumulative row (_drawer), so a
+draw costs log2 of the row width in one-element gathers per path.
 
 mc_cost_estimate targets the n-th increment of the log moment generating
 function, ln E_x[e^{theta S_n}] - ln E_x[e^{theta S_{n-1}}] — the exact
@@ -65,18 +68,39 @@ def _drawer(probs: np.ndarray, n_paths: int):
     entry is set to +inf, so a u at or above a last sum that rounds below 1
     picks the last index.  Rows of a nonnegative cumulative sum never
     decrease in floating point, so the pick equals the count of entries
-    <= u, clamped to the last index.  The gathered rows and the comparison
-    reuse two buffers from step to step.
+    <= u, clamped to the last index.
+
+    The count is found by binary search (inverse-CDF sampling by bisection,
+    Devroye 1986, §III.2).  Each cumulative row is padded with +inf to a
+    power-of-two width 2^k, and the search takes k one-element gathers per
+    path: at half-width s it probes entry pos + s - 1 and moves pos up by s
+    when that entry is <= u.  Its scratch is five O(n_paths) buffers, reused
+    from step to step.
     """
-    cum = np.cumsum(probs, axis=-1).reshape(-1, probs.shape[-1])
-    cum[:, -1] = np.inf
-    rows = np.empty((n_paths, cum.shape[1]))
-    hits = np.empty(rows.shape, dtype=bool)
+    width = probs.shape[-1]
+    span = 1 << (width - 1).bit_length()  # the least power of two >= width
+    table = np.full((probs.size // width, span), np.inf)
+    np.cumsum(probs.reshape(-1, width), axis=1, out=table[:, :width])
+    table[:, width - 1] = np.inf
+    flat = table.ravel()
+    halves = [span >> k for k in range(1, span.bit_length())]
+    base = np.empty(n_paths, dtype=np.intp)
+    pos = np.empty(n_paths, dtype=np.intp)
+    probe = np.empty(n_paths, dtype=np.intp)
+    vals = np.empty(n_paths)
+    below = np.empty(n_paths, dtype=bool)
 
     def draw(r: np.ndarray, u: np.ndarray) -> np.ndarray:
-        # every r is in range: 'clip' only skips the buffered bounds check
-        cum.take(r, axis=0, out=rows, mode="clip")
-        return np.greater(rows, u[:, None], out=hits).argmax(axis=1)
+        np.multiply(r, span, out=base)
+        np.copyto(pos, base)
+        for s in halves:
+            np.add(pos, s - 1, out=probe)
+            # every probe is in range: 'clip' only skips the buffered bounds check
+            flat.take(probe, out=vals, mode="clip")
+            np.less_equal(vals, u, out=below)
+            np.multiply(below, s, out=probe)
+            np.add(pos, probe, out=pos)
+        return pos - base
 
     return draw
 

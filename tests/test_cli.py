@@ -133,6 +133,14 @@ class TestValidateCommand:
         )
         assert code == 2  # nonpositive floor is a usage error
 
+    def test_nan_min_prob_is_usage_error(self, g2_path, capsys):
+        code, report, err = run(
+            ["validate", "--instance", g2_path, "--min-prob", "nan"], capsys
+        )
+        assert code == 2
+        assert report is None
+        assert err == "error: min_prob must be > 0, got nan\n"
+
 
 class TestSolveCommand:
     def test_uniform_opponent_literal(self, g2_path, capsys):
@@ -324,6 +332,13 @@ class TestBruteCommand:
         )
         assert code == 2
         assert "grid" in err
+
+    @pytest.mark.parametrize("step, shown", [("0", "0.0"), ("nan", "nan")])
+    def test_zero_or_nan_grid_is_usage_error(self, g2_path, capsys, step, shown):
+        code, report, err = run(["brute", "--instance", g2_path, "--grid", step], capsys)
+        assert code == 2
+        assert report is None
+        assert err == f"error: grid_step {shown} must evenly divide 1\n"
 
 
 class TestErrorPaths:

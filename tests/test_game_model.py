@@ -103,6 +103,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             rs.validate(g2, min_prob=0.0)
 
+    def test_nan_min_prob_is_rejected(self, g2):
+        # nan <= 0 is false, so the floor is tested as "not > 0"
+        with pytest.raises(ValueError, match="min_prob must be > 0, got nan"):
+            rs.validate(g2, min_prob=float("nan"))
+
     def test_violation_lists_are_capped(self):
         rng = np.random.default_rng(0)
         t = rng.dirichlet(np.ones(6), size=(6, 4, 4))
@@ -545,17 +550,33 @@ class TestSerialization:
             "b": [np.float64(0.1), float("inf"), float("nan"), -float("inf")],
             "a": [True, False, 3, np.int64(-2), [1.5, [2.0, 1e-300]], None],
             "c": 1 / 3, "d": np.float64(1e300), "e": -0.0, "f": np.float32(0.1),
+            # lists of plain floats, the bulk of every instance document
+            "g": [float("inf"), 1.5, float("nan"), -0.0, 5e-324, -float("inf")],
+            "h": [], "i": [0.25], "j": [0.5, np.float64(0.1), 2.0],
+            "k": [[0.1, 0.2], [], [1e308, -1e-308]],
         }
         assert dumps_decimal(doc, indent=None) == (
             '{"a":[true,false,3,-2,[1.5,[2,1e-300]],null],'
             '"b":[0.10000000000000001,"inf","nan","-inf"],"c":0.33333333333333331,'
-            '"d":1.0000000000000001e+300,"e":-0,"f":0.10000000149011612}'
+            '"d":1.0000000000000001e+300,"e":-0,"f":0.10000000149011612,'
+            '"g":["inf",1.5,"nan",-0,4.9406564584124654e-324,"-inf"],'
+            '"h":[],"i":[0.25],"j":[0.5,0.10000000000000001,2],'
+            '"k":[[0.10000000000000001,0.20000000000000001],[],[1e+308,-9.9999999999999991e-309]]}'
         )
 
     def test_arat_corpus_digest_is_pinned(self):
         assert rs.instance_digest(corpus_instance(5, arat=True)) == (
             "46fb279bce78e3c03d072acf65dfd7a67801552dd615d0b41b86c3d18c57ff35"
         )
+
+    @pytest.mark.parametrize("name, digest", [
+        ("g2", "d41c13612c2b92cb2244a25fd4fc1db02593874dd2442dc16cf8eb159c24e041"),
+        ("corpus1", "208b719f58efcfcd70a011d961473bbe83497dfc747fb373d0dc0387c8c1a671"),
+    ])
+    def test_fixture_and_non_arat_digests_are_pinned(self, name, digest):
+        # g2 carries its ARAT decomposition; corpus_instance(1) has none
+        inst = rs.g2_instance() if name == "g2" else corpus_instance(1)
+        assert rs.instance_digest(inst) == digest
 
     def test_digest_is_sha256_hex(self, g2):
         digest = rs.instance_digest(g2)

@@ -207,6 +207,11 @@ class TestSimplexGrid:
         with pytest.raises(ValueError):
             _simplex_grid(2, 0.3)
 
+    @pytest.mark.parametrize("step", [0.0, -0.0, float("nan"), float("inf"), -0.5, 2.0])
+    def test_step_outside_unit_interval_is_rejected_before_dividing(self, step):
+        with pytest.raises(ValueError, match="must evenly divide 1"):
+            _simplex_grid(2, step)
+
 
 class TestBruteForce:
     def test_fixture_coarse_grid_finds_pure_equilibrium(self, g2):

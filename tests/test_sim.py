@@ -115,17 +115,27 @@ class TestDrawRule:
             1, 1, 3, 3, 3,
         ]
 
-    def test_matches_the_count_rule_on_every_tie(self):
+    # widths on both sides of a power of two cover the +inf padding; one
+    # path per call reuses the scratch buffers across 300 calls
+    @pytest.mark.parametrize("n_paths", [1, 300])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 7, 8, 9, 50])
+    def test_matches_the_count_rule_on_every_tie(self, width, n_paths):
         rng = np.random.default_rng(4)
-        rows = rng.dirichlet(np.ones(7), size=300)
+        rows = rng.dirichlet(np.ones(width), size=300)
         rows[rng.random(rows.shape) < 0.3] = 0.0
         rows[:, 0] += rows.sum(axis=1) == 0.0
         rows /= rows.sum(axis=1, keepdims=True)
         ties = np.cumsum(rows, axis=1)  # each u equal to one cumulative entry
-        draw = sim._drawer(rows, len(rows))
-        for j in range(rows.shape[1]):
-            u = np.minimum(ties[:, j], np.nextafter(1.0, 0.0))
-            assert_array_equal(draw(np.arange(len(rows)), u), count_rule(rows, u))
+        draw = sim._drawer(rows, n_paths)
+        r = np.arange(len(rows))
+        for j in range(width):
+            tie = np.minimum(ties[:, j], np.nextafter(1.0, 0.0))
+            for u in (tie, np.nextafter(tie, -1.0)):  # on the tie and just below it
+                got = np.concatenate([
+                    draw(r[k:k + n_paths], u[k:k + n_paths])
+                    for k in range(0, len(rows), n_paths)
+                ])
+                assert_array_equal(got, count_rule(rows, u))
 
 
 class TestMcCostEstimate:
@@ -228,7 +238,10 @@ def golden_game(name: str):
     if name == "g2":
         g2 = rs.g2_instance()
         return g2, rs.uniform_strategy(g2, 1), rs.uniform_strategy(g2, 2)
-    inst = corpus_instance(1)  # 6 states, 3 x 4 actions
+    if name == "session11":  # the session benchmark's size: 50 states, 4 x 4 actions
+        inst = rs.random_instance(11, dims=(50, 4, 4), min_prob=0.002, arat_flag=True)
+    else:
+        inst = corpus_instance(1)  # 6 states, 3 x 4 actions
     return (inst, *random_pair(inst, np.random.default_rng(3)))
 
 
@@ -251,6 +264,13 @@ GOLDEN_PATHS = {
         [1, 3, 3, 3, 3, 0, 2, 3, 3, 3, 3, 0, 3, 1, 0, 0, 3, 2, 1, 0, 3, 3, 0, 0, 3],
         "50848f1cf6cc6c2c02c69c6725bd4f7ce5d226304d5ef0b15087dcc5c34d8f83",
     ),
+    "session11": (
+        [1, 34, 45, 2, 1, 49, 38, 14, 49, 36, 5, 20, 1, 5, 32, 48, 8, 14, 33, 33, 7, 30, 14,
+         18, 44, 31],
+        [2, 2, 3, 3, 0, 3, 0, 2, 3, 2, 2, 2, 0, 1, 3, 2, 1, 0, 3, 0, 2, 2, 2, 0, 1],
+        [1, 3, 2, 2, 3, 1, 3, 3, 3, 3, 2, 0, 3, 0, 0, 1, 2, 3, 0, 0, 2, 2, 0, 0, 2],
+        "46b7bdbebdfc987b3ec8e51dc38e7c350c5457f6cd01b4714de773fab8f20667",
+    ),
 }
 
 #: mc_cost_estimate(..., x=1, n=30, n_paths=400, seed=5)[player - 1]: value, std_error
@@ -259,6 +279,8 @@ GOLDEN_MC = {
     ("g2", 2): (0.6998813435345603, 0.06819001776681796),
     ("corpus1", 1): (0.5502989101257789, 0.041710174454697165),
     ("corpus1", 2): (0.5336668817200767, 0.0375553786750742),
+    ("session11", 1): (0.5233470367117725, 0.015272376945728416),
+    ("session11", 2): (0.5315594676332829, 0.019206221681247977),
 }
 
 

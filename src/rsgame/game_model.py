@@ -43,20 +43,43 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    """A read-only float copy of a caller's array."""
-    return _frozen(np.array(a, dtype=float))
+class _Owned:
+    """A table this module has just built for one instance: adopted, not copied."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
 
 
-def _check_rows(name: str, rows: np.ndarray, tol: float = ROW_SUM_TOL) -> np.ndarray:
+def _own(a) -> np.ndarray:
+    """A C-ordered float array no caller holds: an _Owned table itself, else a copy.
+
+    C order lets the kernel code reshape and transpose the table as views.
+    """
+    return a.array if type(a) is _Owned else np.array(a, dtype=float, order="C")
+
+
+def _readonly(a) -> np.ndarray:
+    """A read-only float array no caller holds (see :func:`_own`)."""
+    return _frozen(_own(a))
+
+
+def _check_rows(
+    name: str, rows: np.ndarray, tol: float = ROW_SUM_TOL
+) -> tuple[np.ndarray, bool]:
     """Validate probability rows (last axis), renormalizing tiny drift.
 
     Rows whose sums deviate from 1 by more than ``tol`` raise ValueError;
     rows within ``tol`` but beyond EXACT_TOL are renormalized so the stored
     table satisfies the exact-sum invariant.  Rows already exact are kept
-    bit-for-bit.
+    bit-for-bit.  Returns the rows and whether every entry is > 0, decided
+    by the one minimum that also rules out negative entries (renormalizing
+    by a sum within ``tol`` of 1 keeps a positive entry positive).
     """
-    if np.any(rows < 0.0):
+    # fmin skips NaN, which the row sums reject below
+    low = np.fmin.reduce(rows, axis=None, initial=np.inf)
+    if low < 0.0:
         idx = tuple(int(i[0]) for i in np.nonzero(rows < 0.0))
         raise ValueError(f"{name} has negative entry at index {idx}")
     sums = rows.sum(axis=-1)
@@ -69,7 +92,7 @@ def _check_rows(name: str, rows: np.ndarray, tol: float = ROW_SUM_TOL) -> np.nda
         )
     if np.any(err > EXACT_TOL):
         rows = rows / sums[..., None]
-    return rows
+    return rows, bool(low > 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,18 +161,21 @@ class GameInstance:
     theta: float = 1.0
     anchor_state: int = 0
     arat: AratStructure | None = None
+    #: every transition entry is > 0, decided once at construction
+    _positive: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        t = np.array(self.transition, dtype=float)
+        t = _own(self.transition)
         if t.ndim != 4 or t.shape[0] != t.shape[3]:
             raise ValueError(
                 f"transition must be [x][a][b][y] with matching state axes, got {t.shape}"
             )
         if 0 in t.shape:
             raise ValueError(f"transition {t.shape} has an empty state or action axis")
-        # t is this instance's own copy: freeze it rather than copy it again
-        t = _frozen(_check_rows("transition", t))
-        object.__setattr__(self, "transition", t)
+        # t is this instance's own array: freeze it rather than copy it again
+        t, positive = _check_rows("transition", t)
+        object.__setattr__(self, "transition", _frozen(t))
+        object.__setattr__(self, "_positive", positive)
         for f in ("cost1", "cost2"):
             c = _readonly(getattr(self, f))
             if c.shape != t.shape[:3]:
@@ -211,7 +237,7 @@ class StationaryStrategy:
         r = np.array(self.rows, dtype=float)
         if r.ndim != 2:
             raise ValueError(f"rows must be a 2-d [state][action] table, got {r.shape}")
-        object.__setattr__(self, "rows", _frozen(_check_rows("strategy", r)))
+        object.__setattr__(self, "rows", _frozen(_check_rows("strategy", r)[0]))
 
     @property
     def n_states(self) -> int:
@@ -471,8 +497,12 @@ def validate(instance: GameInstance, min_prob: float = DEFAULT_MIN_PROB) -> Mode
 
 
 def require_solvable(instance: GameInstance) -> None:
-    """Raise AssumptionError if the twisted-kernel solvers cannot be trusted."""
-    if np.any(instance.transition <= 0.0):
+    """Raise AssumptionError if the twisted-kernel solvers cannot be trusted.
+
+    Reads the positivity the instance decided at construction: no pass over
+    the transition table.
+    """
+    if not instance._positive:
         raise AssumptionError(
             "Assumption 3.2: kappa infinite (zero transition entries); "
             "solvers require strictly positive transition probabilities"
@@ -490,12 +520,15 @@ def assemble_from_arat(
 
     transition[x,a,b] = p1[x,a] + p2[x,b] (must be stochastic), and
     cost_i(x,a,b) = c_i1(x,a) + c_i2(x,b).  The resulting instance carries
-    the decomposition, exactly consistent by construction.
+    the decomposition, exactly consistent by construction.  The tables are
+    built here and handed to the instance without a second copy.
     """
     transition = arat.p1[:, :, None, :] + arat.p2[:, None, :, :]
     cost1 = arat.c11[:, :, None] + arat.c12[:, None, :]
     cost2 = arat.c21[:, :, None] + arat.c22[:, None, :]
-    return GameInstance(transition, cost1, cost2, theta, anchor_state, arat)
+    return GameInstance(
+        _Owned(transition), _Owned(cost1), _Owned(cost2), theta, anchor_state, arat
+    )
 
 
 def random_instance(
@@ -517,6 +550,8 @@ def random_instance(
     nx, na, nb = dims
     if min(dims) < 1:
         raise ValueError(f"dims {tuple(dims)} must be positive state and action counts")
+    if not min_prob > 0.0:  # also rejects nan
+        raise ValueError(f"min_prob must be > 0, got {min_prob!r}")
     if min_prob * nx >= 1.0:
         raise ValueError(f"min_prob {min_prob} infeasible: {min_prob} * {nx} >= 1")
     rng = np.random.default_rng(seed)
@@ -605,14 +640,14 @@ def _render(obj: Any, indent: int | None, level: int = 0) -> str:
             if "n" not in text:  # only inf and nan spell an "n"; they take the path below
                 return "[" + text + "]"
         items = [_render(v, indent, level + 1) for v in obj]
-        if indent is None:
+        if indent is None or not items:
             return "[" + ",".join(items) + "]"
         pad, pad_in = " " * (indent * level), " " * (indent * (level + 1))
         return "[\n" + ",\n".join(pad_in + s for s in items) + "\n" + pad + "]"
     if isinstance(obj, dict):
         keys = sorted(obj) if indent is None else list(obj)
         items = [(json.dumps(str(k)), _render(obj[k], indent, level + 1)) for k in keys]
-        if indent is None:
+        if indent is None or not items:
             return "{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
         pad, pad_in = " " * (indent * level), " " * (indent * (level + 1))
         return "{\n" + ",\n".join(f"{pad_in}{k}: {v}" for k, v in items) + "\n" + pad + "}"

@@ -6,7 +6,9 @@ with its normalization: the log-normalizer c^_i(x, phi, psi) (the log of
 the normalizing constant c~_i) and the normalized probability kernel P^_i.
 :func:`log_twisted_tensor` is the one place where theta * cost meets the
 transition law.  It works in log space with the weights shifted by their
-maximum, so large theta * cost never overflows.  This module also provides
+maximum, so large theta * cost never overflows, and mixes the strategies
+in with one matrix product over the mixed action axes, read straight from
+the transition table without copying it.  This module also provides
 the twisted next-state measure that attains the entropy dual and relative
 entropy itself.
 """
@@ -43,23 +45,29 @@ def log_twisted_tensor(
     ln(sum e^{w - s} P) + s: no e^{theta*c} is formed, and the 4-d log table
     is never built when a strategy is given.  Entries are -inf where the
     (mixed) transition vanishes.
+
+    The sum is one matrix product per state (and per remaining action), so
+    it runs in BLAS at memory speed: the weights, with the mixed action axis
+    or axes last, against P [x, a, b, y] (psi only), its transposed view
+    [x, b, a, y] (phi only, no copy) or its reshape [x, a*b, y] (both).
     """
     w = instance.theta * instance.cost(player)
+    t = instance.transition
     with np.errstate(divide="ignore"):
         if phi is None and psi is None:
-            return w[..., None] + np.log(instance.transition)
-        if phi is not None:
-            w = w + np.log(phi)[..., None]
-        if psi is not None:
+            return w[..., None] + np.log(t)
+        if phi is None:
             w = w + np.log(psi)[..., None, :]
-        axes, out = {
-            (True, False): ((-2,), "xby"),
-            (False, True): ((-1,), "xay"),
-            (True, True): ((-2, -1), "xy"),
-        }[phi is not None, psi is not None]
-        shift = w.max(axis=axes, keepdims=True)
-        mixed = np.einsum(f"...xab,xaby->...{out}", np.exp(w - shift), instance.transition)
-        return np.log(mixed) + shift.squeeze(axis=axes)[..., None]
+        elif psi is None:
+            w = w.swapaxes(-1, -2) + np.log(phi)[..., None, :]
+            t = t.swapaxes(1, 2)
+        else:
+            w = w + np.log(phi)[..., None] + np.log(psi)[..., None, :]
+            w = w.reshape(*w.shape[:-2], -1)
+            t = t.reshape(t.shape[0], -1, t.shape[3])
+        shift = w.max(axis=-1, keepdims=True)
+        mixed = np.matmul(np.exp(w - shift)[..., None, :], t)[..., 0, :]
+        return np.log(mixed) + shift
 
 
 def normalized_kernel(

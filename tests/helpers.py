@@ -89,6 +89,30 @@ def mix_transition(instance: rs.GameInstance, x: int, phi, psi) -> np.ndarray:
     return np.einsum("a,b,aby->y", phi, psi, instance.transition[x])
 
 
+def einsum_log_twisted(instance: rs.GameInstance, player: int, phi=None, psi=None) -> np.ndarray:
+    """ln of the mixed twisted kernel by one einsum: the reference for log_twisted_tensor.
+
+    The log weights theta*c + ln phi + ln psi are laid out on the whole
+    [..., x, a, b] grid, shifted by their maximum over the mixed axes, and
+    contracted with the transition table by einsum's generic loop; at least
+    one of phi and psi must be given.
+    """
+    w = instance.theta * instance.cost(player)
+    with np.errstate(divide="ignore"):
+        if phi is not None:
+            w = w + np.log(phi)[..., None]
+        if psi is not None:
+            w = w + np.log(psi)[..., None, :]
+        axes, out = {
+            (True, False): ((-2,), "xby"),
+            (False, True): ((-1,), "xay"),
+            (True, True): ((-2, -1), "xy"),
+        }[phi is not None, psi is not None]
+        shift = w.max(axis=axes, keepdims=True)
+        mixed = np.einsum(f"...xab,xaby->...{out}", np.exp(w - shift), instance.transition)
+        return np.log(mixed) + shift.squeeze(axis=axes)[..., None]
+
+
 def frozen_pair_instance(
     instance: rs.GameInstance,
     player: int,

@@ -73,6 +73,13 @@ class TestGen:
         assert report is None
         assert err.startswith("error: dims (") and "must be positive" in err
 
+    @pytest.mark.parametrize("value, shown", [("nan", "nan"), ("-0.1", "-0.1"), ("0", "0.0")])
+    def test_nonpositive_min_prob_is_usage_error(self, capsys, value, shown):
+        code, report, err = run(["gen", "--min-prob", value], capsys)
+        assert code == 2
+        assert report is None
+        assert err == f"error: min_prob must be > 0, got {shown}\n"
+
 
 class TestValidateCommand:
     def test_fixture_passes(self, g2_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -93,6 +94,27 @@ class TestValidation:
         assert diag.checks["3.2"].message.startswith("Assumption 3.2:")
         with pytest.raises(rs.AssumptionError, match="Assumption 3.2"):
             rs.require_solvable(inst)
+
+    def test_require_solvable_reads_positivity_decided_at_construction(self):
+        t = np.array([[[[0.5, 0.5, 0.0]]], [[[0.2, 0.3, 0.5]]], [[[0.1, 0.4, 0.5]]]])
+        zero = rs.GameInstance(t, np.zeros((3, 1, 1)), np.zeros((3, 1, 1)))
+        for inst in (zero, dataclasses.replace(zero, theta=2.0)):
+            with pytest.raises(rs.AssumptionError, match="Assumption 3.2"):
+                rs.require_solvable(inst)
+        # a positive entry that renormalizing shrinks stays positive
+        t = np.array([[[[5e-324, 1.0 + 5e-10]]], [[[0.5, 0.5]]]])
+        tiny = rs.GameInstance(t, np.zeros((2, 1, 1)), np.zeros((2, 1, 1)))
+        assert tiny.transition.min() > 0.0
+        rs.require_solvable(tiny)
+        inst = rs.random_instance(0, dims=(50, 4, 4), min_prob=1e-3)
+        rs.require_solvable(inst)
+        tracemalloc.start()
+        try:
+            rs.require_solvable(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024  # the parent's `transition <= 0` mask alone was 40 KB
 
     def test_min_prob_threshold(self, g2):
         assert rs.validate(g2, min_prob=0.19).passed
@@ -376,6 +398,20 @@ class TestConstruction:
         # the caller's table, this instance's copy and the row-check scratch
         assert t.nbytes + peak < 2.2 * t.nbytes
 
+    def test_assemble_from_arat_holds_one_table(self):
+        arat = rs.random_instance(0, dims=(60, 6, 6), min_prob=1e-3, arat_flag=True).arat
+        table = 60 * 6 * 6 * 60 * 8
+        tracemalloc.start()
+        try:
+            inst = rs.assemble_from_arat(arat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert inst.transition.nbytes == table
+        assert not inst.transition.flags.writeable
+        assert not inst.cost1.flags.writeable and not inst.cost2.flags.writeable
+        assert peak < 1.3 * table
+
     def test_cost_accessor(self, g2):
         assert_array_equal(g2.cost(1), g2.cost1)
         assert_array_equal(g2.cost(2), g2.cost2)
@@ -480,6 +516,15 @@ class TestRandomInstances:
         with pytest.raises(ValueError, match=r"dims \(.*\) must be positive"):
             rs.random_instance(0, dims=dims, arat_flag=arat_flag)
 
+    @pytest.mark.parametrize("min_prob, shown", [
+        (float("nan"), "nan"), (-0.1, "-0.1"), (0.0, "0.0"),
+    ])
+    @pytest.mark.parametrize("arat_flag", [False, True])
+    def test_nonpositive_min_prob_rejected(self, min_prob, shown, arat_flag):
+        with pytest.raises(ValueError) as raised:
+            rs.random_instance(0, dims=(3, 2, 2), min_prob=min_prob, arat_flag=arat_flag)
+        assert str(raised.value) == f"min_prob must be > 0, got {shown}"
+
     def test_infeasible_min_prob_rejected(self):
         with pytest.raises(ValueError):
             rs.random_instance(0, dims=(5, 2, 2), min_prob=0.3)
@@ -563,6 +608,20 @@ class TestSerialization:
             '"h":[],"i":[0.25],"j":[0.5,0.10000000000000001,2],'
             '"k":[[0.10000000000000001,0.20000000000000001],[],[1e+308,-9.9999999999999991e-309]]}'
         )
+
+    @pytest.mark.parametrize("doc", [
+        [], {}, {"a": [], "b": {}},
+        [[], [[]], {}, [{}]],
+        {"a": [[], {}], "b": {"c": [], "d": {"e": {}}}},
+        {"checks": {"1": {"status": "PASS", "violations": []}}, "passed": True},
+        {"x": [1, 2, [3, "s"]], "y": {"z": None, "w": False}, "v": 0.5},
+    ])
+    def test_indented_text_matches_json_dumps(self, doc):
+        assert dumps_decimal(doc, indent=2) == json.dumps(doc, indent=2)
+
+    def test_empty_containers_in_canonical_text(self):
+        doc = {"b": {}, "a": [[], {}, [{}]]}
+        assert dumps_decimal(doc, indent=None) == '{"a":[[],{},[{}]],"b":{}}'
 
     def test_arat_corpus_digest_is_pinned(self):
         assert rs.instance_digest(corpus_instance(5, arat=True)) == (

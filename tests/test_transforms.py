@@ -1,4 +1,10 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +15,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 import rsgame as rs
 from rsgame.transforms import log_twisted_tensor
 
-from helpers import corpus_instance, frozen_pair_instance, mix_transition, random_pair
+from helpers import (
+    corpus_instance,
+    einsum_log_twisted,
+    frozen_pair_instance,
+    mix_transition,
+    random_pair,
+)
 
 
 def zero_cost_instance(seed=0, dims=(3, 2, 2)):
@@ -88,6 +100,89 @@ class TestTwist:
         assert np.all(np.isfinite(high))
         assert_allclose(high - 800.0, log_twisted_tensor(g2, 1, phi.rows, psi.rows),
                         atol=1e-12)
+
+
+def contraction_inputs(case: str):
+    """(instance, phi, psi) for one contraction case; phi and psi batch as [2, 1] and [1, 3]."""
+    rng = np.random.default_rng(12)
+    inst = corpus_instance(12, dims=(5, 3, 4))
+    nx, na, nb = 5, 3, 4
+    if case == "theta_c_1e6":  # costs in [0, 1], so theta * c spans [0, 1e6]
+        inst = dataclasses.replace(inst, theta=1e6)
+    if case == "zero_transitions":
+        t = inst.transition.copy()
+        t[0, :, :, 1] = 0.0  # unreachable under every action: -inf after mixing
+        t[1, 0, :, 2] = 0.0  # unreachable under one action only
+        inst = rs.GameInstance(t / t.sum(-1, keepdims=True), inst.cost1, inst.cost2)
+    phi = rng.dirichlet(np.ones(na), size=(2, 1, nx))
+    psi = rng.dirichlet(np.ones(nb), size=(1, 3, nx))
+    if case == "zero_weights":
+        phi[..., 0] = 0.0
+        psi[..., 1:3] = 0.0
+        phi /= phi.sum(-1, keepdims=True)
+        psi /= psi.sum(-1, keepdims=True)
+    if case != "batched":
+        phi, psi = phi[0, 0], psi[0, 0]
+    return inst, phi, psi
+
+
+class TestContraction:
+    """log_twisted_tensor's one matrix product against the einsum reference."""
+
+    @pytest.mark.parametrize("case", ["batched", "zero_weights", "theta_c_1e6",
+                                      "zero_transitions"])
+    @pytest.mark.parametrize("mixed", ["phi", "psi", "both"])
+    @pytest.mark.parametrize("player", [1, 2])
+    def test_matches_the_einsum_reference(self, case, mixed, player):
+        inst, phi, psi = contraction_inputs(case)
+        given = {"phi": {"phi": phi}, "psi": {"psi": psi}, "both": {"phi": phi, "psi": psi}}
+        got = log_twisted_tensor(inst, player, **given[mixed])
+        want = einsum_log_twisted(inst, player, **given[mixed])
+        assert got.shape == want.shape
+        assert_allclose(got, want, rtol=0, atol=1e-12)
+        if case == "zero_transitions":
+            assert np.isneginf(got).any()
+
+    @pytest.mark.parametrize("mixed", ["phi", "psi", "both"])
+    def test_peak_memory_is_below_half_a_table(self, mixed):
+        # a copy of the transposed table (phi only) or of a reshape would alone
+        # be a whole table; the caller's table is Fortran-ordered on purpose
+        base = rs.random_instance(0, dims=(100, 10, 10), min_prob=1e-3)
+        inst = rs.GameInstance(np.asfortranarray(base.transition), base.cost1, base.cost2)
+        phi = rs.uniform_strategy(inst, 1).rows if mixed != "psi" else None
+        psi = rs.uniform_strategy(inst, 2).rows if mixed != "phi" else None
+        tracemalloc.start()
+        try:
+            log_twisted_tensor(inst, 1, phi, psi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * inst.transition.nbytes
+
+    def test_kernel_bytes_do_not_depend_on_blas_threads(self):
+        script = (
+            "import hashlib, numpy as np, rsgame as rs\n"
+            "inst = rs.random_instance(0, dims=(120, 12, 12), min_prob=1e-3)\n"
+            "rng = np.random.default_rng(0)\n"
+            "phi = rng.dirichlet(np.ones(12), size=120)\n"
+            "psi = rng.dirichlet(np.ones(12), size=120)\n"
+            "for player in (1, 2):\n"
+            "    for given in ({'phi': phi}, {'psi': psi}, {'phi': phi, 'psi': psi}):\n"
+            "        kernel = rs.log_twisted_tensor(inst, player, **given)\n"
+            "        print(hashlib.sha256(kernel.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(rs.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert len(outputs[0].split()) == 6
+        assert outputs[0] == outputs[1]
 
 
 class TestMixTransition:

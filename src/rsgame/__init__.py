@@ -9,7 +9,7 @@ standing assumptions (game_model), exponential-cost kernel transforms
 simulation (sim), and a batch command line (cli).
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .bellman import (
     SolveResult,

@@ -16,7 +16,6 @@ workers.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -24,6 +23,9 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
+# loaded with the package: numpy >= 2 defers numpy.random to its first use,
+# which would otherwise land inside the first random_instance call
+from numpy.random import default_rng
 
 #: tolerance accepted for row sums on load / construction before renormalizing
 ROW_SUM_TOL = 1e-9
@@ -53,11 +55,19 @@ class _Owned:
 
 
 def _own(a) -> np.ndarray:
-    """A C-ordered float array no caller holds: an _Owned table itself, else a copy.
+    """A C-ordered float array no caller can write: adopted when it is one, else a copy.
 
-    C order lets the kernel code reshape and transpose the table as views.
+    Adopted are an _Owned table and a read-only array that owns its data,
+    such as another instance's table (``dataclasses.replace`` hands those
+    back): it can change only if its holder flips it writable again, which
+    an instance's own tables allow as well.  C order lets the kernel code
+    reshape and transpose the table as views.
     """
-    return a.array if type(a) is _Owned else np.array(a, dtype=float, order="C")
+    if type(a) is _Owned:
+        return a.array
+    if type(a) is np.ndarray and not a.flags.writeable and a.flags.owndata:
+        return np.asarray(a, dtype=float, order="C")
+    return np.array(a, dtype=float, order="C")
 
 
 def _readonly(a) -> np.ndarray:
@@ -95,6 +105,10 @@ def _check_rows(
     return rows, bool(low > 0.0)
 
 
+#: the tables of an additive decomposition, in the order files list them
+_ARAT_TABLES = ("p1", "p2", "c11", "c21", "c12", "c22")
+
+
 @dataclass(frozen=True, eq=False)
 class AratStructure:
     """Additive decomposition of transitions and costs into per-player parts.
@@ -113,7 +127,7 @@ class AratStructure:
     c22: np.ndarray  # [x][b]
 
     def __post_init__(self):
-        for f in ("p1", "p2", "c11", "c21", "c12", "c22"):
+        for f in _ARAT_TABLES:
             object.__setattr__(self, f, _readonly(getattr(self, f)))
         if self.p1.ndim != 3 or self.p2.ndim != 3:
             raise ValueError("p1 and p2 must be [x][action][y] tables")
@@ -554,7 +568,7 @@ def random_instance(
         raise ValueError(f"min_prob must be > 0, got {min_prob!r}")
     if min_prob * nx >= 1.0:
         raise ValueError(f"min_prob {min_prob} infeasible: {min_prob} * {nx} >= 1")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     if not arat_flag:
         dir_rows = rng.dirichlet(np.ones(nx), size=(nx, na, nb))
         transition = min_prob + (1.0 - min_prob * nx) * dir_rows
@@ -605,13 +619,7 @@ def g2_instance() -> GameInstance:
 # file formats (decimal JSON, 17 significant digits) and digests
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=256)
-def _float_template(n: int) -> str:
-    """``%.17g`` n times, comma-separated: one list of n floats in one ``%``."""
-    return ",".join(["%.17g"] * n)
-
-
-def _render(obj: Any, indent: int | None, level: int = 0) -> str:
+def _render(obj: Any, indent: int, level: int = 0) -> str:
     # plain finite floats are most of every document: format them first
     if type(obj) is float and math.isfinite(obj):
         return format(obj, ".17g")
@@ -632,34 +640,23 @@ def _render(obj: Any, indent: int | None, level: int = 0) -> str:
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
+    pad, pad_in = " " * (indent * level), " " * (indent * (level + 1))
     if isinstance(obj, (list, tuple)):
-        if indent is None and set(map(type, obj)) == {float}:
-            # the innermost rows of every table: one % call gives a canonical
-            # list of plain floats the same text as rendering each element
-            text = _float_template(len(obj)) % tuple(obj)
-            if "n" not in text:  # only inf and nan spell an "n"; they take the path below
-                return "[" + text + "]"
-        items = [_render(v, indent, level + 1) for v in obj]
-        if indent is None or not items:
-            return "[" + ",".join(items) + "]"
-        pad, pad_in = " " * (indent * level), " " * (indent * (level + 1))
-        return "[\n" + ",\n".join(pad_in + s for s in items) + "\n" + pad + "]"
+        items = [pad_in + _render(v, indent, level + 1) for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else "[]"
     if isinstance(obj, dict):
-        keys = sorted(obj) if indent is None else list(obj)
-        items = [(json.dumps(str(k)), _render(obj[k], indent, level + 1)) for k in keys]
-        if indent is None or not items:
-            return "{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
-        pad, pad_in = " " * (indent * level), " " * (indent * (level + 1))
-        return "{\n" + ",\n".join(f"{pad_in}{k}: {v}" for k, v in items) + "\n" + pad + "}"
+        items = [f"{pad_in}{json.dumps(str(k))}: {_render(v, indent, level + 1)}"
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}" if items else "{}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps_decimal(obj: Any, indent: int | None = 2) -> str:
-    """Serialize to JSON with floats as 17-significant-digit decimals.
+def dumps_decimal(obj: Any, indent: int = 2) -> str:
+    """Serialize to indented JSON with floats as 17-significant-digit decimals.
 
-    17 significant digits round-trip IEEE doubles exactly.  With
-    ``indent=None`` the output is canonical: compact, keys sorted — the form
-    hashed by :func:`instance_digest`.
+    17 significant digits round-trip IEEE doubles exactly.  Keys keep their
+    insertion order; non-finite floats become the strings "inf", "-inf" and
+    "nan".
     """
     return _render(obj, indent)
 
@@ -676,12 +673,7 @@ def instance_to_dict(instance: GameInstance) -> dict:
         "cost2": instance.cost2.tolist(),
     }
     if instance.arat is not None:
-        a = instance.arat
-        d["arat"] = {
-            "p1": a.p1.tolist(), "p2": a.p2.tolist(),
-            "c11": a.c11.tolist(), "c21": a.c21.tolist(),
-            "c12": a.c12.tolist(), "c22": a.c22.tolist(),
-        }
+        d["arat"] = {f: getattr(instance.arat, f).tolist() for f in _ARAT_TABLES}
     return d
 
 
@@ -690,11 +682,8 @@ def instance_from_dict(d: dict) -> GameInstance:
         transition = np.array(d["transition"], dtype=float)
         arat = None
         if "arat" in d and d["arat"] is not None:
-            a = d["arat"]
             arat = AratStructure(
-                p1=np.array(a["p1"], dtype=float), p2=np.array(a["p2"], dtype=float),
-                c11=np.array(a["c11"], dtype=float), c21=np.array(a["c21"], dtype=float),
-                c12=np.array(a["c12"], dtype=float), c22=np.array(a["c22"], dtype=float),
+                **{f: np.array(d["arat"][f], dtype=float) for f in _ARAT_TABLES}
             )
         instance = GameInstance(
             transition=transition,
@@ -726,6 +715,29 @@ def strategy_from_dict(d: dict) -> StationaryStrategy:
 
 
 def instance_digest(instance: GameInstance) -> str:
-    """SHA-256 of the canonical serialized form; stable across sessions."""
-    blob = dumps_decimal(instance_to_dict(instance), indent=None)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    """SHA-256 over a fixed binary layout of the stored tables; stable across sessions.
+
+    The tables are ``transition``, ``cost1`` and ``cost2``, plus the
+    decomposition's ``p1``, ``p2``, ``c11``, ``c21``, ``c12`` and ``c22`` when
+    ``arat`` is present.  For each table in sorted key order (all keys
+    together, so ``c11`` comes first and ``transition`` last) the hash takes
+    the key in UTF-8 followed by a zero byte, then ``ndim`` and the shape as
+    little-endian int64, then the entries in C order as little-endian
+    float64.  Last come ``theta`` as little-endian float64 and
+    ``anchor_state`` as little-endian int64.  Every bit of every entry
+    counts, so -0.0 and 0.0 differ; a file's indentation and key order do
+    not.  The tables are hashed in place, without a copy.
+    """
+    tables = {"transition": instance.transition, "cost1": instance.cost1,
+              "cost2": instance.cost2}
+    if instance.arat is not None:
+        tables.update((f, getattr(instance.arat, f)) for f in _ARAT_TABLES)
+    h = hashlib.sha256()
+    for key in sorted(tables):
+        table = np.ascontiguousarray(tables[key], dtype="<f8")
+        h.update(key.encode() + b"\0")
+        h.update(np.array([table.ndim, *table.shape], dtype="<i8"))
+        h.update(table)
+    h.update(np.array(instance.theta, dtype="<f8"))
+    h.update(np.array(instance.anchor_state, dtype="<i8"))
+    return h.hexdigest()

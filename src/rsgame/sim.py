@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .game_model import GameInstance, StationaryStrategy, check_strategy
 
@@ -204,12 +203,19 @@ def mc_cost_estimate(
     )
 
 
+def _logsumexp(z: np.ndarray) -> float:
+    """ln sum e^z, shifted by the maximum so no term overflows."""
+    top = z.max()
+    return np.log(np.exp(z - top).sum()) + top
+
+
 def _estimate(z_n: np.ndarray, z_m: np.ndarray, n: int, seed: int) -> McEstimate:
     """Increment and delta-method standard error from one player's exponents."""
     n_paths = z_n.shape[0]
-    value = float(logsumexp(z_n) - logsumexp(z_m))
-    p = np.exp(z_n - logsumexp(z_n))
-    q = np.exp(z_m - logsumexp(z_m))
+    ln_n, ln_m = _logsumexp(z_n), _logsumexp(z_m)
+    value = float(ln_n - ln_m)
+    p = np.exp(z_n - ln_n)
+    q = np.exp(z_m - ln_m)
     if n_paths == 1:
         std_error = 0.0
     else:

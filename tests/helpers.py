@@ -1,7 +1,9 @@
 """Shared corpus builders, reference oracles and file writers for the test suite."""
 from __future__ import annotations
 
+import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -150,3 +152,32 @@ def write_document(path, doc: dict) -> str:
 def read_instance(path) -> rs.GameInstance:
     """The instance in a JSON document written by :func:`write_document` or the CLI."""
     return rs.instance_from_dict(json.loads(Path(path).read_text()))
+
+
+def logsumexp(z, axis=None):
+    """ln sum e^z over ``axis`` (all entries by default), shifted by the maximum."""
+    top = np.max(z, axis=axis, keepdims=True)
+    return np.log(np.exp(z - top).sum(axis=axis)) + np.squeeze(top, axis=axis)
+
+
+def reference_digest(instance: rs.GameInstance) -> str:
+    """The documented binary instance digest, packed value by value with struct.
+
+    The reference for rsgame.instance_digest: the entries come from
+    ``tolist()`` and are packed by ``struct``, not taken from NumPy's buffers.
+    """
+    tables = {"transition": instance.transition, "cost1": instance.cost1,
+              "cost2": instance.cost2}
+    if instance.arat is not None:
+        for f in ("p1", "p2", "c11", "c21", "c12", "c22"):
+            tables[f] = getattr(instance.arat, f)
+    h = hashlib.sha256()
+    for key in sorted(tables):
+        shape = tables[key].shape
+        entries = tables[key].ravel().tolist()  # C order
+        h.update(key.encode("utf-8") + b"\0")
+        h.update(struct.pack(f"<{1 + len(shape)}q", len(shape), *shape))
+        h.update(struct.pack(f"<{len(entries)}d", *entries))
+    h.update(struct.pack("<d", instance.theta))
+    h.update(struct.pack("<q", instance.anchor_state))
+    return h.hexdigest()

@@ -8,7 +8,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
 import rsgame as rs
 
@@ -17,6 +16,7 @@ from helpers import (
     enumerate_delta,
     enumerate_kappa,
     frozen_pair_instance,
+    logsumexp,
     random_pair,
 )
 

@@ -13,9 +13,9 @@ from rsgame.cli import main
 
 from helpers import read_instance, write_document
 
-# sha256 of the bundled fixture's canonical serialization; pins both the
-# fixture and the file format
-G2_DIGEST = "d41c13612c2b92cb2244a25fd4fc1db02593874dd2442dc16cf8eb159c24e041"
+# the bundled fixture's binary instance digest (helpers.reference_digest);
+# pins both the fixture and the digest layout
+G2_DIGEST = "7a40098a5ad56c6d2012fcaae975dbcfa3275b5be3b8a47e827b82d1e0bed74c"
 
 
 @pytest.fixture()

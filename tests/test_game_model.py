@@ -19,6 +19,7 @@ from helpers import (
     pairwise_tv_distances,
     random_pair,
     read_instance,
+    reference_digest,
     write_document,
 )
 
@@ -412,6 +413,27 @@ class TestConstruction:
         assert not inst.cost1.flags.writeable and not inst.cost2.flags.writeable
         assert peak < 1.3 * table
 
+    def test_replace_shares_the_tables(self):
+        inst = rs.random_instance(0, dims=(100, 5, 5), min_prob=1e-3)
+        tracemalloc.start()
+        try:
+            hot = dataclasses.replace(inst, theta=2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert hot.theta == 2.0
+        for f in ("transition", "cost1", "cost2"):
+            assert np.shares_memory(getattr(hot, f), getattr(inst, f))
+        # the row check's scratch only; copying the table would be 1.0
+        assert peak < 0.1 * inst.transition.nbytes
+
+    def test_read_only_views_are_copied(self, g2):
+        t = g2.transition.copy()
+        view = t.view()
+        view.flags.writeable = False
+        inst = rs.GameInstance(view, g2.cost1, g2.cost2)
+        assert not np.shares_memory(inst.transition, t)
+
     def test_cost_accessor(self, g2):
         assert_array_equal(g2.cost(1), g2.cost1)
         assert_array_equal(g2.cost(2), g2.cost2)
@@ -553,6 +575,63 @@ class TestMixedMinorization:
                 assert tv <= delta + 1e-12
 
 
+MIXED_DOCUMENT_TEXT = """\
+{
+  "b": [
+    0.10000000000000001,
+    "inf",
+    "nan",
+    "-inf"
+  ],
+  "a": [
+    true,
+    false,
+    3,
+    -2,
+    [
+      1.5,
+      [
+        2,
+        1e-300
+      ]
+    ],
+    null
+  ],
+  "c": 0.33333333333333331,
+  "d": 1.0000000000000001e+300,
+  "e": -0,
+  "f": 0.10000000149011612,
+  "g": [
+    "inf",
+    1.5,
+    "nan",
+    -0,
+    4.9406564584124654e-324,
+    "-inf"
+  ],
+  "h": [],
+  "i": [
+    0.25
+  ],
+  "j": [
+    0.5,
+    0.10000000000000001,
+    2
+  ],
+  "k": [
+    [
+      0.10000000000000001,
+      0.20000000000000001
+    ],
+    [],
+    [
+      1e+308,
+      -9.9999999999999991e-309
+    ]
+  ]
+}"""
+
+
 class TestSerialization:
     def test_instance_roundtrip_is_bit_exact(self, g2, tmp_path):
         path = tmp_path / "g2.json"
@@ -586,9 +665,8 @@ class TestSerialization:
         assert json.loads(rendered)["kappa"] == "inf"
 
     def test_canonical_form_is_sorted_and_compact(self):
-        rendered = dumps_decimal({"b": 1.0, "a": 2.0}, indent=None)
-        assert rendered == '{"a":2,"b":1}' or rendered == '{"a": 2, "b": 1}'
-        assert rendered.index('"a"') < rendered.index('"b"')
+        # the one writer indents and keeps insertion order
+        assert dumps_decimal({"b": 1.0, "a": 2.0}, indent=2) == '{\n  "b": 1,\n  "a": 2\n}'
 
     def test_mixed_document_canonical_text(self):
         doc = {
@@ -600,14 +678,7 @@ class TestSerialization:
             "h": [], "i": [0.25], "j": [0.5, np.float64(0.1), 2.0],
             "k": [[0.1, 0.2], [], [1e308, -1e-308]],
         }
-        assert dumps_decimal(doc, indent=None) == (
-            '{"a":[true,false,3,-2,[1.5,[2,1e-300]],null],'
-            '"b":[0.10000000000000001,"inf","nan","-inf"],"c":0.33333333333333331,'
-            '"d":1.0000000000000001e+300,"e":-0,"f":0.10000000149011612,'
-            '"g":["inf",1.5,"nan",-0,4.9406564584124654e-324,"-inf"],'
-            '"h":[],"i":[0.25],"j":[0.5,0.10000000000000001,2],'
-            '"k":[[0.10000000000000001,0.20000000000000001],[],[1e+308,-9.9999999999999991e-309]]}'
-        )
+        assert dumps_decimal(doc, indent=2) == MIXED_DOCUMENT_TEXT
 
     @pytest.mark.parametrize("doc", [
         [], {}, {"a": [], "b": {}},
@@ -621,27 +692,30 @@ class TestSerialization:
 
     def test_empty_containers_in_canonical_text(self):
         doc = {"b": {}, "a": [[], {}, [{}]]}
-        assert dumps_decimal(doc, indent=None) == '{"a":[[],{},[{}]],"b":{}}'
+        assert dumps_decimal(doc, indent=2) == (
+            '{\n  "b": {},\n  "a": [\n    [],\n    {},\n    [\n      {}\n    ]\n  ]\n}'
+        )
 
     def test_arat_corpus_digest_is_pinned(self):
-        assert rs.instance_digest(corpus_instance(5, arat=True)) == (
-            "46fb279bce78e3c03d072acf65dfd7a67801552dd615d0b41b86c3d18c57ff35"
+        inst = corpus_instance(5, arat=True)
+        assert rs.instance_digest(inst) == reference_digest(inst) == (
+            "c9319a872e60cb5da7b264eff98bffcc1e09c359d150ba04ca294659b9d27c5c"
         )
 
     @pytest.mark.parametrize("name, digest", [
-        ("g2", "d41c13612c2b92cb2244a25fd4fc1db02593874dd2442dc16cf8eb159c24e041"),
-        ("corpus1", "208b719f58efcfcd70a011d961473bbe83497dfc747fb373d0dc0387c8c1a671"),
-    ])
+        ("g2", "7a40098a5ad56c6d2012fcaae975dbcfa3275b5be3b8a47e827b82d1e0bed74c"),
+        ("corpus1", "591ccbcada61c7fc2f0d25e2d799b6e196227e8f1199f05051f6992d6edad05f"),
+    ], ids=["g2", "corpus1"])
     def test_fixture_and_non_arat_digests_are_pinned(self, name, digest):
         # g2 carries its ARAT decomposition; corpus_instance(1) has none
         inst = rs.g2_instance() if name == "g2" else corpus_instance(1)
-        assert rs.instance_digest(inst) == digest
+        assert rs.instance_digest(inst) == reference_digest(inst) == digest
 
     def test_digest_is_sha256_hex(self, g2):
         digest = rs.instance_digest(g2)
         assert len(digest) == 64
         assert all(ch in "0123456789abcdef" for ch in digest)
-        # Digest pins the canonical serialization of the bundled fixture.
+        # Digest pins the stored tables of the bundled fixture.
         assert digest == rs.instance_digest(rs.g2_instance())
 
     def test_strategy_roundtrip(self, g2, tmp_path):
@@ -661,6 +735,62 @@ class TestSerialization:
         del doc["cost1"]
         with pytest.raises(ValueError, match="cost1"):
             rs.instance_from_dict(doc)
+
+
+class TestDigest:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("arat", [False, True])
+    def test_matches_the_struct_reference(self, seed, arat):
+        inst = corpus_instance(seed, arat=arat)
+        assert rs.instance_digest(inst) == reference_digest(inst)
+
+    def test_document_layout_does_not_matter(self, g2, tmp_path):
+        doc = rs.instance_to_dict(g2)
+        indented = write_document(tmp_path / "indented.json", doc)
+        compact = tmp_path / "compact.json"
+        compact.write_text(json.dumps(dict(reversed(list(doc.items()))), separators=(",", ":")))
+        digests = {rs.instance_digest(read_instance(p)) for p in (indented, compact)}
+        assert digests == {rs.instance_digest(g2)}
+
+    def test_negative_zero_cost_differs_from_zero(self, g2):
+        costs = []
+        for zero in (0.0, -0.0):
+            c = g2.cost1.copy()
+            c[0, 0, 0] = zero
+            costs.append(c)
+        a, b = (rs.GameInstance(g2.transition, c, g2.cost2) for c in costs)
+        assert rs.instance_digest(a) != rs.instance_digest(b)
+        assert reference_digest(a) != reference_digest(b)
+
+    def test_decomposition_is_part_of_the_digest(self, g2):
+        bare = rs.GameInstance(g2.transition, g2.cost1, g2.cost2, g2.theta, g2.anchor_state)
+        assert rs.instance_digest(bare) != rs.instance_digest(g2)
+        assert rs.instance_digest(bare) == reference_digest(bare)
+
+    @pytest.mark.parametrize("change", [{"theta": 1.5}, {"anchor_state": 1}])
+    def test_theta_and_anchor_change_the_digest(self, g2, change):
+        other = dataclasses.replace(g2, **change)
+        assert rs.instance_digest(other) != rs.instance_digest(g2)
+        assert rs.instance_digest(other) == reference_digest(other)
+
+    def test_fortran_order_gives_the_same_digest(self):
+        inst = corpus_instance(3, arat=True)
+        tables = {f: np.asfortranarray(getattr(inst, f)) for f in ("transition", "cost1", "cost2")}
+        arat = {f: np.asfortranarray(getattr(inst.arat, f))
+                for f in ("p1", "p2", "c11", "c21", "c12", "c22")}
+        fortran = rs.GameInstance(**tables, arat=rs.AratStructure(**arat))
+        assert rs.instance_digest(fortran) == rs.instance_digest(inst)
+
+    def test_hashes_the_tables_in_place(self):
+        inst = rs.random_instance(0, dims=(100, 5, 5), min_prob=1e-3, arat_flag=True)
+        rs.instance_digest(inst)
+        tracemalloc.start()
+        try:
+            rs.instance_digest(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * inst.transition.nbytes
 
 
 def test_span_bound_formula(g2):

@@ -1,5 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,3 +327,14 @@ class TestStream:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+def test_package_import_leaves_scipy_out():
+    src = str(Path(rs.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, rsgame; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

@@ -22,7 +22,7 @@ and whole stacks of kernels in the brute-force search.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,6 +45,12 @@ TIE_TOL = 1e-10
 _NOISE_FLOOR = 4.0 * np.finfo(float).eps
 
 
+def _ties(vals: np.ndarray) -> list[np.ndarray]:
+    """Per state x, the sorted actions k with vals[x, k] within TIE_TOL of the minimum."""
+    tv = vals.min(axis=1)
+    return [np.flatnonzero(vals[x] <= tv[x] + TIE_TOL) for x in range(vals.shape[0])]
+
+
 @dataclass(frozen=True, eq=False)
 class SolveResult:
     """Fixed point of one player's optimality equation vs. a fixed opponent.
@@ -52,9 +58,12 @@ class SolveResult:
     rho is the optimal ergodic value, v the relative value function with
     v[anchor] = 0, selector a per-state minimizing pure action (lowest index
     among ties), residual the final span of successive differences, and
-    iterations the number of operator applications.  From
-    :func:`relative_value_iteration` on a stack of kernels, rho, v and
-    selector carry the stack's leading axes.
+    iterations the number of operator applications.  action_values [x, k]
+    is the final sweep at v, so (Tv)(x) is its row minimum, and kernel is
+    the row-shifted pair (K, shift) the sweeps ran on: the opponent-mixed
+    kernel M = e^{shift} K, kept so callers can mix in the player's own
+    strategy without rebuilding it.  From :func:`relative_value_iteration`
+    on a stack of kernels, every array carries the stack's leading axes.
     """
 
     rho: float
@@ -62,7 +71,13 @@ class SolveResult:
     selector: np.ndarray
     residual: float
     iterations: int
+    action_values: np.ndarray
+    kernel: tuple[np.ndarray, np.ndarray] = field(repr=False)
     converged: bool = True
+
+    def tied_actions(self) -> list[np.ndarray]:
+        """Per state, the sorted pure actions within TIE_TOL of the minimum."""
+        return _ties(self.action_values)
 
 
 def span(v) -> float:
@@ -135,9 +150,7 @@ def apply_T(
         array of pure actions within TIE_TOL of the minimum.
     """
     vals = action_values(instance, player, opponent_strategy, v)
-    tv = vals.min(axis=1)
-    tied = [np.flatnonzero(vals[x] <= tv[x] + TIE_TOL) for x in range(vals.shape[0])]
-    return tv, tied
+    return vals.min(axis=1), _ties(vals)
 
 
 def mixed_objective(
@@ -179,9 +192,9 @@ def relative_value_iteration(
     Iterates v <- Tv - (Tv)(anchor), with (Tv)(x) = min_k ln sum_y
     e^{L(x,k,y) + v(y)}, from v = 0 until the span of successive
     differences is below tol for every kernel in the stack, then reads
-    rho = (Tv)(anchor) and the selector off one more sweep.  The result's
-    rho, v and selector carry the stack's leading axes; residual is the
-    largest span over the stack.  With one own action rho is the log
+    rho = (Tv)(anchor), the selector and the action values off one more
+    sweep.  The result's arrays carry the stack's leading axes; residual is
+    the largest span over the stack.  With one own action rho is the log
     Perron root of e^L.
 
     The stop never asks for less than the sweep's rounding noise: once the
@@ -214,6 +227,8 @@ def relative_value_iteration(
         residual=residual,
         iterations=iterations,
         converged=converged,
+        action_values=vals,
+        kernel=(kernel, shift),
     )
 
 
@@ -228,8 +243,9 @@ def solve_optimality(
 
     Iterates v <- Tv - (Tv)(anchor) from v = 0 until span(v_{k+1} - v_k)
     < tol, or until it stalls below the rounding floor of
-    :func:`relative_value_iteration`, then reads rho and a minimizing
-    selector off a final operator application.  At the fixed point
+    :func:`relative_value_iteration`, then reads rho, a minimizing
+    selector and the action values off a final operator application; the
+    result keeps the kernel it swept.  At the fixed point
     rho + v = Tv, rho is the player's optimal ergodic value against the
     fixed opponent, and every stationary strategy supported on per-state
     argmins attains it.

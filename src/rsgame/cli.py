@@ -27,7 +27,7 @@ from dataclasses import asdict, replace
 from typing import Any
 
 from . import __version__
-from .bellman import DEFAULT_MAX_ITER, DEFAULT_TOL, apply_T, solve_optimality
+from .bellman import DEFAULT_MAX_ITER, DEFAULT_TOL, solve_optimality
 from .game_model import (
     DEFAULT_MIN_PROB,
     AssumptionError,
@@ -199,14 +199,18 @@ def _solve(args, instance) -> tuple[int, dict]:
     result = solve_optimality(
         instance, args.player, opponent, tol=args.tol, max_iter=args.max_iter
     )
-    _, tied = apply_T(instance, args.player, opponent, result.v)
     if not result.converged:
         print(
             f"solve did not reach tol {args.tol:g} in {args.max_iter} iterations "
             f"(residual {result.residual:g})",
             file=sys.stderr,
         )
-    payload = {**asdict(result), "tied_actions": tied}
+    # the ties come from the solve's final sweep; its kernel stays out
+    payload = {
+        "rho": result.rho, "v": result.v, "selector": result.selector,
+        "residual": result.residual, "iterations": result.iterations,
+        "converged": result.converged, "tied_actions": result.tied_actions(),
+    }
     return (0 if result.converged else 1), payload
 
 

@@ -412,6 +412,45 @@ def _first_violations(*masks: np.ndarray) -> tuple:
     return tuple(found)
 
 
+def _verdict(key: str, status: str, message: str = "", violations=()) -> AssumptionCheck:
+    return AssumptionCheck(_DESCRIPTIONS[key], status, message, violations)
+
+
+def _decomposition_checks(instance: GameInstance) -> dict[str, AssumptionCheck]:
+    """The verdicts "4.1" and "4.2": does the attached decomposition reproduce the tables?
+
+    Both are SKIP without a decomposition.  This is all of :func:`validate`
+    that brute force needs for its existence label.
+    """
+    a = instance.arat
+    if a is None:
+        return {k: _verdict(k, "SKIP", "no additive decomposition attached")
+                for k in ("4.1", "4.2")}
+    checks: dict[str, AssumptionCheck] = {}
+    err = a.p1[:, :, None, :] + a.p2[:, None, :, :] - instance.transition
+    bad = np.abs(err, out=err) > EXACT_TOL
+    n_bad = np.count_nonzero(bad)
+    if n_bad == 0:
+        checks["4.1"] = _verdict("4.1", "PASS", "p1 + p2 reproduces the transition law")
+    else:
+        checks["4.1"] = _verdict(
+            "4.1", "FAIL",
+            f"Assumption 4.1: p1 + p2 differs from the transition law at "
+            f"{n_bad} indices", _first_violations(bad))
+    r1 = a.c11[:, :, None] + a.c12[:, None, :] - instance.cost1
+    r2 = a.c21[:, :, None] + a.c22[:, None, :] - instance.cost2
+    bad1, bad2 = np.abs(r1) > EXACT_TOL, np.abs(r2) > EXACT_TOL
+    n_bad = np.count_nonzero(bad1) + np.count_nonzero(bad2)
+    if n_bad == 0:
+        checks["4.2"] = _verdict("4.2", "PASS", "cost components reproduce both cost tables")
+    else:
+        checks["4.2"] = _verdict(
+            "4.2", "FAIL",
+            f"Assumption 4.2: additive cost components differ from the cost "
+            f"tables at {n_bad} indices", _first_violations(bad1, bad2))
+    return checks
+
+
 def validate(instance: GameInstance, min_prob: float = DEFAULT_MIN_PROB) -> ModelDiagnostics:
     """Check every standing model condition and report constants.
 
@@ -436,7 +475,7 @@ def validate(instance: GameInstance, min_prob: float = DEFAULT_MIN_PROB) -> Mode
     checks: dict[str, AssumptionCheck] = {}
 
     def add(key, status, message="", violations=()):
-        checks[key] = AssumptionCheck(_DESCRIPTIONS[key], status, message, violations)
+        checks[key] = _verdict(key, status, message, violations)
 
     add("1", "PASS", "finite state and action spaces: continuity is automatic")
 
@@ -475,30 +514,7 @@ def validate(instance: GameInstance, min_prob: float = DEFAULT_MIN_PROB) -> Mode
         add("3.2", "FAIL", "Assumption 3.2: kappa infinite (zero transition entries)",
             _first_violations(t == 0.0))
 
-    if instance.arat is None:
-        add("4.1", "SKIP", "no additive decomposition attached")
-        add("4.2", "SKIP", "no additive decomposition attached")
-    else:
-        a = instance.arat
-        err = a.p1[:, :, None, :] + a.p2[:, None, :, :] - t
-        bad = np.abs(err, out=err) > EXACT_TOL
-        n_bad = np.count_nonzero(bad)
-        if n_bad == 0:
-            add("4.1", "PASS", "p1 + p2 reproduces the transition law")
-        else:
-            add("4.1", "FAIL",
-                f"Assumption 4.1: p1 + p2 differs from the transition law at "
-                f"{n_bad} indices", _first_violations(bad))
-        r1 = a.c11[:, :, None] + a.c12[:, None, :] - instance.cost1
-        r2 = a.c21[:, :, None] + a.c22[:, None, :] - instance.cost2
-        bad1, bad2 = np.abs(r1) > EXACT_TOL, np.abs(r2) > EXACT_TOL
-        n_bad = np.count_nonzero(bad1) + np.count_nonzero(bad2)
-        if n_bad == 0:
-            add("4.2", "PASS", "cost components reproduce both cost tables")
-        else:
-            add("4.2", "FAIL",
-                f"Assumption 4.2: additive cost components differ from the cost "
-                f"tables at {n_bad} indices", _first_violations(bad1, bad2))
+    checks.update(_decomposition_checks(instance))
 
     return ModelDiagnostics(
         delta=delta,
@@ -678,17 +694,19 @@ def instance_to_dict(instance: GameInstance) -> dict:
 
 
 def instance_from_dict(d: dict) -> GameInstance:
+    def table(doc, key) -> _Owned:
+        # built here for the instance alone: adopted, not copied again
+        return _Owned(np.array(doc[key], dtype=float))
+
     try:
-        transition = np.array(d["transition"], dtype=float)
+        transition = table(d, "transition")
         arat = None
         if "arat" in d and d["arat"] is not None:
-            arat = AratStructure(
-                **{f: np.array(d["arat"][f], dtype=float) for f in _ARAT_TABLES}
-            )
+            arat = AratStructure(**{f: table(d["arat"], f) for f in _ARAT_TABLES})
         instance = GameInstance(
             transition=transition,
-            cost1=np.array(d["cost1"], dtype=float),
-            cost2=np.array(d["cost2"], dtype=float),
+            cost1=table(d, "cost1"),
+            cost2=table(d, "cost2"),
             theta=d["theta"],
             anchor_state=d["anchor_state"],
             arat=arat,

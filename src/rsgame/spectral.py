@@ -19,7 +19,10 @@ Q is held as ln Q, built by transforms.log_twisted_tensor, and every
 product runs in log space on the row-shifted matrix K = e^{ln Q - rowmax}
 <= 1 with a max-normalized vector, so large theta * cost cannot overflow.
 The power sweep is kept apart from the Bellman solvers' value iteration, so
-the oracle stays an independent check on them.
+the oracle stays an independent check on them.  ergodic_cost can instead
+take Q from a solve's opponent-mixed kernel, mixing in only the player's own
+strategy: that saves a pass over the transition table when the kernel is at
+hand, at the price of that independence.
 """
 from __future__ import annotations
 
@@ -104,15 +107,49 @@ def perron_value(
     raise RuntimeError(f"power iteration did not converge in {MAX_POWER_STEPS} steps")
 
 
+def _own_mixed(kernel: np.ndarray, shift: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """ln Q(x, y) = ln sum_k rows(k|x) e^{shift(x, k)} K(x, k, y), by one product per state.
+
+    The weights ln rows + shift are shifted by their maximum over k, so
+    nothing overflows.
+    """
+    with np.errstate(divide="ignore"):
+        w = np.log(rows) + shift
+    top = w.max(axis=1, keepdims=True)
+    return np.log(np.matmul(np.exp(w - top)[:, None, :], kernel)[:, 0, :]) + top
+
+
 def ergodic_cost(
-    instance: GameInstance, player: int, Phi: StationaryStrategy, Psi: StationaryStrategy
+    instance: GameInstance,
+    player: int,
+    Phi: StationaryStrategy,
+    Psi: StationaryStrategy,
+    kernel: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Risk-sensitive ergodic value of a frozen pair: ln spectral radius of Q.
 
     Equals the limit of (1/n) ln E_x[e^{theta * n-step cost}], independent of
     the start state for strictly positive transition laws.
+
+    Q is twisted_matrix(instance, player, Phi, Psi), unless kernel is given:
+    the row-shifted pair (K, shift) of the player's twisted kernel with the
+    other strategy already mixed in, M = e^{shift} K indexed [x, own action,
+    y], as ``SolveResult.kernel`` holds it after a solve against that
+    strategy.  Q is then M with the player's own strategy mixed in, the
+    transition table is not read, and the result agrees with the default to
+    a few ulps of max(1, |value|).
     """
-    ln_r, _ = perron_value(twisted_matrix(instance, player, Phi, Psi), instance.anchor_state)
+    if kernel is None:
+        log_q = twisted_matrix(instance, player, Phi, Psi)
+    else:
+        own = check_strategy(instance, Phi if player == 1 else Psi, player)
+        k, shift = kernel
+        if k.shape != (*own.shape, instance.n_states) or shift.shape != own.shape:
+            raise ValueError(
+                f"kernel {k.shape} does not match player {player}'s actions {own.shape}"
+            )
+        log_q = _own_mixed(k, shift, own)
+    ln_r, _ = perron_value(log_q, instance.anchor_state)
     return ln_r
 
 

@@ -51,8 +51,11 @@ def log_twisted_tensor(
     or axes last, against P [x, a, b, y] (psi only), its transposed view
     [x, b, a, y] (phi only, no copy) or its reshape [x, a*b, y] (both).
     """
-    w = instance.theta * instance.cost(player)
-    t = instance.transition
+    return _log_twisted(instance.theta * instance.cost(player), instance.transition, phi, psi)
+
+
+def _log_twisted(w: np.ndarray, t: np.ndarray, phi, psi) -> np.ndarray:
+    """:func:`log_twisted_tensor` over theta*c w [x, a, b] and transition rows t [x, a, b, y]."""
     with np.errstate(divide="ignore"):
         if phi is None and psi is None:
             return w[..., None] + np.log(t)
@@ -79,17 +82,16 @@ def normalized_kernel(
     and psi played in every state gives the log-normalizer c_hat = ln sum_y
     Q(x, y) (the transition rows sum to one) and the normalized row p_hat =
     Q(x, .) / e^{c_hat}, formed from ln Q shifted by its maximum so neither
-    overflows.
+    overflows.  Only row x is mixed.
     """
     phi = _check_simplex("phi", phi, instance.n_actions_a)
     psi = _check_simplex("psi", psi, instance.n_actions_b)
-    n = instance.n_states
-    log_q = log_twisted_tensor(
-        instance, player, np.broadcast_to(phi, (n, phi.size)),
-        np.broadcast_to(psi, (n, psi.size)),
-    )
-    top = log_q[x].max()
-    row = np.exp(log_q[x] - top)
+    x = range(instance.n_states)[x]  # IndexError past either end
+    rows = slice(x, x + 1)
+    w = instance.theta * instance.cost(player)[rows]
+    log_q = _log_twisted(w, instance.transition[rows], phi[None], psi[None])[0]
+    top = log_q.max()
+    row = np.exp(log_q - top)
     total = row.sum()
     return float(np.log(total) + top), row / total
 

@@ -115,6 +115,25 @@ def einsum_log_twisted(instance: rs.GameInstance, player: int, phi=None, psi=Non
         return np.log(mixed) + shift.squeeze(axis=axes)[..., None]
 
 
+def all_rows_normalized_kernel(
+    instance: rs.GameInstance, player: int, x: int, phi, psi
+) -> tuple[float, np.ndarray]:
+    """(c_hat, p_hat) with phi and psi mixed into every state's rows, then row x kept.
+
+    The all-rows form that normalized_kernel's one-row mixing replaces; kept
+    as its reference.
+    """
+    n = instance.n_states
+    log_q = rs.log_twisted_tensor(
+        instance, player, np.broadcast_to(phi, (n, len(phi))),
+        np.broadcast_to(psi, (n, len(psi))),
+    )
+    top = log_q[x].max()
+    row = np.exp(log_q[x] - top)
+    total = row.sum()
+    return float(np.log(total) + top), row / total
+
+
 def frozen_pair_instance(
     instance: rs.GameInstance,
     player: int,

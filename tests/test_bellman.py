@@ -228,6 +228,25 @@ class TestSolveOptimality:
         sel = rs.pure_strategy(g2, 2, res.selector)
         assert rs.ergodic_cost(g2, 2, phi, sel) == pytest.approx(res.rho, abs=1e-10)
 
+    @pytest.mark.parametrize("max_iter", [2, 100_000])
+    def test_final_sweep_is_the_action_values_at_v(self, max_iter):
+        rng = np.random.default_rng(17)
+        for seed in range(4):
+            inst = corpus_instance(seed)
+            phi, psi = random_pair(inst, rng)
+            for player, opponent in ((1, psi), (2, phi)):
+                res = rs.solve_optimality(inst, player, opponent, max_iter=max_iter)
+                vals = rs.action_values(inst, player, opponent, res.v)
+                assert_array_equal(res.action_values, vals)
+                _, tied = rs.apply_T(inst, player, opponent, res.v)
+                assert [list(t) for t in res.tied_actions()] == [list(t) for t in tied]
+                # the swept kernel is the opponent-mixed kernel, row-shifted
+                kernel, shift = res.kernel
+                assert_allclose(
+                    np.log(kernel) + shift[..., None],
+                    rs.bellman._log_mixed_kernel(inst, player, opponent), rtol=1e-14,
+                )
+
     def test_iteration_cap_reports_nonconvergence(self, g2, g2_uniform):
         phi, _ = g2_uniform
         res = rs.solve_optimality(g2, 2, phi, max_iter=2)

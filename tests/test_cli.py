@@ -164,6 +164,25 @@ class TestSolveCommand:
         assert report["converged"] is True
         assert report["residual"] < 1e-12
 
+    @pytest.mark.parametrize("player", [1, 2])
+    def test_ties_come_from_the_final_sweep(self, g2_path, capsys, g2, player):
+        code, report, err = run(
+            ["solve", "--instance", g2_path, "--player", str(player),
+             "--opponent", "uniform"],
+            capsys,
+        )
+        assert code == 0
+        opponent = rs.uniform_strategy(g2, 3 - player)
+        res = rs.solve_optimality(g2, player, opponent)
+        _, tied = rs.apply_T(g2, player, opponent, res.v)
+        assert report["tied_actions"] == [list(t) for t in tied]
+        # the solve's action values and kernel stay out of the report
+        assert list(report) == [
+            "command", "version", "instance_digest", "flags", "wall_clock_s",
+            "rho", "v", "selector", "residual", "iterations", "converged",
+            "tied_actions",
+        ]
+
     def test_opponent_strategy_file(self, g2_path, tmp_path, capsys, g2):
         psi = rs.pure_strategy(g2, 2, [1, 1])
         psi_path = tmp_path / "psi.json"

@@ -647,6 +647,20 @@ class TestSerialization:
         assert_array_equal(loaded.arat.c22, g2.arat.c22)
         assert rs.instance_digest(loaded) == rs.instance_digest(g2)
 
+    def test_loading_a_document_holds_one_table(self):
+        inst = rs.random_instance(0, dims=(100, 5, 5), min_prob=1e-3)
+        doc = rs.instance_to_dict(inst)
+        tracemalloc.start()
+        try:
+            loaded = rs.instance_from_dict(doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the table built from the document, adopted without a second copy
+        assert peak < 1.2 * inst.transition.nbytes
+        assert not loaded.transition.flags.writeable
+        assert rs.instance_digest(loaded) == rs.instance_digest(inst)
+
     def test_random_instance_roundtrip(self, tmp_path):
         inst = corpus_instance(11)
         path = tmp_path / "inst.json"

@@ -24,6 +24,20 @@ G2_EPS1_UNIFORM = 0.13640524757026357
 G2_EPS2_UNIFORM = 0.29219861007968612
 
 
+def count_kernel_builds(monkeypatch) -> list:
+    """Record every log_twisted_tensor call, at each module that binds it."""
+    calls = []
+    original = rs.log_twisted_tensor
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    for module in (rs.bellman, rs.spectral, nash):
+        monkeypatch.setattr(module, "log_twisted_tensor", counted)
+    return calls
+
+
 def decoupled_instance():
     """Player 2's transitions and costs ignore player 1's action entirely."""
     rng = np.random.default_rng(13)
@@ -101,6 +115,27 @@ class TestEpsilonGap:
         assert cert.eps2 == pytest.approx(2.0 * (0.9 - 0.2), rel=1e-12)
         assert cert.eps1 == pytest.approx(0.0, abs=1e-12)
 
+    def test_builds_one_kernel_per_player(self, monkeypatch):
+        inst = corpus_instance(4, dims=(5, 3, 2))
+        phi, psi = random_pair(inst, np.random.default_rng(4))
+        calls = count_kernel_builds(monkeypatch)
+        rs.epsilon_gap(inst, phi, psi)
+        assert len(calls) == 2
+
+    def test_values_match_the_independent_oracles(self):
+        rng = np.random.default_rng(29)
+        for seed in range(6):
+            inst = corpus_instance(seed, arat=seed % 2 == 1)
+            phi, psi = random_pair(inst, rng)
+            cert = rs.epsilon_gap(inst, phi, psi)
+            # the best-response values are the solver's own, bit for bit
+            assert cert.rho1_star == rs.solve_optimality(inst, 1, psi).rho
+            assert cert.rho2_star == rs.solve_optimality(inst, 2, phi).rho
+            # J_i mixes in a different order than the doubly mixed kernel
+            for j, player in ((cert.J1, 1), (cert.J2, 2)):
+                oracle = rs.ergodic_cost(inst, player, phi, psi)
+                assert abs(j - oracle) <= 8 * np.spacing(max(1.0, abs(oracle)))
+
     def test_gaps_never_negative(self):
         rng = np.random.default_rng(23)
         for seed in range(6):
@@ -126,6 +161,14 @@ class TestVerifyCertificate:
         for field in ("J1", "J2", "rho1_star", "rho2_star", "eps1", "eps2"):
             forged = dataclasses.replace(cert, **{field: getattr(cert, field) + 1e-3})
             assert not rs.verify_certificate(g2, forged, eps=1e-8)
+
+    def test_value_off_by_a_millionth_is_refused(self):
+        inst = corpus_instance(7, dims=(4, 3, 3))
+        phi, psi = random_pair(inst, np.random.default_rng(7))
+        cert = rs.epsilon_gap(inst, phi, psi)
+        assert rs.verify_certificate(inst, cert, eps=cert.max_gap + 1e-9)
+        forged = dataclasses.replace(cert, J1=cert.J1 + 1e-6)
+        assert not rs.verify_certificate(inst, forged, eps=cert.max_gap + 1e-9)
 
 
 class TestBestResponseDynamics:
@@ -178,6 +221,30 @@ class TestBestResponseDynamics:
         assert cert.converged
         assert cert.rounds == 0
         assert_allclose(cert.Phi.rows, phi.rows)
+
+    def test_a_round_builds_two_kernels(self, monkeypatch):
+        inst = corpus_instance(3, dims=(4, 3, 3))
+        calls = count_kernel_builds(monkeypatch)
+        counts = []
+        for rounds in (1, 2, 3):
+            calls.clear()
+            cert = rs.best_response_dynamics(inst, eps_target=1e-15, max_rounds=rounds)
+            assert not cert.converged and cert.rounds == rounds
+            counts.append(len(calls))
+        # entry certificate (2) and player 1's first response (1), then 2 a round
+        assert counts == [5, 7, 9]
+
+    def test_round_values_match_the_independent_oracles(self):
+        inst = corpus_instance(3, dims=(4, 3, 3))
+        for rounds in (1, 4):
+            cert = rs.best_response_dynamics(inst, eps_target=1e-15, max_rounds=rounds)
+            fresh = rs.epsilon_gap(inst, cert.Phi, cert.Psi)
+            assert cert.rho1_star == fresh.rho1_star
+            assert cert.rho2_star == fresh.rho2_star
+            assert cert.J1 == fresh.J1 and cert.J2 == fresh.J2
+            for j, player in ((cert.J1, 1), (cert.J2, 2)):
+                oracle = rs.ergodic_cost(inst, player, cert.Phi, cert.Psi)
+                assert abs(j - oracle) <= 8 * np.spacing(max(1.0, abs(oracle)))
 
     def test_parameter_validation(self, g2):
         with pytest.raises(ValueError):
@@ -311,6 +378,31 @@ class TestBruteForce:
         result = rs.brute_force_nash(inst, grid_step=0.5, eps=1.0)
         assert not result.existence_guaranteed
         assert result.label.startswith("existence not guaranteed")
+
+    def test_existence_label_reads_only_the_decomposition_checks(self, g2, monkeypatch):
+        t = g2.transition.copy()
+        t[:, :, :, 0] += 0.01
+        t[:, :, :, 1] -= 0.01
+        cases = {
+            "verified": g2,
+            "transition split broken": rs.GameInstance(t, g2.cost1, g2.cost2, arat=g2.arat),
+            "cost split broken": rs.GameInstance(
+                g2.transition, g2.cost1 + 0.05, g2.cost2, arat=g2.arat),
+            "no decomposition": rs.GameInstance(g2.transition, g2.cost1, g2.cost2),
+        }
+        labels = {}
+        for name, inst in cases.items():
+            checks = rs.validate(inst).checks
+            labels[name] = checks["4.1"].status == checks["4.2"].status == "PASS"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("brute force ran all of validate")
+
+        monkeypatch.setattr(nash, "validate", refuse)
+        for name, inst in cases.items():
+            result = rs.brute_force_nash(inst, grid_step=0.5, eps=1.0)
+            assert result.existence_guaranteed is labels[name], name
+        assert list(labels.values()) == [True, False, False, False]
 
     def test_grid_size_guard(self, g2):
         with pytest.raises(ValueError, match="grid"):

@@ -120,3 +120,23 @@ def test_relabelling_states_and_actions_leaves_every_value_unchanged(
     cert, cert2 = rs.epsilon_gap(inst, phi, psi), rs.epsilon_gap(relabelled, phi2, psi2)
     assert cert2.eps1 == pytest.approx(cert.eps1, abs=1e-10)
     assert cert2.eps2 == pytest.approx(cert.eps2, abs=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    dims=st.tuples(st.integers(2, 5), st.integers(1, 3), st.integers(1, 3)),
+    log_theta=st.floats(-3.0, 3.0),
+)
+def test_certificate_values_match_the_spectral_oracle(seed, dims, log_theta):
+    """J_i from the solve's own kernel is the doubly mixed kernel's log Perron root.
+
+    The two sum the same terms in a different order, so they agree to the
+    rounding of values near max(1, |J|), for theta from 1e-3 to 1e3.
+    """
+    inst = rs.random_instance(seed, dims=dims, min_prob=0.02, theta=10.0 ** log_theta)
+    phi, psi = random_pair(inst, np.random.default_rng(seed))
+    cert = rs.epsilon_gap(inst, phi, psi)
+    for j, player in ((cert.J1, 1), (cert.J2, 2)):
+        oracle = rs.ergodic_cost(inst, player, phi, psi)
+        assert abs(j - oracle) <= 8 * np.spacing(max(1.0, abs(oracle))), (player, j, oracle)

@@ -183,6 +183,24 @@ class TestErgodicCost:
         rho = rs.solve_optimality(frozen, 1, rs.uniform_strategy(frozen, 2)).rho
         assert ln_r == pytest.approx(rho, abs=1e-8)
 
+    def test_solve_kernel_gives_the_same_value(self):
+        rng = np.random.default_rng(31)
+        for seed in range(6):
+            inst = corpus_instance(seed)
+            phi, psi = random_pair(inst, rng)
+            for player, opponent in ((1, psi), (2, phi)):
+                kernel = rs.solve_optimality(inst, player, opponent).kernel
+                fresh = rs.ergodic_cost(inst, player, phi, psi)
+                shared = rs.ergodic_cost(inst, player, phi, psi, kernel=kernel)
+                assert abs(shared - fresh) <= 8 * np.spacing(max(1.0, abs(fresh)))
+
+    def test_kernel_of_the_other_player_is_rejected(self):
+        inst = corpus_instance(0, dims=(3, 2, 3))
+        phi, psi = rs.uniform_strategy(inst, 1), rs.uniform_strategy(inst, 2)
+        kernel = rs.solve_optimality(inst, 2, phi).kernel  # [x, b, y]
+        with pytest.raises(ValueError, match="kernel"):
+            rs.ergodic_cost(inst, 1, phi, psi, kernel=kernel)
+
     def test_grows_with_risk_parameter(self, g2, g2_uniform):
         phi, psi = g2_uniform
         hotter = rs.GameInstance(g2.transition, g2.cost1, g2.cost2, theta=2.0)

@@ -16,6 +16,7 @@ import rsgame as rs
 from rsgame.transforms import log_twisted_tensor
 
 from helpers import (
+    all_rows_normalized_kernel,
     corpus_instance,
     einsum_log_twisted,
     frozen_pair_instance,
@@ -321,6 +322,27 @@ class TestNormalizedKernel:
                 den += w
         assert den == pytest.approx(1.6500372698745871, abs=1e-15)
         assert_allclose(p_hat, num / den, rtol=1e-14)
+
+    @pytest.mark.parametrize("dims, theta", [
+        ((2, 2, 2), 1.0), ((5, 3, 4), 0.01), ((40, 5, 5), 30.0), ((7, 1, 3), 1e3),
+    ])
+    def test_one_row_matches_the_all_rows_form(self, dims, theta):
+        inst = rs.random_instance(4, dims=dims, min_prob=1e-3, theta=theta)
+        rng = np.random.default_rng(4)
+        phi, psi = random_pair(inst, rng)
+        for x in (0, dims[0] - 1, -1):
+            for player in (1, 2):
+                c_hat, p_hat = rs.normalized_kernel(inst, player, x, phi.rows[x], psi.rows[x])
+                c_ref, p_ref = all_rows_normalized_kernel(
+                    inst, player, x, phi.rows[x], psi.rows[x])
+                assert abs(c_hat - c_ref) <= np.spacing(abs(c_ref))
+                assert np.all(np.abs(p_hat - p_ref) <= np.spacing(p_ref))
+
+    def test_state_out_of_range_is_an_index_error(self, g2):
+        with pytest.raises(IndexError):
+            rs.normalized_kernel(g2, 1, 2, UNIFORM2, UNIFORM2)
+        with pytest.raises(IndexError):
+            rs.normalized_kernel(g2, 1, -3, UNIFORM2, UNIFORM2)
 
     def test_rejects_non_simplex_inputs(self, g2):
         with pytest.raises(ValueError):

@@ -387,25 +387,26 @@ def _simplex_grid(n: int, step: float) -> np.ndarray:
     return np.array(points, dtype=float) / k
 
 
-def _strategy_maps(n_states: int, points: np.ndarray) -> np.ndarray:
-    """Stack every per-state assignment of grid points: [map, state, action]."""
-    m = points.shape[0]
-    combos = np.array(list(itertools.product(range(m), repeat=n_states)))
-    return points[combos]
+def _strategy_maps(n_states: int, n_points: int) -> np.ndarray:
+    """Every per-state assignment of grid points, as point indices [map, state]."""
+    return np.array(list(itertools.product(range(n_points), repeat=n_states)))
 
 
-def _log_mix(z: np.ndarray) -> np.ndarray:
-    """Log-sum-exp over axis 0, ln sum_k e^{z_k}; z is overwritten.
+def _gather(table: np.ndarray, index_a: np.ndarray, index_b: np.ndarray) -> np.ndarray:
+    """Pair kernels [ni * nj, x, y] from a point-pair table ln Q [pa, pb, x, y].
 
-    The mixed axis comes first because reductions over a short inner axis
-    are slow.  Callers guarantee a finite term in every sum (strictly
-    positive transitions and weights summing to one); a zero weight enters
-    as -inf and drops out.
+    Pair (i, j), Phi major, takes row x of ln Q [index_a[i, x], index_b[j, x],
+    x]: per state, one take over each player's points.  The kernels are
+    stored state-major, [x, ni, nj, y], so each state's second take writes
+    one contiguous block, and are returned as a strided view.
     """
-    top = z.max(axis=0)
-    z -= top
-    np.exp(z, out=z)
-    return np.log(z.sum(axis=0)) + top
+    ni, n = index_a.shape
+    out = np.empty((n, ni, len(index_b), n))
+    for x in range(n):
+        by_a = np.take(table[:, :, x], index_a[:, x], axis=0)
+        # every index is a grid point: 'clip' only skips the buffered bounds check
+        np.take(by_a, index_b[:, x], axis=1, out=out[x], mode="clip")
+    return out.transpose(1, 2, 0, 3).reshape(-1, n, n)
 
 
 def _rvi_values(log_kernel: np.ndarray, anchor: int, tol: float) -> np.ndarray:
@@ -455,45 +456,42 @@ def brute_force_nash(
     require_solvable(instance)
     points_a = _simplex_grid(instance.n_actions_a, grid_step)
     points_b = _simplex_grid(instance.n_actions_b, grid_step)
-    maps_a = _strategy_maps(instance.n_states, points_a)
-    maps_b = _strategy_maps(instance.n_states, points_b)
-    s1, s2 = maps_a.shape[0], maps_b.shape[0]
+    n = instance.n_states
+    # counted before any map is built: the maps grow as points ** states
+    s1, s2 = len(points_a) ** n, len(points_b) ** n
     if s1 * s2 > MAX_GRID_PAIRS:
         raise ValueError(
             f"grid too large: {s1} x {s2} = {s1 * s2} pairs exceeds {MAX_GRID_PAIRS}"
         )
+    index_a = _strategy_maps(n, len(points_a))
+    index_b = _strategy_maps(n, len(points_b))
+    maps_a, maps_b = points_a[index_a], points_b[index_b]
     anchor = instance.anchor_state
-    # each Phi map mixed into both players' kernels once: [i, x, b, y]; the
-    # player-2 kernel is also the kernel of player 2's reply to Phi
-    by_phi1 = log_twisted_tensor(instance, 1, phi=maps_a)
-    by_phi2 = log_twisted_tensor(instance, 2, phi=maps_a)
 
     # best-response values: rho1*[j] against every Psi map, rho2*[i] against
     # every Phi map — grid-free, so gaps are measured against all deviations
     rho1_star = _rvi_values(log_twisted_tensor(instance, 1, psi=maps_b), anchor, tol)
-    rho2_star = _rvi_values(by_phi2, anchor, tol)
+    rho2_star = _rvi_values(log_twisted_tensor(instance, 2, phi=maps_a), anchor, tol)
 
-    # Psi's action axis first, so a chunk's mixing terms are one broadcast
-    # sum: by_phi [b, i, x, y] + log_psi [b, j, x]
-    by_phi1, by_phi2 = (np.ascontiguousarray(np.moveaxis(t, 2, 0)) for t in (by_phi1, by_phi2))
-    with np.errstate(divide="ignore"):
-        log_psi = np.ascontiguousarray(np.moveaxis(np.log(maps_b), 2, 0))[..., None]
+    # a pair's kernel row at x depends only on the two grid points it plays
+    # at x: per player, every point pair mixed once, ln Q [pa, pb, x, y]
+    phi = np.broadcast_to(points_a[:, None, None], (len(points_a), 1, n, points_a.shape[1]))
+    psi = np.broadcast_to(points_b[None, :, None], (1, len(points_b), n, points_b.shape[1]))
+    tables = [log_twisted_tensor(instance, p, phi, psi) for p in (1, 2)]
 
     # chunks of whole Phi rows, or of one row's Psi tiles when a row alone
     # exceeds CHUNK_PAIRS; pair order (Phi major) is the enumeration order
     rows = max(1, CHUNK_PAIRS // s2)
     cols = min(s2, CHUNK_PAIRS)
-    n = instance.n_states
     kept = []
     for i0 in range(0, s1, rows):
         ia = slice(i0, min(i0 + rows, s1))
         for j0 in range(0, s2, cols):
             jb = slice(j0, min(j0 + cols, s2))
-            psi_t = log_psi[:, None, jb]
             j1, j2 = (
-                _log_perron(_log_mix(by_phi[:, ia, None] + psi_t).reshape(-1, n, n), anchor)
+                _log_perron(_gather(table, index_a[ia], index_b[jb]), anchor)
                 .reshape(ia.stop - i0, jb.stop - j0)
-                for by_phi in (by_phi1, by_phi2)
+                for table in tables
             )
             keep = np.maximum(j1 - rho1_star[jb], j2 - rho2_star[ia, None]) <= eps
             i, j = np.nonzero(keep)

@@ -63,11 +63,12 @@ def _drawer(probs: np.ndarray, n_paths: int):
 
     ``draw(r, u)`` returns, for each path i, the first index whose
     cumulative probability in row r[i] exceeds u[i]; rows are numbered in
-    row-major order over the table's leading axes.  The last cumulative
-    entry is set to +inf, so a u at or above a last sum that rounds below 1
-    picks the last index.  Rows of a nonnegative cumulative sum never
-    decrease in floating point, so the pick equals the count of entries
-    <= u, clamped to the last index.
+    row-major order over the table's leading axes.  The cumulative entries
+    from each row's last positive entry onward are set to +inf, so a u at or
+    above a last sum that rounds below 1 picks the last positive index,
+    never a zero-probability entry after it.  Rows of a nonnegative
+    cumulative sum never decrease in floating point, so the pick equals the
+    count of entries <= u, clamped to the last positive index.
 
     The count is found by binary search (inverse-CDF sampling by bisection,
     Devroye 1986, §III.2).  Each cumulative row is padded with +inf to a
@@ -78,9 +79,18 @@ def _drawer(probs: np.ndarray, n_paths: int):
     """
     width = probs.shape[-1]
     span = 1 << (width - 1).bit_length()  # the least power of two >= width
-    table = np.full((probs.size // width, span), np.inf)
-    np.cumsum(probs.reshape(-1, width), axis=1, out=table[:, :width])
-    table[:, width - 1] = np.inf
+    rows = probs.reshape(-1, width)
+    table = np.full((rows.shape[0], span), np.inf)
+    np.cumsum(rows, axis=1, out=table[:, :width])
+    # column k is +inf in the rows whose entries after k are all zero; the
+    # walk back needs O(rows) scratch and stops at the first column where
+    # no row is still in its zero tail, the last one for positive tables
+    tail = np.ones(rows.shape[0], dtype=bool)
+    for k in range(width - 1, -1, -1):
+        table[tail, k] = np.inf
+        tail &= rows[:, k] == 0.0
+        if not tail.any():
+            break
     flat = table.ravel()
     halves = [span >> k for k in range(1, span.bit_length())]
     base = np.empty(n_paths, dtype=np.intp)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -410,6 +411,18 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             rs.brute_force_nash(g2, grid_step=0.3, eps=0.05)
 
+    def test_grid_size_guard_fires_before_the_maps_are_built(self):
+        # 3**12 maps per player: refused without enumerating any of them
+        inst = rs.random_instance(0, dims=(12, 2, 2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="531441 x 531441"):
+                rs.brute_force_nash(inst, grid_step=0.5, eps=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_empty_result_when_no_grid_pair_qualifies(self):
         # matching-pennies-style costs put the only equilibrium strictly
         # inside the simplex, off the half-step grid
@@ -476,6 +489,65 @@ class TestBruteForce:
                 high_c_hat, _ = rs.normalized_kernel(shifted, player, *rows)
                 c_hat, _ = rs.normalized_kernel(g2, player, *rows)
                 assert high_c_hat == pytest.approx(c_hat + 800.0, abs=1e-9)
+
+    def test_opponent_action_cost_gap_past_overflow(self, g2):
+        # player 1 pays 800/theta more whenever Psi plays its second action,
+        # so a mixed kernel row spans e^800 between its terms
+        k = 800.0 / g2.theta
+        a = g2.arat
+        inst = rs.assemble_from_arat(
+            dataclasses.replace(a, c12=a.c12 + k * np.array([0.0, 1.0])),
+            theta=g2.theta, anchor_state=g2.anchor_state,
+        )
+        assert_allclose(inst.theta * (inst.cost1 - g2.cost1)[..., 1], 800.0)
+        assert_allclose(inst.cost1[..., 0], g2.cost1[..., 0])
+        result = rs.brute_force_nash(inst, grid_step=0.25, eps=0.3)
+        assert result.existence_guaranteed
+        assert len(result) > 3
+        for c in result:
+            fresh = rs.epsilon_gap(inst, c.Phi, c.Psi)
+            for name in CERTIFICATE_FIELDS[:6]:
+                value = getattr(c, name)
+                assert np.isfinite(value), name
+                assert value == pytest.approx(getattr(fresh, name), abs=1e-9), name
+            assert c.J1 == pytest.approx(rs.ergodic_cost(inst, 1, c.Phi, c.Psi), abs=1e-9)
+            assert c.J2 == pytest.approx(rs.ergodic_cost(inst, 2, c.Phi, c.Psi), abs=1e-9)
+
+    def test_pair_kernels_are_twisted_matrices(self, g2, monkeypatch):
+        kernels = []
+        perron = nash._log_perron
+
+        def recorded(log_q, anchor):
+            kernels.append(log_q.copy())
+            return perron(log_q, anchor)
+
+        monkeypatch.setattr(nash, "_log_perron", recorded)
+        result = rs.brute_force_nash(g2, grid_step=0.25, eps=0.05)
+        n_psi = len(result.maps_b)
+        assert [len(k) for k in kernels] == [result.searched_pairs] * 2
+        rng = np.random.default_rng(0)
+        pairs = rng.choice(result.searched_pairs, size=40, replace=False)
+        for player, kernel in zip((1, 2), kernels):
+            for k in pairs:
+                i, j = divmod(int(k), n_psi)
+                want = rs.twisted_matrix(
+                    g2, player, rs.StationaryStrategy(1, result.maps_a[i]),
+                    rs.StationaryStrategy(2, result.maps_b[j]),
+                )
+                ulps = 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(want))
+                assert np.all(np.abs(kernel[k] - want) <= ulps), (player, i, j)
+
+    def test_peak_memory_stays_below_four_chunk_kernels(self, g2):
+        rs.brute_force_nash(g2, grid_step=0.5, eps=0.05)  # warm imports and caches
+        tracemalloc.start()
+        try:
+            result = rs.brute_force_nash(g2, grid_step=0.05, eps=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kernel_bytes = result.searched_pairs * g2.n_states ** 2 * 8
+        assert result.searched_pairs <= nash.CHUNK_PAIRS  # one chunk holds every pair
+        assert peak < 4 * kernel_bytes
 
     def test_three_states_match_oracles(self):
         inst = rs.random_instance(5, dims=(3, 2, 2))

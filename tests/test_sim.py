@@ -88,9 +88,10 @@ class TestSamplePath:
 
 
 def count_rule(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Reference draw: the count of cumulative sums <= u, clamped to the last index."""
+    """Reference draw: the count of cumulative sums <= u, clamped to the last positive index."""
     cum = np.cumsum(probs, axis=-1)
-    return np.minimum((cum <= u[:, None]).sum(axis=1), probs.shape[-1] - 1)
+    last = [np.flatnonzero(row)[-1] for row in probs]
+    return np.minimum((cum <= u[:, None]).sum(axis=1), last)
 
 
 class TestDrawRule:
@@ -112,6 +113,11 @@ class TestDrawRule:
         last = np.cumsum(probs)[-1]
         assert last < 1.0
         assert self.draw(probs, [last, np.nextafter(1.0, 0.0)]) == [9, 9]
+
+    def test_trailing_zero_is_never_drawn_above_a_short_last_sum(self):
+        probs = [0.1] * 10 + [0.0]
+        assert np.cumsum(probs)[-1] < 1.0
+        assert self.draw(probs, [np.nextafter(1.0, 0.0)]) == [9]
 
     def test_zero_entries_are_never_drawn(self):
         probs = [0.0, 0.5, 0.0, 0.5, 0.0]

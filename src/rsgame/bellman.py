@@ -110,7 +110,8 @@ def _shifted(log_kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     float for any theta * cost.
     """
     shift = log_kernel.max(axis=-1)
-    return np.exp(log_kernel - shift[..., None]), shift
+    kernel = log_kernel - shift[..., None]
+    return np.exp(kernel, out=kernel), shift
 
 
 def _sweep(kernel: np.ndarray, shift: np.ndarray, v: np.ndarray) -> np.ndarray:

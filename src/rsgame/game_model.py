@@ -341,37 +341,64 @@ _DESCRIPTIONS = {
 }
 
 
-#: float64 scratch bytes one tile of the pairwise-distance pass may use
-_TV_TILE_BYTES = 4 * 2**20
+#: float64 scratch bytes one tile of the pairwise-distance pass may use: small
+#: enough that a tile's difference block stays in a core's L2 cache
+_TV_TILE_BYTES = 256 * 2**10
 #: violating index tuples a FAIL verdict lists: the first ones, row-major
 _MAX_VIOLATIONS = 20
+
+
+def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L1 distances between each row of a and each row of b, [len(a), len(b)].
+
+    Each one is |a_i - b_j| summed along the contiguous last axis, so its
+    bits depend on the pair alone: not on the tile it falls in, nor on which
+    of the two rows comes first (|p - q| = |q - p| exactly).
+    """
+    diff = a[:, None, :] - b[None, :, :]
+    return np.abs(diff, out=diff).sum(axis=-1)
 
 
 def _tv_distances(instance: GameInstance) -> tuple[float, list]:
     """Largest L1 distance between pure transition rows, and the first disjoint pairs.
 
-    The rows are the X*A*B rows P(.|x,a,b), flattened in (x, a, b) order.
-    Distances are formed tile by tile, so scratch memory stays near
-    _TV_TILE_BYTES whatever the instance size: a tile holds whole rows of
-    the distance matrix, or a run of columns of one row when a row alone
-    is over budget.  Either way tiles are visited in row-major order, so
-    the pairs (i, j) at distance >= 2 - EXACT_TOL (disjoint supports) come
-    out in that order; the first _MAX_VIOLATIONS are returned.
+    The rows are the R = X*A*B rows P(.|x,a,b), flattened in (x, a, b)
+    order.  The distance matrix is symmetric, so only its upper triangle is
+    formed, tile by tile: a block of rows against the columns from the
+    block's diagonal on, in tiles of about _TV_TILE_BYTES of scratch
+    whatever the instance size.  Each pair is formed once, apart from the
+    pairs below the diagonal inside a row block's first tile.  Time is still
+    O(R^2 * X).
+
+    The pairs (i, j) at distance >= 2 - EXACT_TOL (disjoint supports) are
+    listed as the full matrix holds them: each upper-triangle hit (i, j)
+    also stands for its mirror (j, i), and the first _MAX_VIOLATIONS in
+    row-major order are kept by their index i*R + j.  A hit in a row block
+    indexes at or past the block's first row, so once the kept pairs all lie
+    above it, no later hit is looked at.
     """
     rows = instance.transition.reshape(-1, instance.n_states)
     n_rows, width = rows.shape
-    tile_rows = max(1, _TV_TILE_BYTES // (n_rows * width * 8))
-    tile_cols = min(n_rows, max(1, _TV_TILE_BYTES // (tile_rows * width * 8)))
+    tile_pairs = max(1, _TV_TILE_BYTES // (width * 8))
+    block = min(n_rows, math.isqrt(tile_pairs))
+    cols = min(n_rows, tile_pairs // block)
+    threshold = 2.0 - EXACT_TOL
     worst = 0.0
-    disjoint: list = []
-    for i in range(0, n_rows, tile_rows):
-        for j in range(0, n_rows, tile_cols):
-            diff = rows[i:i + tile_rows, None, :] - rows[None, j:j + tile_cols, :]
-            dist = np.abs(diff, out=diff).sum(axis=-1)
-            worst = max(worst, float(dist.max()))
-            hits = np.argwhere(dist >= 2.0 - EXACT_TOL)[: _MAX_VIOLATIONS - len(disjoint)]
-            disjoint.extend((i + p, j + q) for p, q in hits)
-    return worst, disjoint
+    first = np.empty(0, dtype=np.int64)  # row-major indices of the kept pairs
+    for i in range(0, n_rows, block):
+        listing = len(first) < _MAX_VIOLATIONS or first[-1] >= i * n_rows
+        for j in range(i, n_rows, cols):
+            dist = _pair_distances(rows[i:i + block], rows[j:j + cols])
+            top = float(dist.max())
+            worst = max(worst, top)
+            if listing and top >= threshold:
+                p, q = np.nonzero(dist >= threshold)
+                p, q = p + i, q + j
+                upper = p < q
+                p, q = p[upper], q[upper]
+                hits = np.concatenate((first, p * n_rows + q, q * n_rows + p))
+                first = np.sort(hits)[:_MAX_VIOLATIONS]
+    return worst, [divmod(int(k), n_rows) for k in first]
 
 
 def compute_kappa(instance: GameInstance) -> float:
@@ -465,9 +492,12 @@ def validate(instance: GameInstance, min_prob: float = DEFAULT_MIN_PROB) -> Mode
         FAIL verdicts carry the first violating index tuples (at most 20).
 
     Memory stays bounded: the pairwise row distances behind delta and the
-    2(i) violations come from one tiled pass, kappa needs only the
-    per-(a, b, y) extremes over states, and the other failures are counted
-    on boolean masks and listed one state slab at a time.
+    2(i) violations come from one pass over the upper triangle of the
+    distance matrix, which forms each pair of rows once in tiles of about
+    256 KiB of scratch, kappa needs only the per-(a, b, y) extremes over
+    states, and the other failures are counted on boolean masks and listed
+    one state slab at a time.  The distance pass takes O((X*A*B)^2 * X)
+    time, which dominates at large sizes.
     """
     if not min_prob > 0.0:  # also rejects nan
         raise ValueError(f"min_prob must be > 0, got {min_prob!r}")

@@ -70,7 +70,9 @@ def _log_twisted(w: np.ndarray, t: np.ndarray, phi, psi) -> np.ndarray:
             t = t.reshape(t.shape[0], -1, t.shape[3])
         shift = w.max(axis=-1, keepdims=True)
         mixed = np.matmul(np.exp(w - shift)[..., None, :], t)[..., 0, :]
-        return np.log(mixed) + shift
+        np.log(mixed, out=mixed)
+        mixed += shift
+        return mixed
 
 
 def normalized_kernel(

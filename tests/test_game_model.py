@@ -1,9 +1,12 @@
 import dataclasses
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import rsgame as rs
@@ -186,9 +189,10 @@ def point_mass_instance(seed: int, dims=(12, 3, 3)) -> rs.GameInstance:
 class TestDistancePass:
     """delta, kappa and the 2(i) violations in bounded memory."""
 
-    # on 12 x 3 x 3 instances (108 rows of 12 entries), 64 B tiles hold one
-    # distance, 4 KiB tiles a run of columns of one row, 64 KiB tiles several
-    # whole rows, and the default (None) one tile
+    # on 12 x 3 x 3 instances (108 rows of 12 entries, 96 B of scratch per
+    # distance), 64 B tiles hold one distance, 4 KiB tiles 6 x 7, 64 KiB
+    # tiles 26 x 26 and the default (None) 52 x 52, the last two with ragged
+    # edge tiles
     TILE_BYTES = [64, 4096, 65536, None]
 
     @staticmethod
@@ -240,6 +244,72 @@ class TestDistancePass:
             tracemalloc.stop()
         assert diag.passed
         assert peak < 64 * 2**20
+
+    @staticmethod
+    def first_disjoint_pairs(inst):
+        bad = np.argwhere(pairwise_tv_distances(inst) >= 2.0 - game_model.EXACT_TOL)
+        return [(int(i), int(j)) for i, j in bad[:20]]
+
+    @pytest.mark.parametrize("tile_bytes", TILE_BYTES)
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        point_mass=st.booleans(),
+        # 108 and 78 rows leave ragged edge tiles at 64 KiB and the default;
+        # 37 rows, a prime, at every size above one distance
+        dims=st.sampled_from([(12, 3, 3), (13, 2, 3), (37, 1, 1), (5, 2, 2)]),
+    )
+    def test_pass_equals_the_one_shot_reference(self, tile_bytes, seed, point_mass, dims):
+        if point_mass:
+            inst = point_mass_instance(seed, dims)
+        else:
+            inst = rs.random_instance(seed, dims=dims, min_prob=0.001)
+        with mock.patch.object(
+            game_model, "_TV_TILE_BYTES", tile_bytes or game_model._TV_TILE_BYTES
+        ):
+            worst, disjoint = game_model._tv_distances(inst)
+        assert worst == float(pairwise_tv_distances(inst).max())
+        assert [(int(i), int(j)) for i, j in disjoint] == self.first_disjoint_pairs(inst)
+
+    @pytest.mark.parametrize("tile_bytes", TILE_BYTES)
+    @pytest.mark.parametrize("dims", [(37, 1, 1), (13, 2, 3)])
+    def test_mirrored_pairs_keep_their_row_major_place(self, monkeypatch, tile_bytes, dims):
+        inst = point_mass_instance(0, dims)
+        self.set_tile_bytes(monkeypatch, tile_bytes)
+        want = self.first_disjoint_pairs(inst)
+        assert any(j < i for i, j in want)  # some pairs lie below the diagonal
+        _, disjoint = game_model._tv_distances(inst)
+        assert [(int(i), int(j)) for i, j in disjoint] == want
+
+    @pytest.mark.parametrize("tile_bytes", TILE_BYTES)
+    @pytest.mark.parametrize("dims", [(12, 3, 3), (37, 1, 1)])
+    def test_each_row_pair_is_formed_once(self, monkeypatch, tile_bytes, dims):
+        inst = rs.random_instance(3, dims=dims, min_prob=0.001)
+        self.set_tile_bytes(monkeypatch, tile_bytes)
+        row_bytes = inst.n_states * inst.transition.itemsize
+        base = inst.transition.ctypes.data
+        tiles = []
+        pair_distances = game_model._pair_distances
+
+        def recording(a, b):
+            i, j = ((m.ctypes.data - base) // row_bytes for m in (a, b))
+            tiles.append((i, len(a), j, len(b)))
+            return pair_distances(a, b)
+
+        monkeypatch.setattr(game_model, "_pair_distances", recording)
+        game_model._tv_distances(inst)
+        n_rows = inst.transition.size // inst.n_states
+        formed = np.zeros((n_rows, n_rows), dtype=int)
+        for i, rows, j, cols in tiles:
+            formed[i:i + rows, j:j + cols] += 1
+        # every pair, one way or the other
+        assert np.all((formed + formed.T)[np.triu_indices(n_rows)] > 0)
+        # below the diagonal only pairs inside a row block's own rows
+        assert all(j >= i for i, _, j, _ in tiles)
+        assert formed.max() == 1
+        row_blocks = len({i for i, *_ in tiles})
+        largest = max(rows * cols for _, rows, _, cols in tiles)
+        assert formed.sum() <= n_rows * (n_rows + 1) // 2 + row_blocks * largest
 
 
 class TestViolationLists:

@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Sequence
 
 import numpy as np
@@ -236,6 +237,28 @@ class GameInstance:
         if player == 2:
             return self.cost2
         raise ValueError(f"player must be 1 or 2, got {player!r}")
+
+    @cached_property
+    def _exact_arat(self) -> AratStructure | None:
+        """The decomposition if it reproduces every stored table bit for bit, else None.
+
+        Both cost tables and the transition law must equal their sums of
+        components exactly.  Decided on first use and kept, not at
+        construction: the transition check is a pass over the whole table,
+        one state slab at a time so no table-sized temporary is formed.  A
+        decomposition one ulp off anywhere (rows renormalized on
+        construction, a document failing "4.1") gives None.
+        """
+        a = self.arat
+        if a is None:
+            return None
+        for cost, own, other in ((self.cost1, a.c11, a.c12), (self.cost2, a.c21, a.c22)):
+            if not (own[:, :, None] + other[:, None, :] == cost).all():
+                return None
+        for t, p1, p2 in zip(self.transition, a.p1, a.p2):
+            if not (p1[:, None] + p2[None] == t).all():
+                return None
+        return a
 
 
 @dataclass(frozen=True, eq=False)

@@ -430,10 +430,30 @@ def _log_perron(log_q: np.ndarray, anchor: int) -> np.ndarray:
     if log_q.shape[1] != 2:
         return _rvi_values(log_q[:, :, None, :], anchor, DEFAULT_TOL)
     a, b, c, d = log_q[:, 0, 0], log_q[:, 0, 1], log_q[:, 1, 0], log_q[:, 1, 1]
-    m = np.maximum(np.maximum(a, d), 0.5 * (b + c))
-    ea, ed = np.exp(a - m), np.exp(d - m)
-    root = 0.5 * (ea + ed) + np.sqrt(0.25 * (ea - ed) ** 2 + np.exp(b + c - 2 * m))
-    return m + np.log(root)
+    # m + ln(0.5 (ea + ed) + sqrt(0.25 (ea - ed)^2 + e^{b + c - 2m})) in four
+    # buffers, written in place: fresh pages cost more than the arithmetic
+    m = np.maximum(a, d)
+    u = np.add(b, c)
+    u *= 0.5
+    np.maximum(m, u, out=m)
+    np.subtract(a, m, out=u)
+    ea = np.exp(u, out=u)
+    ed = np.subtract(d, m)
+    np.exp(ed, out=ed)
+    diff = np.subtract(ea, ed)
+    half_sum = np.add(ea, ed, out=ea)
+    half_sum *= 0.5
+    np.square(diff, out=diff)
+    diff *= 0.25
+    # b + c - 2m as 2 (0.5 (b + c) - m): scaling by 2 is exact, so the bits agree
+    cross = np.add(b, c, out=ed)
+    cross *= 0.5
+    cross -= m
+    cross *= 2.0
+    diff += np.exp(cross, out=cross)
+    half_sum += np.sqrt(diff, out=diff)
+    m += np.log(half_sum, out=half_sum)
+    return m
 
 
 def brute_force_nash(

@@ -8,7 +8,9 @@ the normalizing constant c~_i) and the normalized probability kernel P^_i.
 transition law.  It works in log space with the weights shifted by their
 maximum, so large theta * cost never overflows, and mixes the strategies
 in with one matrix product over the mixed action axes, read straight from
-the transition table without copying it.  This module also provides
+the transition table without copying it, or, when the instance's additive
+decomposition reproduces its tables exactly, from the per-player parts p1
+and p2 of that decomposition.  This module also provides
 the twisted next-state measure that attains the entropy dual and relative
 entropy itself.
 """
@@ -23,7 +25,8 @@ def _check_simplex(name: str, w: np.ndarray, size: int) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (size,):
         raise ValueError(f"{name} must have shape ({size},), got {w.shape}")
-    if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-9:
+    # written so a NaN sum fails too
+    if np.any(w < 0.0) or not abs(w.sum() - 1.0) <= 1e-9:
         raise ValueError(f"{name} is not a probability vector: {w!r}")
     return w
 
@@ -40,22 +43,43 @@ def log_twisted_tensor(
 
     indexed [..., x, b, y] (phi only), [..., x, a, y] (psi only) or
     [..., x, y] (both).  With neither, the result is the unmixed table
-    [x][a][b][y].  The log weights w = theta*c + ln phi + ln psi are shifted
-    by their maximum s over the mixed actions, and the sum is taken as
-    ln(sum e^{w - s} P) + s: no e^{theta*c} is formed, and the 4-d log table
-    is never built when a strategy is given.  Entries are -inf where the
-    (mixed) transition vanishes.
+    [x][a][b][y].  The log weights are shifted by their maximum over the
+    mixed actions, and the sum is taken as ln(sum e^{w - s} P) + s: no
+    e^{theta*c} is formed, and the 4-d log table is never built when a
+    strategy is given.  Entries are -inf where the (mixed) transition
+    vanishes.
 
-    The sum is one matrix product per state (and per remaining action), so
-    it runs in BLAS at memory speed: the weights, with the mixed action axis
-    or axes last, against P [x, a, b, y] (psi only), its transposed view
-    [x, b, a, y] (phi only, no copy) or its reshape [x, a*b, y] (both).
+    With a strategy given, the kernel is mixed by one of two routes:
+
+    - the split route, when the instance's additive decomposition
+      reproduces its tables bit for bit (decided once per instance):
+      P = p1 + p2 and c_i = c_i1 + c_i2 let each mixed player's side be
+      summed on its own, from p1 [x, a, y] or p2 [x, b, y], in
+      O(X*(A+B)*Y) instead of O(X*A*B*Y) (see :func:`_log_split`);
+    - otherwise the table route: one matrix product per state (and per
+      remaining action), in BLAS at memory speed, of the weights
+      w = theta*c + ln phi + ln psi, with the mixed action axis or axes
+      last, against P [x, a, b, y] (psi only), its transposed view
+      [x, b, a, y] (phi only, no copy) or its reshape [x, a*b, y] (both).
     """
-    return _log_twisted(instance.theta * instance.cost(player), instance.transition, phi, psi)
+    return _log_kernel(instance, player, slice(None), phi, psi)
+
+
+def _log_kernel(instance: GameInstance, player: int, rows: slice, phi, psi) -> np.ndarray:
+    """:func:`log_twisted_tensor` on the states ``rows``, which phi and psi already cover."""
+    cost = instance.cost(player)
+    split = None if phi is None and psi is None else instance._exact_arat
+    if split is None:
+        return _log_twisted(instance.theta * cost[rows], instance.transition[rows], phi, psi)
+    c_a, c_b = (split.c11, split.c12) if player == 1 else (split.c21, split.c22)
+    return _log_split(
+        instance.theta * c_a[rows], split.p1[rows],
+        instance.theta * c_b[rows], split.p2[rows], phi, psi,
+    )
 
 
 def _log_twisted(w: np.ndarray, t: np.ndarray, phi, psi) -> np.ndarray:
-    """:func:`log_twisted_tensor` over theta*c w [x, a, b] and transition rows t [x, a, b, y]."""
+    """The table route of :func:`log_twisted_tensor`: theta*c w [x, a, b], rows t [x, a, b, y]."""
     with np.errstate(divide="ignore"):
         if phi is None and psi is None:
             return w[..., None] + np.log(t)
@@ -75,6 +99,56 @@ def _log_twisted(w: np.ndarray, t: np.ndarray, phi, psi) -> np.ndarray:
         return mixed
 
 
+def _mixed_side(w: np.ndarray, p: np.ndarray, s) -> tuple:
+    """(sigma, T, R) of one mixed action side: log weights w [x, k], rows p [x, k, y].
+
+    With g = w + ln s over strategy rows s [..., x, k], sigma = max_k g and
+    beta = e^{g - sigma} <= 1: T = sum_k beta [..., x] and
+    R = sum_k beta_k p [..., x, y], one matrix product per state.  Called
+    with divide warnings off, for the ln 0 of a zero strategy weight.
+    """
+    g = w + np.log(s)
+    sigma = np.maximum.reduce(g, axis=-1)
+    g -= sigma[..., None]
+    beta = np.exp(g, out=g)
+    return sigma, np.add.reduce(beta, axis=-1), np.matmul(beta[..., None, :], p)[..., 0, :]
+
+
+def _log_split(wa, pa, wb, pb, phi, psi) -> np.ndarray:
+    """The split route of :func:`log_twisted_tensor`, from an exact decomposition.
+
+    wa = theta*c_i1 [x, a] and pa = p1 [x, a, y] belong to player 1's
+    actions, wb = theta*c_i2 [x, b] and pb = p2 [x, b, y] to player 2's, so
+    the table would be e^{wa + wb} (pa + pb).  With (sigma, T, R) of each
+    mixed side (:func:`_mixed_side`):
+
+        psi only: ln M = wa + sigma_b + ln(T_b pa + R_b)        [..., x, a, y]
+        phi only: ln M = wb + sigma_a + ln(T_a pb + R_a)        [..., x, b, y]
+        both:     ln Q = sigma_a + sigma_b + ln(T_b R_a + T_a R_b)   [..., x, y]
+
+    Every beta is at most 1, so nothing overflows; an entry is -inf exactly
+    where the mixed transition vanishes.
+    """
+    with np.errstate(divide="ignore"):
+        if phi is not None and psi is not None:
+            sigma_a, t_a, r_a = _mixed_side(wa, pa, phi)
+            sigma_b, t_b, r_b = _mixed_side(wb, pb, psi)
+            mixed = t_b[..., None] * r_a + t_a[..., None] * r_b
+            shift = (sigma_a + sigma_b)[..., None]
+        else:
+            if phi is None:  # psi mixed: player 1's action stays
+                sigma, t, r = _mixed_side(wb, pb, psi)
+                w_own, p_own = wa, pa
+            else:
+                sigma, t, r = _mixed_side(wa, pa, phi)
+                w_own, p_own = wb, pb
+            mixed = t[..., None, None] * p_own + r[..., None, :]
+            shift = (w_own + sigma[..., None])[..., None]
+        np.log(mixed, out=mixed)
+    mixed += shift
+    return mixed
+
+
 def normalized_kernel(
     instance: GameInstance, player: int, x: int, phi, psi
 ) -> tuple[float, np.ndarray]:
@@ -84,14 +158,12 @@ def normalized_kernel(
     and psi played in every state gives the log-normalizer c_hat = ln sum_y
     Q(x, y) (the transition rows sum to one) and the normalized row p_hat =
     Q(x, .) / e^{c_hat}, formed from ln Q shifted by its maximum so neither
-    overflows.  Only row x is mixed.
+    overflows.  Only row x is mixed, by the same route as the whole kernel.
     """
     phi = _check_simplex("phi", phi, instance.n_actions_a)
     psi = _check_simplex("psi", psi, instance.n_actions_b)
     x = range(instance.n_states)[x]  # IndexError past either end
-    rows = slice(x, x + 1)
-    w = instance.theta * instance.cost(player)[rows]
-    log_q = _log_twisted(w, instance.transition[rows], phi[None], psi[None])[0]
+    log_q = _log_kernel(instance, player, slice(x, x + 1), phi[None], psi[None])[0]
     top = log_q.max()
     row = np.exp(log_q - top)
     total = row.sum()

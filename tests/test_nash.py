@@ -549,6 +549,23 @@ class TestBruteForce:
         assert result.searched_pairs <= nash.CHUNK_PAIRS  # one chunk holds every pair
         assert peak < 4 * kernel_bytes
 
+    def test_closed_form_roots_in_four_pair_buffers(self):
+        rng = np.random.default_rng(8)
+        pairs = 40_000
+        log_q = rng.normal(size=(pairs, 2, 2)) * rng.choice([1e-3, 1.0, 30.0, 1e3], (pairs, 1, 1))
+        a, b, c, d = log_q[:, 0, 0], log_q[:, 0, 1], log_q[:, 1, 0], log_q[:, 1, 1]
+        m = np.maximum(np.maximum(a, d), 0.5 * (b + c))
+        ea, ed = np.exp(a - m), np.exp(d - m)
+        want = m + np.log(0.5 * (ea + ed) + np.sqrt(0.25 * (ea - ed) ** 2 + np.exp(b + c - 2 * m)))
+        tracemalloc.start()
+        try:
+            got = nash._log_perron(log_q, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        assert peak <= 4 * pairs * 8 + 4096
+
     def test_three_states_match_oracles(self):
         inst = rs.random_instance(5, dims=(3, 2, 2))
         result = rs.brute_force_nash(inst, grid_step=0.5, eps=0.1)

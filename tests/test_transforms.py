@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import subprocess
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import rsgame as rs
+from rsgame import transforms
+from rsgame.game_model import GameInstance
 from rsgame.transforms import log_twisted_tensor
 
 from helpers import (
@@ -186,6 +189,152 @@ class TestContraction:
         assert outputs[0] == outputs[1]
 
 
+def table_core(inst: rs.GameInstance, player: int, phi=None, psi=None) -> np.ndarray:
+    """The table route of log_twisted_tensor, whatever decomposition the instance carries."""
+    return transforms._log_twisted(inst.theta * inst.cost(player), inst.transition, phi, psi)
+
+
+def lifted_arat_instance(seed: int, dims, theta: float) -> rs.GameInstance:
+    """An exact-split instance whose theta * cost reaches ~800 for any theta."""
+    base = rs.random_instance(seed, dims=dims, min_prob=1e-3, arat_flag=True)
+    a = base.arat
+    lift = 800.0 / theta  # each component is below 0.5, each cost below 1
+    arat = rs.AratStructure(a.p1, a.p2, a.c11 * lift, a.c21 * lift, a.c12 * lift, a.c22 * lift)
+    return rs.assemble_from_arat(arat, theta=theta)
+
+
+def sparse_rows(rng: np.random.Generator, shape) -> np.ndarray:
+    """Dirichlet strategy rows with about a third of the weights set to zero."""
+    rows = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+    zero = rng.random(shape) < 1 / 3
+    zero[..., rng.integers(shape[-1])] = False  # every row keeps some weight
+    rows[zero] = 0.0
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
+def split_mixes(rng: np.random.Generator, inst: rs.GameInstance) -> list:
+    """(phi, psi) to mix: each side alone, both, and brute force's batch shapes."""
+    nx, na, nb = inst.n_states, inst.n_actions_a, inst.n_actions_b
+    phi, psi = sparse_rows(rng, (nx, na)), sparse_rows(rng, (nx, nb))
+    return [
+        (None, psi), (phi, None), (phi, psi),
+        (None, sparse_rows(rng, (3, nx, nb))),  # best replies against Psi maps
+        (sparse_rows(rng, (2, nx, na)), None),  # ... and against Phi maps
+        (sparse_rows(rng, (2, 1, nx, na)), sparse_rows(rng, (1, 3, nx, nb))),  # point tables
+    ]
+
+
+def assert_within_ulps(got: np.ndarray, want: np.ndarray, ulps: float) -> None:
+    assert got.shape == want.shape
+    assert_array_equal(np.isneginf(got), np.isneginf(want))
+    on = np.isfinite(want)
+    assert np.all(np.isfinite(got[on]))
+    bound = ulps * np.finfo(float).eps * np.maximum(1.0, np.abs(want[on]))
+    assert np.all(np.abs(got[on] - want[on]) <= bound)
+
+
+class TestSplitRoute:
+    """log_twisted_tensor through an exact additive decomposition, against the table core."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=st.sampled_from([(2, 2, 2), (3, 2, 3), (4, 3, 2)]),
+        seed=st.integers(0, 2**16),
+        log_theta=st.floats(-3.0, 3.0),
+    )
+    def test_matches_the_table_core(self, dims, seed, log_theta):
+        inst = lifted_arat_instance(seed, dims, 10.0 ** log_theta)
+        assert inst._exact_arat is not None
+        rng = np.random.default_rng(seed)
+        for phi, psi in split_mixes(rng, inst):
+            for player in (1, 2):
+                assert_within_ulps(log_twisted_tensor(inst, player, phi, psi),
+                                   table_core(inst, player, phi, psi), 8)
+
+    def test_vanishing_transitions_are_minus_inf_where_the_table_has_them(self):
+        rng = np.random.default_rng(21)
+        nx, na, nb = 4, 3, 2
+        share = rng.uniform(0.3, 0.7, size=nx)[:, None, None]
+        d1 = rng.dirichlet(np.ones(nx), size=(nx, na))
+        d2 = rng.dirichlet(np.ones(nx), size=(nx, nb))
+        d1[0, :, 1] = d2[0, :, 1] = 0.0  # state 1 unreachable from state 0
+        d1[2, 1, 3] = d2[2, :, 3] = 0.0  # state 3 from 2 only when a != 1
+        d1 /= d1.sum(-1, keepdims=True)
+        d2 /= d2.sum(-1, keepdims=True)
+        costs = rng.uniform(0.0, 0.5, size=(4, nx, 3))
+        inst = rs.assemble_from_arat(rs.AratStructure(
+            share * d1, (1.0 - share) * d2,
+            costs[0, :, :na], costs[1, :, :na], costs[2, :, :nb], costs[3, :, :nb],
+        ), theta=2.0)
+        assert inst._exact_arat is not None
+        assert not inst._positive
+        for phi, psi in split_mixes(rng, inst):
+            for player in (1, 2):
+                got = log_twisted_tensor(inst, player, phi, psi)
+                assert np.isneginf(got).any()
+                assert_within_ulps(got, table_core(inst, player, phi, psi), 8)
+
+    @pytest.mark.parametrize("decomposition", ["none", "p1 one ulp off", "c12 one ulp off"])
+    def test_inexact_or_missing_decomposition_takes_the_table_route(self, decomposition):
+        inst = rs.random_instance(3, dims=(4, 3, 2), min_prob=1e-3, arat_flag=True)
+        a = inst.arat
+        if decomposition == "none":
+            arat = None
+        else:
+            p1, c12 = a.p1.copy(), a.c12.copy()
+            if decomposition.startswith("p1"):
+                p1[1, 2, 3] = np.nextafter(p1[1, 2, 3], 1.0)
+            else:
+                c12[3, 0] = np.nextafter(c12[3, 0], 1.0)
+            arat = rs.AratStructure(p1, a.p2, a.c11, a.c21, c12, a.c22)
+        inst = rs.GameInstance(inst.transition, inst.cost1, inst.cost2, inst.theta, 0, arat)
+        assert inst._exact_arat is None
+        for phi, psi in split_mixes(np.random.default_rng(3), inst):
+            for player in (1, 2):
+                assert_array_equal(log_twisted_tensor(inst, player, phi, psi),
+                                   table_core(inst, player, phi, psi))
+
+    def test_exactness_is_decided_once_per_instance(self, monkeypatch):
+        calls = []
+        decide = GameInstance._exact_arat.func
+
+        def counted(instance):
+            calls.append(instance)
+            return decide(instance)
+
+        counting = functools.cached_property(counted)
+        counting.__set_name__(GameInstance, "_exact_arat")
+        monkeypatch.setattr(GameInstance, "_exact_arat", counting)
+        inst = rs.random_instance(4, dims=(5, 3, 2), min_prob=1e-3, arat_flag=True)
+        log_twisted_tensor(inst, 1)  # the unmixed table needs no decision
+        assert calls == []
+        phi, psi = random_pair(inst, np.random.default_rng(4))
+        for player in (1, 2):
+            log_twisted_tensor(inst, player, phi.rows, psi.rows)
+            log_twisted_tensor(inst, player, psi=psi.rows)
+            rs.normalized_kernel(inst, player, 0, phi.rows[0], psi.rows[0])
+        rs.solve_optimality(inst, 1, psi)
+        rs.epsilon_gap(inst, phi, psi)
+        assert calls == [inst]
+        other = dataclasses.replace(inst, theta=2.0)
+        log_twisted_tensor(other, 2, phi=phi.rows)
+        assert calls == [inst, other]
+
+    def test_solvers_run_without_the_table_core(self, g2, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the table core was used on an exact-split instance")
+
+        monkeypatch.setattr(transforms, "_log_twisted", refused)
+        phi, psi = random_pair(g2, np.random.default_rng(5))
+        assert rs.solve_optimality(g2, 1, psi).converged
+        assert rs.solve_optimality(g2, 2, phi).converged
+        j1 = rs.ergodic_cost(g2, 1, phi, psi)
+        assert rs.finite_horizon_growth(g2, 1, phi, psi, 0, 60) == pytest.approx(j1, abs=1e-9)
+        c_hat, _ = rs.normalized_kernel(g2, 2, 1, phi.rows[1], psi.rows[1])
+        assert np.isfinite(c_hat)
+        assert len(rs.brute_force_nash(g2, grid_step=0.25, eps=0.05)) == 3
+
+
 class TestMixTransition:
     def test_pure_masses_select_rows(self, g2):
         row = mix_transition(g2, 1, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
@@ -343,6 +492,16 @@ class TestNormalizedKernel:
             rs.normalized_kernel(g2, 1, 2, UNIFORM2, UNIFORM2)
         with pytest.raises(IndexError):
             rs.normalized_kernel(g2, 1, -3, UNIFORM2, UNIFORM2)
+
+    def test_nan_rows_are_refused(self, g2):
+        nan = np.array([np.nan, np.nan])
+        for phi, psi in ((nan, UNIFORM2), (UNIFORM2, nan)):
+            with pytest.raises(ValueError, match="not a probability vector"):
+                rs.normalized_kernel(g2, 1, 0, phi, psi)
+            with pytest.raises(ValueError, match="not a probability vector"):
+                rs.mixed_objective(g2, 2, 0, phi, psi, np.zeros(2))
+            with pytest.raises(ValueError, match="not a probability vector"):
+                rs.dual_value(g2, 2, 0, phi, psi, np.zeros(2))
 
     def test_rejects_non_simplex_inputs(self, g2):
         with pytest.raises(ValueError):

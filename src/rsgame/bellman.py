@@ -15,10 +15,20 @@ anchors iterates at the instance's anchor state and stops on the span of
 successive differences, yielding the optimal ergodic value rho and the
 relative value function v with v(anchor) = 0.
 
-Every sweep runs on row-shifted kernels K = e^{ln M - rowmax} <= 1 as
-ln(K e^{v - max v}) + rowmax + max v, so large theta * cost products cannot
-overflow.  One batched relative value iteration serves single solves here
-and whole stacks of kernels in the brute-force search.
+A solve sweeps M in one of two forms, each able to sweep a value vector
+and to mix in the player's own strategy.  Without an exact additive
+decomposition, M is held dense and row-shifted, K = e^{ln M - rowmax} <= 1,
+and a sweep is ln(K e^{v - max v}) + rowmax + max v.  With one (P = p1 +
+p2 and c_i = c_i1 + c_i2 bit for bit), M is never formed: the solve keeps
+only the opponent's mixed side (sigma, T, R) and sweeps
+
+    sum_y M(x,k,y) e^{v(y)} = e^{theta*c_own(x,k) + sigma(x)}
+                              (T(x) (p_own e^v)(x,k) + (R e^v)(x)),
+
+one product with the player's own part p1 or p2 and one X*Y product.  In
+both forms every factor is bounded, so large theta * cost products cannot
+overflow.  One relative value iteration loop serves both forms, single
+solves here and whole stacks of dense kernels in the brute-force search.
 """
 from __future__ import annotations
 
@@ -32,7 +42,13 @@ from .game_model import (
     check_strategy,
     require_solvable,
 )
-from .transforms import log_twisted_tensor, normalized_kernel, relative_entropy, twisted_measure
+from .transforms import (
+    _mixed_side,
+    log_twisted_tensor,
+    normalized_kernel,
+    relative_entropy,
+    twisted_measure,
+)
 
 #: default stopping tolerance on span(v_{k+1} - v_k)
 DEFAULT_TOL = 1e-12
@@ -60,10 +76,13 @@ class SolveResult:
     among ties), residual the final span of successive differences, and
     iterations the number of operator applications.  action_values [x, k]
     is the final sweep at v, so (Tv)(x) is its row minimum, and kernel is
-    the row-shifted pair (K, shift) the sweeps ran on: the opponent-mixed
-    kernel M = e^{shift} K, kept so callers can mix in the player's own
-    strategy without rebuilding it.  From :func:`relative_value_iteration`
-    on a stack of kernels, every array carries the stack's leading axes.
+    the opponent-mixed kernel M the sweeps ran on, in the form they used:
+    dense and row-shifted on the table route, or the opponent's mixed side
+    alone on an exact decomposition, where M is never formed.  It is kept
+    so callers can mix in the player's own strategy without rebuilding the
+    opponent's (``kernel.mix_own(rows)`` gives ln Q [x, y]).  From
+    :func:`relative_value_iteration` on a stack of kernels, every array
+    carries the stack's leading axes.
     """
 
     rho: float
@@ -72,7 +91,7 @@ class SolveResult:
     residual: float
     iterations: int
     action_values: np.ndarray
-    kernel: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    kernel: _DenseKernel | _SplitKernel = field(repr=False)
     converged: bool = True
 
     def tied_actions(self) -> list[np.ndarray]:
@@ -88,20 +107,45 @@ def span(v) -> float:
     return float(v.max() - v.min())
 
 
-def _log_mixed_kernel(
-    instance: GameInstance, player: int, opponent: StationaryStrategy
-) -> np.ndarray:
-    """ln M[x, own action, y]: twisted kernel with the opponent mixed in."""
-    if player not in (1, 2):
-        raise ValueError(f"player must be 1 or 2, got {player!r}")
-    rows = check_strategy(instance, opponent, 3 - player)
-    if player == 1:
-        return log_twisted_tensor(instance, 1, psi=rows)
-    return log_twisted_tensor(instance, 2, phi=rows)
+@dataclass(frozen=True, eq=False)
+class _DenseKernel:
+    """M = e^{shift} K held whole, K [..., x, k, y] <= 1 and shift [..., x, k].
+
+    The table route's form, and the form of every stack of kernels.  player
+    is the player whose own action k indexes, when a solve built it.
+    """
+
+    kernel: np.ndarray
+    shift: np.ndarray
+    player: int | None = None
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.kernel.shape
+
+    def sweep(self, v: np.ndarray) -> np.ndarray:
+        """Action values ln sum_y e^{s} K(x, k, y) e^{v(y)}, [..., x, k].
+
+        v [..., y] broadcasts against the kernel's leading axes.
+        """
+        top = v.max(axis=-1)
+        sums = np.einsum("...xky,...y->...xk", self.kernel, np.exp(v - top[..., None]))
+        return np.log(sums) + self.shift + top[..., None, None]
+
+    def mix_own(self, rows: np.ndarray) -> np.ndarray:
+        """ln Q(x, y) = ln sum_k rows(k|x) e^{shift(x, k)} K(x, k, y), by one product per state.
+
+        The weights ln rows + shift are shifted by their maximum over k, so
+        nothing overflows.
+        """
+        with np.errstate(divide="ignore"):
+            w = np.log(rows) + self.shift
+        top = w.max(axis=1, keepdims=True)
+        return np.log(np.matmul(np.exp(w - top)[:, None, :], self.kernel)[:, 0, :]) + top
 
 
-def _shifted(log_kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(K, s) with e^{log_kernel} = e^s K, s the row max and K <= 1.
+def _shifted(log_kernel: np.ndarray, player: int | None = None) -> _DenseKernel:
+    """M = e^{log_kernel} as e^s K, s the row max and K <= 1.
 
     A row of e^{log_kernel} is a combination sum_t w_t P_t of transition
     rows with weights w_t > 0, so it lies between W min P and W (W = sum_t
@@ -111,17 +155,87 @@ def _shifted(log_kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     shift = log_kernel.max(axis=-1)
     kernel = log_kernel - shift[..., None]
-    return np.exp(kernel, out=kernel), shift
+    return _DenseKernel(np.exp(kernel, out=kernel), shift, player)
 
 
-def _sweep(kernel: np.ndarray, shift: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Action values ln sum_y e^{s} K(x, k, y) e^{v(y)}, [..., x, k].
+@dataclass(frozen=True, eq=False)
+class _SplitKernel:
+    """M on an exact decomposition, never formed: the opponent's mixed side alone.
 
-    v [..., y] broadcasts against the kernel's leading axes.
+    For player 1 against psi, with (sigma, T, R) player 2's side mixed by
+    psi (:func:`transforms._mixed_side`),
+
+        M(x, a, y) = e^{theta*c_11(x,a) + sigma(x)} (T(x) p1(x, a, y) + R(x, y))
+                   = e^{shift(x, a)} (p1(x, a, y) + r(x, y)),
+
+    shift = theta*c_11 + sigma + ln T and r = R / T; player 2 mirrors it
+    with p2 and player 1's side mixed by phi.  The sweeps read p1 as p_t
+    [y, x*a] and r as r_t [y, x], transposed views for one product each.
+    opponent holds the rows that side was mixed with, so the doubly mixed
+    kernel can be built from them.
     """
-    top = v.max(axis=-1)
-    sums = np.einsum("...xky,...y->...xk", kernel, np.exp(v - top[..., None]))
-    return np.log(sums) + shift + top[..., None, None]
+
+    instance: GameInstance
+    player: int
+    opponent: np.ndarray
+    shift: np.ndarray
+    p_t: np.ndarray
+    r_t: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (*self.shift.shape, self.p_t.shape[0])
+
+    def sweep(self, v: np.ndarray) -> np.ndarray:
+        """Action values ln((p_own u)(x, k) + (r u)(x)) + shift + max v, [..., x, k].
+
+        u = e^{v - max v} <= 1 and v [..., y] may carry leading axes.  The
+        sum holds p_own + r >= min P / T at the argmax of v, so it stays a
+        normal float as in the dense form.
+        """
+        top = v.max(axis=-1, keepdims=True)
+        u = np.exp(v - top)
+        sums = (u @ self.p_t).reshape(u.shape[:-1] + self.shift.shape)
+        sums += (u @ self.r_t)[..., None]
+        np.log(sums, out=sums)
+        sums += self.shift
+        sums += top[..., None]
+        return sums
+
+    def mix_own(self, rows: np.ndarray) -> np.ndarray:
+        """ln Q [x, y]: the doubly mixed kernel of rows against the opponent's rows.
+
+        Built by :func:`log_twisted_tensor` with both strategies, so it is
+        the kernel :func:`spectral.twisted_matrix` gives for the same pair.
+        """
+        phi, psi = (rows, self.opponent) if self.player == 1 else (self.opponent, rows)
+        return log_twisted_tensor(self.instance, self.player, phi, psi)
+
+
+def _solve_kernel(
+    instance: GameInstance, player: int, opponent: StationaryStrategy
+) -> _DenseKernel | _SplitKernel:
+    """The player's twisted kernel with the opponent mixed in, in the form a solve sweeps.
+
+    Split when the instance's additive decomposition is exact, else dense
+    from ln M[x, own action, y].
+    """
+    if player not in (1, 2):
+        raise ValueError(f"player must be 1 or 2, got {player!r}")
+    rows = check_strategy(instance, opponent, 3 - player)
+    split = instance._exact_arat
+    if split is None:
+        mixed = {"psi": rows} if player == 1 else {"phi": rows}
+        return _shifted(log_twisted_tensor(instance, player, **mixed), player)
+    if player == 1:
+        c_own, p_own, c_opp, p_opp = split.c11, split.p1, split.c12, split.p2
+    else:
+        c_own, p_own, c_opp, p_opp = split.c22, split.p2, split.c21, split.p1
+    with np.errstate(divide="ignore"):
+        sigma, t, r = _mixed_side(instance.theta * c_opp, p_opp, rows)
+    shift = instance.theta * c_own + (sigma + np.log(t))[:, None]
+    p_t = p_own.reshape(-1, p_own.shape[-1]).T
+    return _SplitKernel(instance, player, rows, shift, p_t, (r / t[:, None]).T)
 
 
 def action_values(
@@ -134,8 +248,7 @@ def action_values(
 
     Entry (x, k) is ln sum_y M(x,k,y) e^{v(y)}; (Tv)(x) is its row minimum.
     """
-    kernel, shift = _shifted(_log_mixed_kernel(instance, player, opponent_strategy))
-    return _sweep(kernel, shift, np.asarray(v, dtype=float))
+    return _solve_kernel(instance, player, opponent_strategy).sweep(np.asarray(v, dtype=float))
 
 
 def apply_T(
@@ -202,13 +315,19 @@ def relative_value_iteration(
     span stops shrinking it only has to be below max(tol, 4 eps max|Tv|),
     so values near theta*c = 1e6 converge as values near 1 do.
     """
-    kernel, shift = _shifted(log_kernel)
-    v = np.zeros(log_kernel.shape[:-2])
+    return _relative_value_iteration(_shifted(log_kernel), anchor, tol, max_iter)
+
+
+def _relative_value_iteration(
+    kernel: _DenseKernel | _SplitKernel, anchor: int, tol: float, max_iter: int
+) -> SolveResult:
+    """:func:`relative_value_iteration` on a kernel in either form."""
+    v = np.zeros(kernel.shape[:-2])
     residual = np.inf
     converged = False
     iterations = 0
     for iterations in range(1, int(max_iter) + 1):
-        tv = _sweep(kernel, shift, v).min(axis=-1)
+        tv = kernel.sweep(v).min(axis=-1)
         v_next = tv - tv[..., anchor, None]
         diff = v_next - v
         previous, residual = residual, float((diff.max(axis=-1) - diff.min(axis=-1)).max())
@@ -220,7 +339,7 @@ def relative_value_iteration(
         ):
             converged = True
             break
-    vals = _sweep(kernel, shift, v)
+    vals = kernel.sweep(v)
     return SolveResult(
         rho=vals.min(axis=-1)[..., anchor],
         v=v,
@@ -229,7 +348,7 @@ def relative_value_iteration(
         iterations=iterations,
         converged=converged,
         action_values=vals,
-        kernel=(kernel, shift),
+        kernel=kernel,
     )
 
 
@@ -246,7 +365,9 @@ def solve_optimality(
     < tol, or until it stalls below the rounding floor of
     :func:`relative_value_iteration`, then reads rho, a minimizing
     selector and the action values off a final operator application; the
-    result keeps the kernel it swept.  At the fixed point
+    result keeps the kernel it swept.  On an exact additive decomposition
+    the sweeps run on the opponent's mixed side and M is never formed (see
+    the module docstring).  At the fixed point
     rho + v = Tv, rho is the player's optimal ergodic value against the
     fixed opponent, and every stationary strategy supported on per-state
     argmins attains it.
@@ -262,8 +383,8 @@ def solve_optimality(
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
     require_solvable(instance)
-    ln_m = _log_mixed_kernel(instance, player, opponent_strategy)
-    result = relative_value_iteration(ln_m, instance.anchor_state, tol, max_iter)
+    kernel = _solve_kernel(instance, player, opponent_strategy)
+    result = _relative_value_iteration(kernel, instance.anchor_state, tol, max_iter)
     return replace(result, rho=float(result.rho))
 
 
@@ -289,11 +410,11 @@ def measured_contraction(
         raise ValueError("span_cap must be > 0")
     if instance.n_states == 1:
         return 0.0  # every Tv is a scalar; the ratio is identically zero
-    kernel, shift = _shifted(_log_mixed_kernel(instance, player, opponent_strategy))
+    kernel = _solve_kernel(instance, player, opponent_strategy)
     rng = np.random.default_rng(seed)
 
     def batch_tv(vs: np.ndarray) -> np.ndarray:
-        return _sweep(kernel, shift, vs).min(axis=-1)
+        return kernel.sweep(vs).min(axis=-1)
 
     worst = 0.0
     remaining = int(n_pairs)

@@ -7,9 +7,11 @@ opponent-fixed Bellman solver, the pair's values J_i are log Perron roots,
 and the gaps are their differences.  Each player's solve builds one
 opponent-mixed kernel, and J_i is read from that same kernel with the
 player's own strategy mixed in, so a certificate reads the transition table
-once per player.  Certificates are sound regardless of how a candidate pair
-was produced, and verify_certificate recomputes every value independently,
-from doubly mixed kernels of its own.
+once per player.  On an exact additive decomposition the solve sweeps only
+the opponent's mixed side, and J_i is the root of the doubly mixed kernel,
+the value verify_certificate recomputes.  Certificates are sound regardless
+of how a candidate pair was produced, and verify_certificate recomputes
+every value independently, from doubly mixed kernels of its own.
 
 Candidates come from two searchers.  best_response_dynamics runs damped
 alternating best responses, smoothed through an annealed logit map to avoid

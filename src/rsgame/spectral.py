@@ -21,17 +21,23 @@ product runs in log space on the row-shifted matrix K = e^{ln Q - rowmax}
 The power sweep is kept apart from the Bellman solvers' value iteration, so
 the oracle stays an independent check on them.  ergodic_cost can instead
 take Q from a solve's opponent-mixed kernel, mixing in only the player's own
-strategy: that saves a pass over the transition table when the kernel is at
-hand, at the price of that independence.
+strategy.  On the table route that saves a pass over the transition table
+when the kernel is at hand, at the price of that independence.  On an exact
+additive decomposition the solve never formed its kernel, and Q is the
+doubly mixed kernel of both strategies, the same one twisted_matrix builds.
 """
 from __future__ import annotations
 
 from itertools import islice
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .game_model import GameInstance, StationaryStrategy, check_strategy
 from .transforms import log_twisted_tensor
+
+if TYPE_CHECKING:
+    from .bellman import _DenseKernel, _SplitKernel
 
 DEFAULT_TOL = 1e-12
 MAX_POWER_STEPS = 100_000
@@ -107,24 +113,12 @@ def perron_value(
     raise RuntimeError(f"power iteration did not converge in {MAX_POWER_STEPS} steps")
 
 
-def _own_mixed(kernel: np.ndarray, shift: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """ln Q(x, y) = ln sum_k rows(k|x) e^{shift(x, k)} K(x, k, y), by one product per state.
-
-    The weights ln rows + shift are shifted by their maximum over k, so
-    nothing overflows.
-    """
-    with np.errstate(divide="ignore"):
-        w = np.log(rows) + shift
-    top = w.max(axis=1, keepdims=True)
-    return np.log(np.matmul(np.exp(w - top)[:, None, :], kernel)[:, 0, :]) + top
-
-
 def ergodic_cost(
     instance: GameInstance,
     player: int,
     Phi: StationaryStrategy,
     Psi: StationaryStrategy,
-    kernel: tuple[np.ndarray, np.ndarray] | None = None,
+    kernel: _DenseKernel | _SplitKernel | None = None,
 ) -> float:
     """Risk-sensitive ergodic value of a frozen pair: ln spectral radius of Q.
 
@@ -132,23 +126,29 @@ def ergodic_cost(
     the start state for strictly positive transition laws.
 
     Q is twisted_matrix(instance, player, Phi, Psi), unless kernel is given:
-    the row-shifted pair (K, shift) of the player's twisted kernel with the
-    other strategy already mixed in, M = e^{shift} K indexed [x, own action,
-    y], as ``SolveResult.kernel`` holds it after a solve against that
-    strategy.  Q is then M with the player's own strategy mixed in, the
-    transition table is not read, and the result agrees with the default to
-    a few ulps of max(1, |value|).
+    ``SolveResult.kernel`` after the player's solve against the other
+    strategy, the player's twisted kernel M [x, own action, y] with that
+    strategy already mixed in.  Q is then M with the player's own strategy
+    mixed in.  On the table route the transition table is not read, and
+    the result agrees with the default to a few ulps of max(1, |value|).
+    On an exact additive decomposition the solve never formed M, and Q is
+    the doubly mixed kernel built from both strategies' rows, so the
+    result equals the default exactly.
+
+    Raises:
+        ValueError: if the kernel was swept for the other player or does
+            not fit the player's actions.
     """
     if kernel is None:
         log_q = twisted_matrix(instance, player, Phi, Psi)
     else:
         own = check_strategy(instance, Phi if player == 1 else Psi, player)
-        k, shift = kernel
-        if k.shape != (*own.shape, instance.n_states) or shift.shape != own.shape:
+        if kernel.player != player or kernel.shape != (*own.shape, instance.n_states):
             raise ValueError(
-                f"kernel {k.shape} does not match player {player}'s actions {own.shape}"
+                f"kernel {kernel.shape} of player {kernel.player} does not match "
+                f"player {player}'s actions {own.shape}"
             )
-        log_q = _own_mixed(k, shift, own)
+        log_q = kernel.mix_own(own)
     ln_r, _ = perron_value(log_q, instance.anchor_state)
     return ln_r
 

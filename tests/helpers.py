@@ -7,6 +7,7 @@ import struct
 from pathlib import Path
 
 import numpy as np
+from numpy.testing import assert_array_equal
 
 import rsgame as rs
 from rsgame.game_model import dumps_decimal
@@ -28,6 +29,15 @@ def corpus_instance(seed: int, arat: bool = False, dims=None) -> rs.GameInstance
     return rs.random_instance(seed, dims=dims, min_prob=0.02, arat_flag=arat)
 
 
+def lifted_arat_instance(seed: int, dims, theta: float) -> rs.GameInstance:
+    """An exact-split instance whose theta * cost reaches ~800 for any theta."""
+    base = rs.random_instance(seed, dims=dims, min_prob=1e-3, arat_flag=True)
+    a = base.arat
+    lift = 800.0 / theta  # each component is below 0.5, each cost below 1
+    arat = rs.AratStructure(a.p1, a.p2, a.c11 * lift, a.c21 * lift, a.c12 * lift, a.c22 * lift)
+    return rs.assemble_from_arat(arat, theta=theta)
+
+
 def random_pair(instance: rs.GameInstance, rng: np.random.Generator):
     phi = rs.StationaryStrategy(
         1, rng.dirichlet(np.ones(instance.n_actions_a), size=instance.n_states)
@@ -36,6 +46,15 @@ def random_pair(instance: rs.GameInstance, rng: np.random.Generator):
         2, rng.dirichlet(np.ones(instance.n_actions_b), size=instance.n_states)
     )
     return phi, psi
+
+
+def assert_within_ulps(got: np.ndarray, want: np.ndarray, ulps: float) -> None:
+    assert got.shape == want.shape
+    assert_array_equal(np.isneginf(got), np.isneginf(want))
+    on = np.isfinite(want)
+    assert np.all(np.isfinite(got[on]))
+    bound = ulps * np.finfo(float).eps * np.maximum(1.0, np.abs(want[on]))
+    assert np.all(np.abs(got[on] - want[on]) <= bound)
 
 
 def enumerate_delta(instance: rs.GameInstance) -> float:

@@ -127,16 +127,26 @@ def test_relabelling_states_and_actions_leaves_every_value_unchanged(
     seed=st.integers(0, 10_000),
     dims=st.tuples(st.integers(2, 5), st.integers(1, 3), st.integers(1, 3)),
     log_theta=st.floats(-3.0, 3.0),
+    arat_flag=st.booleans(),
 )
-def test_certificate_values_match_the_spectral_oracle(seed, dims, log_theta):
+def test_certificate_values_match_the_spectral_oracle(seed, dims, log_theta, arat_flag):
     """J_i from the solve's own kernel is the doubly mixed kernel's log Perron root.
 
-    The two sum the same terms in a different order, so they agree to the
-    rounding of values near max(1, |J|), for theta from 1e-3 to 1e3.
+    On the table route the two sum the same terms in a different order, so
+    they agree to the rounding of values near max(1, |J|), for theta from
+    1e-3 to 1e3.  On an exact decomposition the solve never formed its
+    kernel, J_i comes from the doubly mixed kernel itself, and the two are
+    equal.
     """
-    inst = rs.random_instance(seed, dims=dims, min_prob=0.02, theta=10.0 ** log_theta)
+    inst = rs.random_instance(
+        seed, dims=dims, min_prob=0.02, theta=10.0 ** log_theta, arat_flag=arat_flag
+    )
+    assert (inst._exact_arat is not None) == arat_flag
     phi, psi = random_pair(inst, np.random.default_rng(seed))
     cert = rs.epsilon_gap(inst, phi, psi)
     for j, player in ((cert.J1, 1), (cert.J2, 2)):
         oracle = rs.ergodic_cost(inst, player, phi, psi)
-        assert abs(j - oracle) <= 8 * np.spacing(max(1.0, abs(oracle))), (player, j, oracle)
+        if arat_flag:
+            assert j == oracle, (player, j, oracle)
+        else:
+            assert abs(j - oracle) <= 8 * np.spacing(max(1.0, abs(oracle))), (player, j, oracle)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -185,21 +186,30 @@ class TestErgodicCost:
 
     def test_solve_kernel_gives_the_same_value(self):
         rng = np.random.default_rng(31)
-        for seed in range(6):
-            inst = corpus_instance(seed)
-            phi, psi = random_pair(inst, rng)
-            for player, opponent in ((1, psi), (2, phi)):
-                kernel = rs.solve_optimality(inst, player, opponent).kernel
-                fresh = rs.ergodic_cost(inst, player, phi, psi)
-                shared = rs.ergodic_cost(inst, player, phi, psi, kernel=kernel)
-                assert abs(shared - fresh) <= 8 * np.spacing(max(1.0, abs(fresh)))
+        # the table route, then the split route of an exact decomposition
+        for arat in (False, True):
+            for seed in range(6):
+                inst = corpus_instance(seed, arat=arat)
+                assert (inst._exact_arat is not None) == arat
+                phi, psi = random_pair(inst, rng)
+                for player, opponent in ((1, psi), (2, phi)):
+                    kernel = rs.solve_optimality(inst, player, opponent).kernel
+                    fresh = rs.ergodic_cost(inst, player, phi, psi)
+                    shared = rs.ergodic_cost(inst, player, phi, psi, kernel=kernel)
+                    assert abs(shared - fresh) <= 8 * np.spacing(max(1.0, abs(fresh)))
+                    if arat:  # both are the doubly mixed kernel's root
+                        assert shared == fresh
 
     def test_kernel_of_the_other_player_is_rejected(self):
-        inst = corpus_instance(0, dims=(3, 2, 3))
-        phi, psi = rs.uniform_strategy(inst, 1), rs.uniform_strategy(inst, 2)
-        kernel = rs.solve_optimality(inst, 2, phi).kernel  # [x, b, y]
-        with pytest.raises(ValueError, match="kernel"):
-            rs.ergodic_cost(inst, 1, phi, psi, kernel=kernel)
+        # on both routes, and with square action counts, where only the
+        # player the kernel was swept for tells the two apart
+        for arat, dims in itertools.product((False, True), ((3, 2, 3), (3, 2, 2))):
+            inst = corpus_instance(0, arat=arat, dims=dims)
+            assert (inst._exact_arat is not None) == arat
+            phi, psi = rs.uniform_strategy(inst, 1), rs.uniform_strategy(inst, 2)
+            kernel = rs.solve_optimality(inst, 2, phi).kernel  # [x, b, y]
+            with pytest.raises(ValueError, match="kernel"):
+                rs.ergodic_cost(inst, 1, phi, psi, kernel=kernel)
 
     def test_grows_with_risk_parameter(self, g2, g2_uniform):
         phi, psi = g2_uniform

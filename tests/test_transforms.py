@@ -20,9 +20,11 @@ from rsgame.transforms import log_twisted_tensor
 
 from helpers import (
     all_rows_normalized_kernel,
+    assert_within_ulps,
     corpus_instance,
     einsum_log_twisted,
     frozen_pair_instance,
+    lifted_arat_instance,
     mix_transition,
     random_pair,
 )
@@ -194,15 +196,6 @@ def table_core(inst: rs.GameInstance, player: int, phi=None, psi=None) -> np.nda
     return transforms._log_twisted(inst.theta * inst.cost(player), inst.transition, phi, psi)
 
 
-def lifted_arat_instance(seed: int, dims, theta: float) -> rs.GameInstance:
-    """An exact-split instance whose theta * cost reaches ~800 for any theta."""
-    base = rs.random_instance(seed, dims=dims, min_prob=1e-3, arat_flag=True)
-    a = base.arat
-    lift = 800.0 / theta  # each component is below 0.5, each cost below 1
-    arat = rs.AratStructure(a.p1, a.p2, a.c11 * lift, a.c21 * lift, a.c12 * lift, a.c22 * lift)
-    return rs.assemble_from_arat(arat, theta=theta)
-
-
 def sparse_rows(rng: np.random.Generator, shape) -> np.ndarray:
     """Dirichlet strategy rows with about a third of the weights set to zero."""
     rows = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
@@ -222,15 +215,6 @@ def split_mixes(rng: np.random.Generator, inst: rs.GameInstance) -> list:
         (sparse_rows(rng, (2, nx, na)), None),  # ... and against Phi maps
         (sparse_rows(rng, (2, 1, nx, na)), sparse_rows(rng, (1, 3, nx, nb))),  # point tables
     ]
-
-
-def assert_within_ulps(got: np.ndarray, want: np.ndarray, ulps: float) -> None:
-    assert got.shape == want.shape
-    assert_array_equal(np.isneginf(got), np.isneginf(want))
-    on = np.isfinite(want)
-    assert np.all(np.isfinite(got[on]))
-    bound = ulps * np.finfo(float).eps * np.maximum(1.0, np.abs(want[on]))
-    assert np.all(np.abs(got[on] - want[on]) <= bound)
 
 
 class TestSplitRoute:

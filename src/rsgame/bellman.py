@@ -16,19 +16,24 @@ successive differences, yielding the optimal ergodic value rho and the
 relative value function v with v(anchor) = 0.
 
 A solve sweeps M in one of two forms, each able to sweep a value vector
-and to mix in the player's own strategy.  Without an exact additive
-decomposition, M is held dense and row-shifted, K = e^{ln M - rowmax} <= 1,
-and a sweep is ln(K e^{v - max v}) + rowmax + max v.  With one (P = p1 +
-p2 and c_i = c_i1 + c_i2 bit for bit), M is never formed: the solve keeps
-only the opponent's mixed side (sigma, T, R) and sweeps
+and to mix in the player's own strategy.  Both take their pieces from
+transforms, the one place the twisted kernel is built; this module never
+reads the decomposition or scales a cost by theta.  Without an exact
+additive decomposition, ln M comes from log_twisted_tensor and M is held
+dense and row-shifted, K = e^{ln M - rowmax} <= 1, and a sweep is
+ln(K e^{v - max v}) + rowmax + max v.  With one (P = p1 + p2 and
+c_i = c_i1 + c_i2 bit for bit), M is never formed: the solve keeps only
+the opponent's mixed side (sigma, T, R) and the player's own log weights
+and part, (w_own, p_own), as transforms._split_side returns them, and
+sweeps
 
-    sum_y M(x,k,y) e^{v(y)} = e^{theta*c_own(x,k) + sigma(x)}
+    sum_y M(x,k,y) e^{v(y)} = e^{w_own(x,k) + sigma(x)}
                               (T(x) (p_own e^v)(x,k) + (R e^v)(x)),
 
-one product with the player's own part p1 or p2 and one X*Y product.  In
-both forms every factor is bounded, so large theta * cost products cannot
-overflow.  One relative value iteration loop serves both forms, single
-solves here and whole stacks of dense kernels in the brute-force search.
+one product with p_own (p1 or p2) and one X*Y product.  In both forms
+every factor is bounded, so large theta * cost products cannot overflow.
+One relative value iteration loop serves both forms, single solves here
+and whole stacks of dense kernels in the brute-force search.
 """
 from __future__ import annotations
 
@@ -44,6 +49,7 @@ from .game_model import (
 )
 from .transforms import (
     _mixed_side,
+    _split_side,
     log_twisted_tensor,
     normalized_kernel,
     relative_entropy,
@@ -135,13 +141,12 @@ class _DenseKernel:
     def mix_own(self, rows: np.ndarray) -> np.ndarray:
         """ln Q(x, y) = ln sum_k rows(k|x) e^{shift(x, k)} K(x, k, y), by one product per state.
 
-        The weights ln rows + shift are shifted by their maximum over k, so
-        nothing overflows.
+        Mixed by :func:`transforms._mixed_side`, which shifts the weights
+        ln rows + shift by their maximum over k, so nothing overflows.
         """
         with np.errstate(divide="ignore"):
-            w = np.log(rows) + self.shift
-        top = w.max(axis=1, keepdims=True)
-        return np.log(np.matmul(np.exp(w - top)[:, None, :], self.kernel)[:, 0, :]) + top
+            sigma, _, mixed = _mixed_side(self.shift, self.kernel, rows)
+        return np.log(mixed) + sigma[:, None]
 
 
 def _shifted(log_kernel: np.ndarray, player: int | None = None) -> _DenseKernel:
@@ -162,15 +167,15 @@ def _shifted(log_kernel: np.ndarray, player: int | None = None) -> _DenseKernel:
 class _SplitKernel:
     """M on an exact decomposition, never formed: the opponent's mixed side alone.
 
-    For player 1 against psi, with (sigma, T, R) player 2's side mixed by
-    psi (:func:`transforms._mixed_side`),
+    With (w_own, p_own, sigma, T, R) from :func:`transforms._split_side`,
+    the opponent's strategy mixed into its side (for player 1, w_own =
+    theta*c_11 and p_own = p1; player 2 mirrors it with c_22 and p2),
 
-        M(x, a, y) = e^{theta*c_11(x,a) + sigma(x)} (T(x) p1(x, a, y) + R(x, y))
-                   = e^{shift(x, a)} (p1(x, a, y) + r(x, y)),
+        M(x, k, y) = e^{w_own(x,k) + sigma(x)} (T(x) p_own(x, k, y) + R(x, y))
+                   = e^{shift(x, k)} (p_own(x, k, y) + r(x, y)),
 
-    shift = theta*c_11 + sigma + ln T and r = R / T; player 2 mirrors it
-    with p2 and player 1's side mixed by phi.  The sweeps read p1 as p_t
-    [y, x*a] and r as r_t [y, x], transposed views for one product each.
+    shift = w_own + sigma + ln T and r = R / T.  The sweeps read p_own as
+    p_t [y, x*k] and r as r_t [y, x], transposed views for one product each.
     opponent holds the rows that side was mixed with, so the doubly mixed
     kernel can be built from them.
     """
@@ -223,17 +228,12 @@ def _solve_kernel(
     if player not in (1, 2):
         raise ValueError(f"player must be 1 or 2, got {player!r}")
     rows = check_strategy(instance, opponent, 3 - player)
-    split = instance._exact_arat
-    if split is None:
-        mixed = {"psi": rows} if player == 1 else {"phi": rows}
+    mixed = {"psi": rows} if player == 1 else {"phi": rows}
+    if instance._exact_arat is None:
         return _shifted(log_twisted_tensor(instance, player, **mixed), player)
-    if player == 1:
-        c_own, p_own, c_opp, p_opp = split.c11, split.p1, split.c12, split.p2
-    else:
-        c_own, p_own, c_opp, p_opp = split.c22, split.p2, split.c21, split.p1
     with np.errstate(divide="ignore"):
-        sigma, t, r = _mixed_side(instance.theta * c_opp, p_opp, rows)
-    shift = instance.theta * c_own + (sigma + np.log(t))[:, None]
+        w_own, p_own, sigma, t, r = _split_side(instance, player, slice(None), **mixed)
+    shift = w_own + (sigma + np.log(t))[:, None]
     p_t = p_own.reshape(-1, p_own.shape[-1]).T
     return _SplitKernel(instance, player, rows, shift, p_t, (r / t[:, None]).T)
 
@@ -380,8 +380,8 @@ def solve_optimality(
     Raises:
         AssumptionError: if the instance has nonpositive transition entries.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+    if not 0.0 < tol < np.inf:  # also rejects nan
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     require_solvable(instance)
     kernel = _solve_kernel(instance, player, opponent_strategy)
     result = _relative_value_iteration(kernel, instance.anchor_state, tol, max_iter)
@@ -406,8 +406,8 @@ def measured_contraction(
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    if span_cap <= 0.0:
-        raise ValueError("span_cap must be > 0")
+    if not 0.0 < span_cap < np.inf:
+        raise ValueError(f"span_cap must be finite and > 0, got {span_cap!r}")
     if instance.n_states == 1:
         return 0.0  # every Tv is a scalar; the ratio is identically zero
     kernel = _solve_kernel(instance, player, opponent_strategy)

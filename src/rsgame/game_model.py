@@ -637,6 +637,8 @@ def random_instance(
         raise ValueError(f"min_prob must be > 0, got {min_prob!r}")
     if min_prob * nx >= 1.0:
         raise ValueError(f"min_prob {min_prob} infeasible: {min_prob} * {nx} >= 1")
+    if not 0.0 <= c_bar < math.inf:  # also rejects nan
+        raise ValueError(f"c_bar must be finite and >= 0, got {c_bar!r}")
     rng = default_rng(seed)
     if not arat_flag:
         dir_rows = rng.dirichlet(np.ones(nx), size=(nx, na, nb))

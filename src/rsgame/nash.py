@@ -241,8 +241,8 @@ def best_response_dynamics(
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must be in (0, 1], got {beta!r}")
-    if eps_target <= 0.0:
-        raise ValueError(f"eps_target must be > 0, got {eps_target!r}")
+    if not 0.0 < eps_target < np.inf:  # also rejects nan
+        raise ValueError(f"eps_target must be finite and > 0, got {eps_target!r}")
     if tau_schedule is not None:
         tau, tau_min, decay = tau_schedule
         if not (tau > 0.0 and tau_min > 0.0 and 0.0 < decay < 1.0):
@@ -475,6 +475,10 @@ def brute_force_nash(
     kernels, so large theta * cost cannot overflow; pairs are evaluated in
     chunks of at most CHUNK_PAIRS to bound memory.
     """
+    if not 0.0 < tol < np.inf:  # also rejects nan
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    if not 0.0 <= eps < np.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
     require_solvable(instance)
     points_a = _simplex_grid(instance.n_actions_a, grid_step)
     points_b = _simplex_grid(instance.n_actions_b, grid_step)

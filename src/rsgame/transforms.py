@@ -4,15 +4,17 @@ Everything downstream of the raw model works with the twisted kernel
 e^{theta*c_i(x,a,b)} * P(y|x,a,b), mixed over the players' strategies, and
 with its normalization: the log-normalizer c^_i(x, phi, psi) (the log of
 the normalizing constant c~_i) and the normalized probability kernel P^_i.
-:func:`log_twisted_tensor` is the one place where theta * cost meets the
-transition law.  It works in log space with the weights shifted by their
-maximum, so large theta * cost never overflows, and mixes the strategies
-in with one matrix product over the mixed action axes, read straight from
-the transition table without copying it, or, when the instance's additive
-decomposition reproduces its tables exactly, from the per-player parts p1
-and p2 of that decomposition.  This module also provides
-the twisted next-state measure that attains the entropy dual and relative
-entropy itself.
+This module is the one place where theta * cost meets the transition law.
+:func:`log_twisted_tensor` builds the kernel, and the Bellman solver's
+structured form on an exact additive decomposition comes from the same
+split builder, :func:`_split_side`.  Every strategy is mixed in by one
+primitive, :func:`_mixed_side`: in log space, with the weights shifted by
+their maximum so large theta * cost never overflows, and with one matrix
+product over the mixed action axes, read straight from the transition
+table without copying it or, when the instance's additive decomposition
+reproduces its tables exactly, from the per-player parts p1 and p2 of that
+decomposition.  This module also provides the twisted next-state measure
+that attains the entropy dual and relative entropy itself.
 """
 from __future__ import annotations
 
@@ -55,7 +57,7 @@ def log_twisted_tensor(
       reproduces its tables bit for bit (decided once per instance):
       P = p1 + p2 and c_i = c_i1 + c_i2 let each mixed player's side be
       summed on its own, from p1 [x, a, y] or p2 [x, b, y], in
-      O(X*(A+B)*Y) instead of O(X*A*B*Y) (see :func:`_log_split`);
+      O(X*(A+B)*Y) instead of O(X*A*B*Y) (see :func:`_log_kernel`);
     - otherwise the table route: one matrix product per state (and per
       remaining action), in BLAS at memory speed, of the weights
       w = theta*c + ln phi + ln psi, with the mixed action axis or axes
@@ -66,37 +68,81 @@ def log_twisted_tensor(
 
 
 def _log_kernel(instance: GameInstance, player: int, rows: slice, phi, psi) -> np.ndarray:
-    """:func:`log_twisted_tensor` on the states ``rows``, which phi and psi already cover."""
+    """:func:`log_twisted_tensor` on the states ``rows``, which phi and psi already cover.
+
+    On the split route, with (w_kept, p_kept, sigma, T, R) from
+    :func:`_split_side` and, when both strategies are given, (sigma_a, T_a,
+    R_a) of phi mixed into the kept side:
+
+        one given: ln M = ln(T p_kept + R) + w_kept + sigma          [..., x, k, y]
+        both:      ln Q = ln(T R_a + T_a R) + sigma_a + sigma        [..., x, y]
+
+    Every beta is at most 1, so nothing overflows; an entry is -inf exactly
+    where the mixed transition vanishes.
+    """
     cost = instance.cost(player)
-    split = None if phi is None and psi is None else instance._exact_arat
-    if split is None:
+    if phi is None and psi is None or instance._exact_arat is None:
         return _log_twisted(instance.theta * cost[rows], instance.transition[rows], phi, psi)
+    with np.errstate(divide="ignore"):
+        w_kept, p_kept, sigma, t, r = _split_side(instance, player, rows, phi, psi)
+        if phi is not None and psi is not None:
+            sigma_a, t_a, r_a = _mixed_side(w_kept, p_kept, phi)
+            mixed = t[..., None] * r_a + t_a[..., None] * r
+            shift = (sigma_a + sigma)[..., None]
+        else:
+            mixed = t[..., None, None] * p_kept + r[..., None, :]
+            shift = (w_kept + sigma[..., None])[..., None]
+        np.log(mixed, out=mixed)
+    mixed += shift
+    return mixed
+
+
+def _split_side(instance: GameInstance, player: int, rows: slice, phi=None, psi=None) -> tuple:
+    """One strategy mixed into the player's exact decomposition: (w_kept, p_kept, sigma, T, R).
+
+    The table is e^{w_a + w_b} (p1 + p2), with w_a = theta*c_i1 [x, a] on
+    player 1's actions and w_b = theta*c_i2 [x, b] on player 2's.  psi, when
+    given, is mixed into player 2's side and player 1's side (w_a, p1) is
+    kept; otherwise phi is mixed into player 1's and (w_b, p2) is kept.
+    With (sigma, T, R) of the mixed side (:func:`_mixed_side`), the kernel
+    with that strategy mixed in is
+
+        M(x, k, y) = e^{w_kept(x, k) + sigma(x)} (T(x) p_kept(x, k, y) + R(x, y)),
+
+    all on the states ``rows``.  Called with divide warnings off.
+    """
+    split = instance._exact_arat
     c_a, c_b = (split.c11, split.c12) if player == 1 else (split.c21, split.c22)
-    return _log_split(
-        instance.theta * c_a[rows], split.p1[rows],
-        instance.theta * c_b[rows], split.p2[rows], phi, psi,
+    sides = [(c_a, split.p1), (c_b, split.p2)]
+    (c_kept, p_kept), (c_mixed, p_mixed) = sides if psi is not None else sides[::-1]
+    sigma, t, r = _mixed_side(
+        instance.theta * c_mixed[rows], p_mixed[rows], phi if psi is None else psi
     )
+    return instance.theta * c_kept[rows], p_kept[rows], sigma, t, r
 
 
 def _log_twisted(w: np.ndarray, t: np.ndarray, phi, psi) -> np.ndarray:
-    """The table route of :func:`log_twisted_tensor`: theta*c w [x, a, b], rows t [x, a, b, y]."""
+    """The table route of :func:`log_twisted_tensor`: theta*c w [x, a, b], rows t [x, a, b, y].
+
+    The mixed action axis (both, flattened, when both strategies are given)
+    goes last, and :func:`_mixed_side` mixes it: ln M = ln R + sigma.
+    """
     with np.errstate(divide="ignore"):
         if phi is None and psi is None:
             return w[..., None] + np.log(t)
         if phi is None:
-            w = w + np.log(psi)[..., None, :]
+            s = psi[..., None, :]
         elif psi is None:
-            w = w.swapaxes(-1, -2) + np.log(phi)[..., None, :]
-            t = t.swapaxes(1, 2)
+            w, t, s = w.swapaxes(-1, -2), t.swapaxes(1, 2), phi[..., None, :]
         else:
-            w = w + np.log(phi)[..., None] + np.log(psi)[..., None, :]
+            w = w + np.log(phi)[..., None]
             w = w.reshape(*w.shape[:-2], -1)
+            s = np.concatenate([psi] * phi.shape[-1], axis=-1)  # psi(b|x) at a*B + b
             t = t.reshape(t.shape[0], -1, t.shape[3])
-        shift = w.max(axis=-1, keepdims=True)
-        mixed = np.matmul(np.exp(w - shift)[..., None, :], t)[..., 0, :]
+        sigma, _, mixed = _mixed_side(w, t, s)
         np.log(mixed, out=mixed)
-        mixed += shift
-        return mixed
+    mixed += sigma[..., None]
+    return mixed
 
 
 def _mixed_side(w: np.ndarray, p: np.ndarray, s) -> tuple:
@@ -104,49 +150,16 @@ def _mixed_side(w: np.ndarray, p: np.ndarray, s) -> tuple:
 
     With g = w + ln s over strategy rows s [..., x, k], sigma = max_k g and
     beta = e^{g - sigma} <= 1: T = sum_k beta [..., x] and
-    R = sum_k beta_k p [..., x, y], one matrix product per state.  Called
-    with divide warnings off, for the ln 0 of a zero strategy weight.
+    R = sum_k beta_k p [..., x, y], one matrix product per state.  w and p
+    may carry an unmixed action axis after x, as on the table route.  This is
+    the one place a strategy is mixed into a kernel.  Called with divide
+    warnings off, for the ln 0 of a zero strategy weight.
     """
     g = w + np.log(s)
     sigma = np.maximum.reduce(g, axis=-1)
     g -= sigma[..., None]
     beta = np.exp(g, out=g)
     return sigma, np.add.reduce(beta, axis=-1), np.matmul(beta[..., None, :], p)[..., 0, :]
-
-
-def _log_split(wa, pa, wb, pb, phi, psi) -> np.ndarray:
-    """The split route of :func:`log_twisted_tensor`, from an exact decomposition.
-
-    wa = theta*c_i1 [x, a] and pa = p1 [x, a, y] belong to player 1's
-    actions, wb = theta*c_i2 [x, b] and pb = p2 [x, b, y] to player 2's, so
-    the table would be e^{wa + wb} (pa + pb).  With (sigma, T, R) of each
-    mixed side (:func:`_mixed_side`):
-
-        psi only: ln M = wa + sigma_b + ln(T_b pa + R_b)        [..., x, a, y]
-        phi only: ln M = wb + sigma_a + ln(T_a pb + R_a)        [..., x, b, y]
-        both:     ln Q = sigma_a + sigma_b + ln(T_b R_a + T_a R_b)   [..., x, y]
-
-    Every beta is at most 1, so nothing overflows; an entry is -inf exactly
-    where the mixed transition vanishes.
-    """
-    with np.errstate(divide="ignore"):
-        if phi is not None and psi is not None:
-            sigma_a, t_a, r_a = _mixed_side(wa, pa, phi)
-            sigma_b, t_b, r_b = _mixed_side(wb, pb, psi)
-            mixed = t_b[..., None] * r_a + t_a[..., None] * r_b
-            shift = (sigma_a + sigma_b)[..., None]
-        else:
-            if phi is None:  # psi mixed: player 1's action stays
-                sigma, t, r = _mixed_side(wb, pb, psi)
-                w_own, p_own = wa, pa
-            else:
-                sigma, t, r = _mixed_side(wa, pa, phi)
-                w_own, p_own = wb, pb
-            mixed = t[..., None, None] * p_own + r[..., None, :]
-            shift = (w_own + sigma[..., None])[..., None]
-        np.log(mixed, out=mixed)
-    mixed += shift
-    return mixed
 
 
 def normalized_kernel(

@@ -289,6 +289,10 @@ class TestSolveOptimality:
         phi, _ = g2_uniform
         with pytest.raises(ValueError):
             rs.solve_optimality(g2, 2, phi, tol=0.0)
+        for tol, shown in ((float("nan"), "nan"), (float("inf"), "inf"), (-1.0, "-1.0")):
+            with pytest.raises(ValueError) as raised:
+                rs.solve_optimality(g2, 2, phi, tol=tol)
+            assert str(raised.value) == f"tol must be finite and > 0, got {shown}"
         with pytest.raises(ValueError):
             rs.solve_optimality(g2, 3, phi)
         zero_t = np.zeros((2, 1, 1, 2))
@@ -413,3 +417,7 @@ class TestMeasuredContraction:
             rs.measured_contraction(g2, 2, phi, n_pairs=0)
         with pytest.raises(ValueError):
             rs.measured_contraction(g2, 2, phi, span_cap=0.0)
+        for span_cap, shown in ((float("nan"), "nan"), (float("inf"), "inf"), (-1.0, "-1.0")):
+            with pytest.raises(ValueError) as raised:
+                rs.measured_contraction(g2, 2, phi, span_cap=span_cap)
+            assert str(raised.value) == f"span_cap must be finite and > 0, got {shown}"

@@ -441,6 +441,22 @@ class TestErrorPaths:
             ["solve", "--instance", g2_path, "--player", "3", "--opponent", "uniform"]
         ) == 2
         capsys.readouterr()
+        solve = ["solve", "--instance", g2_path, "--player", "1", "--opponent", "uniform"]
+        brute = ["brute", "--instance", g2_path, "--grid", "0.5"]
+        nash = ["nash", "--instance", g2_path]
+        thresholds = [
+            (["gen"], "--c-bar", "c_bar must be finite and >= 0"),
+            (solve, "--tol", "tol must be finite and > 0"),
+            (brute, "--tol", "tol must be finite and > 0"),
+            (brute, "--eps", "eps must be finite and >= 0"),
+            (nash, "--tol", "tol must be finite and > 0"),
+            (nash, "--eps", "eps_target must be finite and > 0"),
+        ]
+        for argv, flag, message in thresholds:
+            for value, shown in (("nan", "nan"), ("inf", "inf"), ("-1", "-1.0")):
+                code, report, err = run([*argv, flag, value], capsys)
+                assert (code, report, err) == (2, None, f"error: {message}, got {shown}\n"), (
+                    argv[0], flag, value)
 
     def test_unwritable_report_path(self, g2_path, capsys):
         code = main(

@@ -617,9 +617,16 @@ class TestRandomInstances:
             rs.random_instance(0, dims=(3, 2, 2), min_prob=min_prob, arat_flag=arat_flag)
         assert str(raised.value) == f"min_prob must be > 0, got {shown}"
 
-    def test_infeasible_min_prob_rejected(self):
+    def test_infeasible_min_prob_rejected(self, monkeypatch):
         with pytest.raises(ValueError):
             rs.random_instance(0, dims=(5, 2, 2), min_prob=0.3)
+        # c_bar is checked with min_prob, before anything is drawn
+        monkeypatch.setattr(game_model, "default_rng", None)
+        for c_bar, shown in ((float("nan"), "nan"), (float("inf"), "inf"), (-1.0, "-1.0")):
+            for arat_flag in (False, True):
+                with pytest.raises(ValueError) as raised:
+                    rs.random_instance(0, dims=(3, 2, 2), c_bar=c_bar, arat_flag=arat_flag)
+                assert str(raised.value) == f"c_bar must be finite and >= 0, got {shown}"
 
     def test_costs_within_band(self):
         inst = rs.random_instance(3, dims=(4, 3, 2), c_bar=2.0)

@@ -256,6 +256,17 @@ class TestBestResponseDynamics:
             rs.best_response_dynamics(g2, eps_target=0.0)
         with pytest.raises(ValueError):
             rs.best_response_dynamics(g2, tau_schedule=(0.1, 1e-4, 1.5))
+        for value, shown in ((float("nan"), "nan"), (float("inf"), "inf"), (-1.0, "-1.0")):
+            refusals = [
+                (rs.best_response_dynamics, {"eps_target": value}, "eps_target", "> 0"),
+                (rs.best_response_dynamics, {"tol": value}, "tol", "> 0"),
+                (rs.brute_force_nash, {"tol": value}, "tol", "> 0"),
+                (rs.brute_force_nash, {"eps": value}, "eps", ">= 0"),
+            ]
+            for search, kwargs, name, bound in refusals:
+                with pytest.raises(ValueError) as raised:
+                    search(g2, **kwargs)
+                assert str(raised.value) == f"{name} must be finite and {bound}, got {shown}"
 
 
 class TestSimplexGrid:

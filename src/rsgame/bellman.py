@@ -374,14 +374,16 @@ def solve_optimality(
 
     Args:
         tol: stopping tolerance on the span of successive differences.
-        max_iter: iteration cap; on hitting it the last iterate is returned
-            with converged=False and the final residual.
+        max_iter: iteration cap, >= 1; on hitting it the last iterate is
+            returned with converged=False and the final residual.
 
     Raises:
         AssumptionError: if the instance has nonpositive transition entries.
     """
     if not 0.0 < tol < np.inf:  # also rejects nan
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     require_solvable(instance)
     kernel = _solve_kernel(instance, player, opponent_strategy)
     result = _relative_value_iteration(kernel, instance.anchor_state, tol, max_iter)

@@ -10,9 +10,9 @@ Games with additive (per-player) transition and cost decompositions carry an
 optional :class:`AratStructure`, which is what the equilibrium-existence
 machinery needs.
 
-All tables are dense numpy arrays; instances are immutable after
-construction (the arrays are marked read-only) and safe to share across
-workers.
+All tables are dense numpy arrays and enter through one gate, :func:`_own`:
+instances are immutable after construction (the arrays are marked
+read-only) and safe to share across workers.
 """
 from __future__ import annotations
 
@@ -46,34 +46,30 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class _Owned:
-    """A table this module has just built for one instance: adopted, not copied."""
-
-    __slots__ = ("array",)
-
-    def __init__(self, array: np.ndarray):
-        self.array = array
-
-
 def _own(a) -> np.ndarray:
-    """A C-ordered float array no caller can write: adopted when it is one, else a copy.
+    """The one gate for tables: a read-only, C-ordered float array no caller can write.
 
-    Adopted are an _Owned table and a read-only array that owns its data,
-    such as another instance's table (``dataclasses.replace`` hands those
-    back): it can change only if its holder flips it writable again, which
-    an instance's own tables allow as well.  C order lets the kernel code
-    reshape and transpose the table as views.
+    A read-only array that owns its data is adopted, such as a table this
+    module has just built and frozen, or another instance's table
+    (``dataclasses.replace`` hands those back): it can change only if its
+    holder flips it writable again, which an instance's own tables allow as
+    well.  Anything else is copied, and the copy frozen.  C order lets the
+    kernel code reshape and transpose the table as views.
     """
-    if type(a) is _Owned:
-        return a.array
     if type(a) is np.ndarray and not a.flags.writeable and a.flags.owndata:
-        return np.asarray(a, dtype=float, order="C")
-    return np.array(a, dtype=float, order="C")
+        return _frozen(np.asarray(a, dtype=float, order="C"))
+    return _frozen(np.array(a, dtype=float, order="C"))
 
 
-def _readonly(a) -> np.ndarray:
-    """A read-only float array no caller holds (see :func:`_own`)."""
-    return _frozen(_own(a))
+def _finite_nonnegative(name: str, a: np.ndarray) -> np.ndarray:
+    """``a``, once every entry is known to be finite and >= 0; else ValueError.
+
+    min and max carry a NaN through, so two reductions decide it without a
+    temporary the size of the table.
+    """
+    if not (a.min(initial=0.0) >= 0.0 and a.max(initial=0.0) < np.inf):
+        raise ValueError(f"{name} entries must be finite and >= 0")
+    return a
 
 
 def _check_rows(
@@ -117,7 +113,9 @@ class AratStructure:
     ``p1[x][a]`` and ``p2[x][b]`` are substochastic rows over next states
     adding up to the full transition row; ``c11/c21`` are the player-1-action
     cost components and ``c12/c22`` the player-2-action components, with
-    cost_i(x,a,b) = c_i1(x,a) + c_i2(x,b).
+    cost_i(x,a,b) = c_i1(x,a) + c_i2(x,b).  Every entry of all six tables
+    must be finite and >= 0, as the cost tables' must: a NaN would compare
+    unequal to everything and so pass every consistency check.
     """
 
     p1: np.ndarray  # [x][a][y]
@@ -129,15 +127,13 @@ class AratStructure:
 
     def __post_init__(self):
         for f in _ARAT_TABLES:
-            object.__setattr__(self, f, _readonly(getattr(self, f)))
+            object.__setattr__(self, f, _finite_nonnegative(f, _own(getattr(self, f))))
         if self.p1.ndim != 3 or self.p2.ndim != 3:
             raise ValueError("p1 and p2 must be [x][action][y] tables")
         if self.p1.shape[0] != self.p2.shape[0] or self.p1.shape[2] != self.p2.shape[2]:
             raise ValueError(
                 f"p1 {self.p1.shape} and p2 {self.p2.shape} disagree on states"
             )
-        if np.any(self.p1 < 0.0) or np.any(self.p2 < 0.0):
-            raise ValueError("substochastic kernels must be nonnegative")
         if np.any(self.p1.sum(-1) > 1.0 + ROW_SUM_TOL) or np.any(
             self.p2.sum(-1) > 1.0 + ROW_SUM_TOL
         ):
@@ -146,9 +142,6 @@ class AratStructure:
             raise ValueError("c11/c21 must be [x][a] tables matching p1")
         if self.c12.shape != self.p2.shape[:2] or self.c22.shape != self.p2.shape[:2]:
             raise ValueError("c12/c22 must be [x][b] tables matching p2")
-        for f in ("c11", "c21", "c12", "c22"):
-            if np.any(getattr(self, f) < 0.0):
-                raise ValueError(f"cost component {f} must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +150,7 @@ class GameInstance:
 
     Args:
         transition: [x][a][b] -> probability row over next states.
-        cost1, cost2: nonnegative cost tables indexed [x][a][b].
+        cost1, cost2: cost tables indexed [x][a][b], finite and >= 0.
         theta: risk-sensitivity parameter, > 0.
         anchor_state: state at which relative value functions are pinned to 0.
         arat: optional additive decomposition (dimension-checked here;
@@ -187,17 +180,15 @@ class GameInstance:
             )
         if 0 in t.shape:
             raise ValueError(f"transition {t.shape} has an empty state or action axis")
-        # t is this instance's own array: freeze it rather than copy it again
+        # renormalized rows come back as a new array: frozen here
         t, positive = _check_rows("transition", t)
         object.__setattr__(self, "transition", _frozen(t))
         object.__setattr__(self, "_positive", positive)
         for f in ("cost1", "cost2"):
-            c = _readonly(getattr(self, f))
+            c = _own(getattr(self, f))
             if c.shape != t.shape[:3]:
                 raise ValueError(f"{f} shape {c.shape} != {t.shape[:3]}")
-            if np.any(c < 0.0) or not np.all(np.isfinite(c)):
-                raise ValueError(f"{f} entries must be finite and >= 0")
-            object.__setattr__(self, f, c)
+            object.__setattr__(self, f, _finite_nonnegative(f, c))
         theta = float(self.theta)
         if not math.isfinite(theta) or theta <= 0.0:
             raise ValueError(f"theta must be a positive finite real, got {self.theta!r}")
@@ -238,26 +229,35 @@ class GameInstance:
             return self.cost2
         raise ValueError(f"player must be 1 or 2, got {player!r}")
 
+    def _compare_decomposition(self, compare):
+        """``compare(sum of parts, stored table)`` for each table the decomposition must equal.
+
+        The one pass that pairs the decomposition with the tables: first
+        both cost tables whole, then the transition law one state slab
+        ``[a, b, y]`` at a time.  Each sum is dropped once ``compare``
+        returns, so no temporary outgrows one slab, and the results come
+        one by one, so a caller that stops early forms no later sum.
+        Requires ``arat``.
+        """
+        a = self.arat
+        yield compare(a.c11[:, :, None] + a.c12[:, None, :], self.cost1)
+        yield compare(a.c21[:, :, None] + a.c22[:, None, :], self.cost2)
+        for t, p1, p2 in zip(self.transition, a.p1, a.p2):
+            yield compare(p1[:, None] + p2[None], t)
+
     @cached_property
     def _exact_arat(self) -> AratStructure | None:
         """The decomposition if it reproduces every stored table bit for bit, else None.
 
-        Both cost tables and the transition law must equal their sums of
-        components exactly.  Decided on first use and kept, not at
-        construction: the transition check is a pass over the whole table,
-        one state slab at a time so no table-sized temporary is formed.  A
-        decomposition one ulp off anywhere (rows renormalized on
-        construction, a document failing "4.1") gives None.
+        Every sum of parts in :meth:`_compare_decomposition` must equal its
+        table under ``==``; the pass stops at the first one that does not.  Decided on
+        first use and kept, not at construction.  A decomposition one ulp
+        off anywhere (rows renormalized on construction, a document failing
+        "4.1") gives None.
         """
         a = self.arat
-        if a is None:
+        if a is None or not all(self._compare_decomposition(lambda s, t: (s == t).all())):
             return None
-        for cost, own, other in ((self.cost1, a.c11, a.c12), (self.cost2, a.c21, a.c22)):
-            if not (own[:, :, None] + other[:, None, :] == cost).all():
-                return None
-        for t, p1, p2 in zip(self.transition, a.p1, a.p2):
-            if not (p1[:, None] + p2[None] == t).all():
-                return None
         return a
 
 
@@ -271,7 +271,7 @@ class StationaryStrategy:
     def __post_init__(self):
         if self.player not in (1, 2):
             raise ValueError(f"player must be 1 or 2, got {self.player!r}")
-        r = np.array(self.rows, dtype=float)
+        r = _own(self.rows)
         if r.ndim != 2:
             raise ValueError(f"rows must be a 2-d [state][action] table, got {r.shape}")
         object.__setattr__(self, "rows", _frozen(_check_rows("strategy", r)[0]))
@@ -466,39 +466,44 @@ def _verdict(key: str, status: str, message: str = "", violations=()) -> Assumpt
     return AssumptionCheck(_DESCRIPTIONS[key], status, message, violations)
 
 
+def _counted_verdict(key: str, masks, passed: str, failed: str) -> AssumptionCheck:
+    """PASS with ``passed`` when no mask holds a violation, else FAIL with the count.
+
+    Each mask is indexed by state first: an array, or a list of state
+    slabs.  The FAIL message is ``failed`` with ``{n}`` replaced by the
+    number of violations, and the verdict lists the first ones
+    (:func:`_first_violations`).  Counted slab by slab, so a list of slabs
+    is never joined into one table.
+    """
+    n_bad = sum(np.count_nonzero(slab) for mask in masks for slab in mask)
+    if n_bad == 0:
+        return _verdict(key, "PASS", passed)
+    return _verdict(key, "FAIL", failed.format(n=n_bad), _first_violations(*masks))
+
+
 def _decomposition_checks(instance: GameInstance) -> dict[str, AssumptionCheck]:
     """The verdicts "4.1" and "4.2": does the attached decomposition reproduce the tables?
 
-    Both are SKIP without a decomposition.  This is all of :func:`validate`
-    that brute force needs for its existence label.
+    Both are SKIP without a decomposition.  Otherwise every sum of parts in
+    :meth:`GameInstance._compare_decomposition` is compared with its table
+    to EXACT_TOL, and only the boolean masks are kept: the two cost masks for "4.2", and one
+    mask per state slab of the transition law for "4.1", so no float
+    temporary outgrows one slab.  This is all of :func:`validate` that brute
+    force needs for its existence label.
     """
-    a = instance.arat
-    if a is None:
+    if instance.arat is None:
         return {k: _verdict(k, "SKIP", "no additive decomposition attached")
                 for k in ("4.1", "4.2")}
-    checks: dict[str, AssumptionCheck] = {}
-    err = a.p1[:, :, None, :] + a.p2[:, None, :, :] - instance.transition
-    bad = np.abs(err, out=err) > EXACT_TOL
-    n_bad = np.count_nonzero(bad)
-    if n_bad == 0:
-        checks["4.1"] = _verdict("4.1", "PASS", "p1 + p2 reproduces the transition law")
-    else:
-        checks["4.1"] = _verdict(
-            "4.1", "FAIL",
-            f"Assumption 4.1: p1 + p2 differs from the transition law at "
-            f"{n_bad} indices", _first_violations(bad))
-    r1 = a.c11[:, :, None] + a.c12[:, None, :] - instance.cost1
-    r2 = a.c21[:, :, None] + a.c22[:, None, :] - instance.cost2
-    bad1, bad2 = np.abs(r1) > EXACT_TOL, np.abs(r2) > EXACT_TOL
-    n_bad = np.count_nonzero(bad1) + np.count_nonzero(bad2)
-    if n_bad == 0:
-        checks["4.2"] = _verdict("4.2", "PASS", "cost components reproduce both cost tables")
-    else:
-        checks["4.2"] = _verdict(
-            "4.2", "FAIL",
-            f"Assumption 4.2: additive cost components differ from the cost "
-            f"tables at {n_bad} indices", _first_violations(bad1, bad2))
-    return checks
+    bad = list(instance._compare_decomposition(lambda s, t: np.abs(s - t) > EXACT_TOL))
+    return {
+        "4.1": _counted_verdict(
+            "4.1", [bad[2:]], "p1 + p2 reproduces the transition law",
+            "Assumption 4.1: p1 + p2 differs from the transition law at {n} indices"),
+        "4.2": _counted_verdict(
+            "4.2", bad[:2], "cost components reproduce both cost tables",
+            "Assumption 4.2: additive cost components differ from the cost tables "
+            "at {n} indices"),
+    }
 
 
 def validate(instance: GameInstance, min_prob: float = DEFAULT_MIN_PROB) -> ModelDiagnostics:
@@ -522,8 +527,8 @@ def validate(instance: GameInstance, min_prob: float = DEFAULT_MIN_PROB) -> Mode
     one state slab at a time.  The distance pass takes O((X*A*B)^2 * X)
     time, which dominates at large sizes.
     """
-    if not min_prob > 0.0:  # also rejects nan
-        raise ValueError(f"min_prob must be > 0, got {min_prob!r}")
+    if not 0.0 < min_prob < math.inf:  # also rejects nan
+        raise ValueError(f"min_prob must be finite and > 0, got {min_prob!r}")
     t = instance.transition
     checks: dict[str, AssumptionCheck] = {}
 
@@ -546,17 +551,9 @@ def validate(instance: GameInstance, min_prob: float = DEFAULT_MIN_PROB) -> Mode
         )
         add("2(i)", "FAIL", f"Assumption 2(i): delta = {delta:.6g} >= 1", pairs)
 
-    low = t < min_prob
-    n_low = np.count_nonzero(low)
-    if n_low == 0:
-        add("2(ii)", "PASS", f"all transition probabilities >= {min_prob:g}")
-    else:
-        add(
-            "2(ii)",
-            "FAIL",
-            f"Assumption 2(ii): {n_low} transition entries below min_prob = {min_prob:g}",
-            _first_violations(low),
-        )
+    checks["2(ii)"] = _counted_verdict(
+        "2(ii)", [t < min_prob], f"all transition probabilities >= {min_prob:g}",
+        f"Assumption 2(ii): {{n}} transition entries below min_prob = {min_prob:g}")
 
     add("3.1", "PASS", "densities are the transition probabilities themselves")
 
@@ -606,12 +603,10 @@ def assemble_from_arat(
     the decomposition, exactly consistent by construction.  The tables are
     built here and handed to the instance without a second copy.
     """
-    transition = arat.p1[:, :, None, :] + arat.p2[:, None, :, :]
-    cost1 = arat.c11[:, :, None] + arat.c12[:, None, :]
-    cost2 = arat.c21[:, :, None] + arat.c22[:, None, :]
-    return GameInstance(
-        _Owned(transition), _Owned(cost1), _Owned(cost2), theta, anchor_state, arat
-    )
+    transition = _frozen(arat.p1[:, :, None, :] + arat.p2[:, None, :, :])
+    cost1 = _frozen(arat.c11[:, :, None] + arat.c12[:, None, :])
+    cost2 = _frozen(arat.c21[:, :, None] + arat.c22[:, None, :])
+    return GameInstance(transition, cost1, cost2, theta, anchor_state, arat)
 
 
 def random_instance(
@@ -749,9 +744,9 @@ def instance_to_dict(instance: GameInstance) -> dict:
 
 
 def instance_from_dict(d: dict) -> GameInstance:
-    def table(doc, key) -> _Owned:
+    def table(doc, key) -> np.ndarray:
         # built here for the instance alone: adopted, not copied again
-        return _Owned(np.array(doc[key], dtype=float))
+        return _frozen(np.array(doc[key], dtype=float))
 
     try:
         transition = table(d, "transition")

@@ -237,15 +237,22 @@ def best_response_dynamics(
     Args:
         init_pair: starting (Phi, Psi); uniform randomization by default.
         beta: damping weight in (0, 1] on the new response.
+        tau_schedule: tau0 and tau_min finite and > 0, decay in (0, 1).
+        max_rounds: round cap, >= 0 (0 certifies the starting pair alone).
         eps_target: certification target for max(eps1, eps2).
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must be in (0, 1], got {beta!r}")
     if not 0.0 < eps_target < np.inf:  # also rejects nan
         raise ValueError(f"eps_target must be finite and > 0, got {eps_target!r}")
+    if max_rounds < 0:
+        raise ValueError(f"max_rounds must be >= 0, got {max_rounds!r}")
     if tau_schedule is not None:
         tau, tau_min, decay = tau_schedule
-        if not (tau > 0.0 and tau_min > 0.0 and 0.0 < decay < 1.0):
+        for name, value in (("tau0", tau), ("tau_min", tau_min)):
+            if not 0.0 < value < np.inf:  # also rejects nan
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if not 0.0 < decay < 1.0:
             raise ValueError(f"invalid tau_schedule {tau_schedule!r}")
     require_solvable(instance)
     if init_pair is None:

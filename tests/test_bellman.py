@@ -293,6 +293,10 @@ class TestSolveOptimality:
             with pytest.raises(ValueError) as raised:
                 rs.solve_optimality(g2, 2, phi, tol=tol)
             assert str(raised.value) == f"tol must be finite and > 0, got {shown}"
+        for max_iter in (0, -5):
+            with pytest.raises(ValueError) as raised:
+                rs.solve_optimality(g2, 2, phi, max_iter=max_iter)
+            assert str(raised.value) == f"max_iter must be >= 1, got {max_iter}"
         with pytest.raises(ValueError):
             rs.solve_optimality(g2, 3, phi)
         zero_t = np.zeros((2, 1, 1, 2))

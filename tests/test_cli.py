@@ -146,7 +146,7 @@ class TestValidateCommand:
         )
         assert code == 2
         assert report is None
-        assert err == "error: min_prob must be > 0, got nan\n"
+        assert err == "error: min_prob must be finite and > 0, got nan\n"
 
 
 class TestSolveCommand:
@@ -434,6 +434,20 @@ class TestErrorPaths:
         assert message in err
         assert "np.float64" not in err
 
+    @pytest.mark.parametrize("table", ["p1", "c11"])
+    def test_nan_in_the_decomposition_is_an_input_error(self, g2, tmp_path, capsys, table):
+        doc = rs.instance_to_dict(g2)
+        entry = doc["arat"][table][1]
+        if table == "p1":
+            entry = entry[0]  # p1[1][0] is a row of next-state masses
+        entry[0] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))  # the JSON literal NaN
+        for argv in (["validate"], ["brute", "--grid", "0.5"]):
+            code, report, err = run([argv[0], "--instance", str(path), *argv[1:]], capsys)
+            assert (code, report, err) == (
+                3, None, f"error: {path}: {table} entries must be finite and >= 0\n"), argv
+
     def test_usage_errors_exit_2(self, g2_path, capsys):
         assert main(["frobnicate"]) == 2
         assert main(["solve", "--instance", g2_path]) == 2  # missing --opponent
@@ -444,6 +458,7 @@ class TestErrorPaths:
         solve = ["solve", "--instance", g2_path, "--player", "1", "--opponent", "uniform"]
         brute = ["brute", "--instance", g2_path, "--grid", "0.5"]
         nash = ["nash", "--instance", g2_path]
+        validate = ["validate", "--instance", g2_path]
         thresholds = [
             (["gen"], "--c-bar", "c_bar must be finite and >= 0"),
             (solve, "--tol", "tol must be finite and > 0"),
@@ -451,12 +466,24 @@ class TestErrorPaths:
             (brute, "--eps", "eps must be finite and >= 0"),
             (nash, "--tol", "tol must be finite and > 0"),
             (nash, "--eps", "eps_target must be finite and > 0"),
+            (nash, "--tau0", "tau0 must be finite and > 0"),
+            (nash, "--tau-min", "tau_min must be finite and > 0"),
+            (validate, "--min-prob", "min_prob must be finite and > 0"),
         ]
         for argv, flag, message in thresholds:
             for value, shown in (("nan", "nan"), ("inf", "inf"), ("-1", "-1.0")):
                 code, report, err = run([*argv, flag, value], capsys)
                 assert (code, report, err) == (2, None, f"error: {message}, got {shown}\n"), (
                     argv[0], flag, value)
+        counts = [
+            (nash, "--rounds", "-1", "max_rounds must be >= 0"),
+            (solve, "--max-iter", "0", "max_iter must be >= 1"),
+            (solve, "--max-iter", "-5", "max_iter must be >= 1"),
+        ]
+        for argv, flag, value, message in counts:
+            code, report, err = run([*argv, flag, value], capsys)
+            assert (code, report, err) == (2, None, f"error: {message}, got {value}\n"), (
+                argv[0], flag, value)
 
     def test_unwritable_report_path(self, g2_path, capsys):
         code = main(

@@ -130,9 +130,12 @@ class TestValidation:
             rs.validate(g2, min_prob=0.0)
 
     def test_nan_min_prob_is_rejected(self, g2):
-        # nan <= 0 is false, so the floor is tested as "not > 0"
-        with pytest.raises(ValueError, match="min_prob must be > 0, got nan"):
-            rs.validate(g2, min_prob=float("nan"))
+        # nan <= 0 is false, so the floor is tested as "not > 0"; an infinite
+        # floor would fail every entry as an assumption failure
+        for min_prob, shown in ((float("nan"), "nan"), (float("inf"), "inf"), (-1.0, "-1.0")):
+            with pytest.raises(ValueError) as raised:
+                rs.validate(g2, min_prob=min_prob)
+            assert str(raised.value) == f"min_prob must be finite and > 0, got {shown}"
 
     def test_violation_lists_are_capped(self):
         rng = np.random.default_rng(0)
@@ -380,6 +383,18 @@ class TestViolationLists:
         assert len(check.violations) == 20
         assert peak < 8 * 2**20
 
+    def test_decomposition_checks_hold_no_float_table(self):
+        # forming p1 + p2 - transition whole, as one float table, peaks at 1.29 tables
+        inst = rs.random_instance(0, dims=(100, 5, 5), min_prob=1e-3, arat_flag=True)
+        tracemalloc.start()
+        try:
+            diag = rs.validate(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert diag.checks["4.1"].status == diag.checks["4.2"].status == "PASS"
+        assert peak < 0.5 * inst.transition.nbytes
+
 
 class TestConstruction:
     def test_rejects_bad_rows(self):
@@ -397,6 +412,16 @@ class TestConstruction:
             rs.GameInstance(t, np.zeros((2, 1, 1)), np.zeros((2, 1, 1)))
         with pytest.raises(ValueError, match=r"strategy row \(0,\) sums to nan"):
             rs.StationaryStrategy(1, np.array([[np.nan, 1.0], [0.5, 0.5]]))
+
+    @pytest.mark.parametrize("table", ["p1", "c11"])
+    def test_decomposition_rejects_nonfinite_entries(self, g2, table):
+        # a NaN compares unequal to everything, so no consistency check sees it
+        for value in (np.nan, np.inf, -np.inf):
+            parts = {f: getattr(g2.arat, f).copy() for f in game_model._ARAT_TABLES}
+            parts[table][1, 0] = value  # a whole row of p1, one entry of c11
+            with pytest.raises(ValueError) as raised:
+                rs.AratStructure(**parts)
+            assert str(raised.value) == f"{table} entries must be finite and >= 0"
 
     @pytest.mark.parametrize("shape", [(2, 0, 2, 2), (2, 2, 0, 2), (0, 1, 1, 0)])
     def test_rejects_an_empty_axis(self, shape):

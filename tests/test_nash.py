@@ -256,10 +256,16 @@ class TestBestResponseDynamics:
             rs.best_response_dynamics(g2, eps_target=0.0)
         with pytest.raises(ValueError):
             rs.best_response_dynamics(g2, tau_schedule=(0.1, 1e-4, 1.5))
+        with pytest.raises(ValueError) as raised:
+            rs.best_response_dynamics(g2, max_rounds=-1)
+        assert str(raised.value) == "max_rounds must be >= 0, got -1"
         for value, shown in ((float("nan"), "nan"), (float("inf"), "inf"), (-1.0, "-1.0")):
             refusals = [
                 (rs.best_response_dynamics, {"eps_target": value}, "eps_target", "> 0"),
                 (rs.best_response_dynamics, {"tol": value}, "tol", "> 0"),
+                (rs.best_response_dynamics, {"tau_schedule": (value, 1e-4, 0.9)}, "tau0", "> 0"),
+                (rs.best_response_dynamics, {"tau_schedule": (0.1, value, 0.9)},
+                 "tau_min", "> 0"),
                 (rs.brute_force_nash, {"tol": value}, "tol", "> 0"),
                 (rs.brute_force_nash, {"eps": value}, "eps", ">= 0"),
             ]

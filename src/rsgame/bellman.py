@@ -44,6 +44,7 @@ import numpy as np
 from .game_model import (
     GameInstance,
     StationaryStrategy,
+    _scalar,
     check_strategy,
     require_solvable,
 )
@@ -225,8 +226,7 @@ def _solve_kernel(
     Split when the instance's additive decomposition is exact, else dense
     from ln M[x, own action, y].
     """
-    if player not in (1, 2):
-        raise ValueError(f"player must be 1 or 2, got {player!r}")
+    player = _scalar("player", player, 1, 2, integer=True, ends="[]")
     rows = check_strategy(instance, opponent, 3 - player)
     mixed = {"psi": rows} if player == 1 else {"phi": rows}
     if instance._exact_arat is None:
@@ -313,7 +313,9 @@ def relative_value_iteration(
 
     The stop never asks for less than the sweep's rounding noise: once the
     span stops shrinking it only has to be below max(tol, 4 eps max|Tv|),
-    so values near theta*c = 1e6 converge as values near 1 do.
+    so values near theta*c = 1e6 converge as values near 1 do.  The
+    arguments are not checked again: the one caller, brute force, passes
+    the instance's anchor and a tolerance it has checked.
     """
     return _relative_value_iteration(_shifted(log_kernel), anchor, tol, max_iter)
 
@@ -326,7 +328,7 @@ def _relative_value_iteration(
     residual = np.inf
     converged = False
     iterations = 0
-    for iterations in range(1, int(max_iter) + 1):
+    for iterations in range(1, max_iter + 1):
         tv = kernel.sweep(v).min(axis=-1)
         v_next = tv - tv[..., anchor, None]
         diff = v_next - v
@@ -373,17 +375,17 @@ def solve_optimality(
     argmins attains it.
 
     Args:
-        tol: stopping tolerance on the span of successive differences.
-        max_iter: iteration cap, >= 1; on hitting it the last iterate is
-            returned with converged=False and the final residual.
+        player: the integer 1 or 2.
+        tol: stopping tolerance on the span of successive differences, a
+            real, finite and > 0.
+        max_iter: iteration cap, an integer >= 1; on hitting it the last
+            iterate is returned with converged=False and the final residual.
 
     Raises:
         AssumptionError: if the instance has nonpositive transition entries.
     """
-    if not 0.0 < tol < np.inf:  # also rejects nan
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+    tol = _scalar("tol", tol, 0, ends="()")
+    max_iter = _scalar("max_iter", max_iter, 1, integer=True)
     require_solvable(instance)
     kernel = _solve_kernel(instance, player, opponent_strategy)
     result = _relative_value_iteration(kernel, instance.anchor_state, tol, max_iter)
@@ -405,11 +407,15 @@ def measured_contraction(
     degenerate denominator are resampled.  No closed-form modulus is
     available, so the value is measured and regression-pinned; it must come
     out < 1 on instances that pass validation.
+
+    Args:
+        player: the integer 1 or 2.
+        n_pairs: number of pairs, an integer >= 1.
+        span_cap: upper end of the sampling box, a real, finite and > 0.
+        seed: seed of the pair generator.
     """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
-    if not 0.0 < span_cap < np.inf:
-        raise ValueError(f"span_cap must be finite and > 0, got {span_cap!r}")
+    remaining = _scalar("n_pairs", n_pairs, 1, integer=True)
+    span_cap = _scalar("span_cap", span_cap, 0, ends="()")
     if instance.n_states == 1:
         return 0.0  # every Tv is a scalar; the ratio is identically zero
     kernel = _solve_kernel(instance, player, opponent_strategy)
@@ -419,7 +425,6 @@ def measured_contraction(
         return kernel.sweep(vs).min(axis=-1)
 
     worst = 0.0
-    remaining = int(n_pairs)
     for _ in range(100):
         v1 = rng.uniform(0.0, span_cap, size=(remaining, instance.n_states))
         v2 = rng.uniform(0.0, span_cap, size=(remaining, instance.n_states))

@@ -33,6 +33,7 @@ from .game_model import (
     AssumptionError,
     GameInstance,
     StationaryStrategy,
+    _scalar,
     check_strategy,
     dumps_decimal,
     g2_instance,
@@ -255,8 +256,7 @@ def _nash(args, instance) -> tuple[int, dict]:
 
 
 def _brute(args, instance) -> tuple[int, dict]:
-    if args.top < 0:
-        raise ValueError(f"--top must be >= 0, got {args.top}")
+    top = _scalar("--top", args.top, 0, integer=True)
     result = brute_force_nash(instance, grid_step=args.grid, eps=args.eps, tol=args.tol)
     return 0, {
         "grid_step": result.grid_step,
@@ -264,7 +264,7 @@ def _brute(args, instance) -> tuple[int, dict]:
         "searched_pairs": result.searched_pairs,
         "survivors": len(result),
         "existence": result.label,
-        "certificates": [certificate_to_dict(c) for c in result[: args.top]],
+        "certificates": [certificate_to_dict(c) for c in result[:top]],
     }
 
 

@@ -72,6 +72,33 @@ def _finite_nonnegative(name: str, a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _scalar(name: str, value, low, high=math.inf, *, integer: bool = False, ends: str = "[)"):
+    """The one gate for scalars: ``value`` as a checked int or float, else ValueError.
+
+    With ``integer`` the value must be a Python or numpy integer, else a
+    real: a Python or numpy integer or float.  A bool or a string is
+    neither, and nothing is truncated, parsed or rounded.  The value must
+    lie between ``low`` and ``high``, each end closed or open as ``ends``
+    writes it in interval notation; NaN lies in no interval.  Messages read
+    ``<name> must be <kind or interval>, got <value!r>``, with an interval
+    open to +inf written ``finite and > low`` for reals and ``>= low`` for
+    integers.
+    """
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if integer else "a real number"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    if not ((low < value if ends[0] == "(" else low <= value)
+            and (value < high if ends[1] == ")" else value <= high)):
+        if high < math.inf:
+            where = f"in {ends[0]}{low}, {high}{ends[1]}"
+        else:
+            where = ("finite and " if not integer else "") + (
+                f"> {low}" if ends[0] == "(" else f">= {low}")
+        raise ValueError(f"{name} must be {where}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 def _check_rows(
     name: str, rows: np.ndarray, tol: float = ROW_SUM_TOL
 ) -> tuple[np.ndarray, bool]:
@@ -104,6 +131,8 @@ def _check_rows(
 
 #: the tables of an additive decomposition, in the order files list them
 _ARAT_TABLES = ("p1", "p2", "c11", "c21", "c12", "c22")
+#: the dimensions of an instance, as documents and random_instance name them
+_DIMS = ("states", "actions_a", "actions_b")
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,8 +180,9 @@ class GameInstance:
     Args:
         transition: [x][a][b] -> probability row over next states.
         cost1, cost2: cost tables indexed [x][a][b], finite and >= 0.
-        theta: risk-sensitivity parameter, > 0.
-        anchor_state: state at which relative value functions are pinned to 0.
+        theta: risk-sensitivity parameter, a real, finite and > 0.
+        anchor_state: state at which relative value functions are pinned
+            to 0, an integer in [0, n_states).
         arat: optional additive decomposition (dimension-checked here;
             numerical consistency with the full tables is reported by
             :func:`validate`, not enforced at construction).
@@ -189,15 +219,9 @@ class GameInstance:
             if c.shape != t.shape[:3]:
                 raise ValueError(f"{f} shape {c.shape} != {t.shape[:3]}")
             object.__setattr__(self, f, _finite_nonnegative(f, c))
-        theta = float(self.theta)
-        if not math.isfinite(theta) or theta <= 0.0:
-            raise ValueError(f"theta must be a positive finite real, got {self.theta!r}")
-        object.__setattr__(self, "theta", theta)
-        if not 0 <= int(self.anchor_state) < t.shape[0]:
-            raise ValueError(
-                f"anchor_state {self.anchor_state} out of range for {t.shape[0]} states"
-            )
-        object.__setattr__(self, "anchor_state", int(self.anchor_state))
+        object.__setattr__(self, "theta", _scalar("theta", self.theta, 0, ends="()"))
+        object.__setattr__(self, "anchor_state", _scalar(
+            "anchor_state", self.anchor_state, 0, t.shape[0], integer=True))
         if self.arat is not None:
             a = self.arat
             if a.p1.shape != (t.shape[0], t.shape[1], t.shape[3]):
@@ -223,11 +247,9 @@ class GameInstance:
         return float(max(self.cost1.max(), self.cost2.max(), 0.0))
 
     def cost(self, player: int) -> np.ndarray:
-        if player == 1:
-            return self.cost1
-        if player == 2:
-            return self.cost2
-        raise ValueError(f"player must be 1 or 2, got {player!r}")
+        """The player's cost table [x][a][b]; player is the integer 1 or 2."""
+        player = _scalar("player", player, 1, 2, integer=True, ends="[]")
+        return self.cost1 if player == 1 else self.cost2
 
     def _compare_decomposition(self, compare):
         """``compare(sum of parts, stored table)`` for each table the decomposition must equal.
@@ -263,14 +285,19 @@ class GameInstance:
 
 @dataclass(frozen=True, eq=False)
 class StationaryStrategy:
-    """A time-invariant randomized rule: one probability row per state."""
+    """A time-invariant randomized rule: one probability row per state.
 
-    player: int  # 1 or 2 (which action axis the rows mix over)
+    Args:
+        player: the integer 1 or 2, the action axis the rows mix over.
+        rows: [x][action] probability rows.
+    """
+
+    player: int
     rows: np.ndarray  # [x][action]
 
     def __post_init__(self):
-        if self.player not in (1, 2):
-            raise ValueError(f"player must be 1 or 2, got {self.player!r}")
+        object.__setattr__(
+            self, "player", _scalar("player", self.player, 1, 2, integer=True, ends="[]"))
         r = _own(self.rows)
         if r.ndim != 2:
             raise ValueError(f"rows must be a 2-d [state][action] table, got {r.shape}")
@@ -304,7 +331,11 @@ def check_strategy(
 
 
 def uniform_strategy(instance: GameInstance, player: int) -> StationaryStrategy:
-    """Uniform randomization over the player's actions in every state."""
+    """Uniform randomization over the player's actions in every state.
+
+    Args:
+        player: the integer 1 or 2.
+    """
     n = instance.n_actions_a if player == 1 else instance.n_actions_b
     return StationaryStrategy(player, np.full((instance.n_states, n), 1.0 / n))
 
@@ -312,11 +343,16 @@ def uniform_strategy(instance: GameInstance, player: int) -> StationaryStrategy:
 def pure_strategy(
     instance: GameInstance, player: int, actions: Sequence[int]
 ) -> StationaryStrategy:
-    """Point-mass strategy at ``actions[x]`` in each state ``x``."""
+    """Point-mass strategy at ``actions[x]`` in each state ``x``.
+
+    Args:
+        player: the integer 1 or 2.
+        actions: one integer in [0, player's action count) per state.
+    """
     n = instance.n_actions_a if player == 1 else instance.n_actions_b
     rows = np.zeros((instance.n_states, n))
     for x, a in enumerate(actions):
-        rows[x, a] = 1.0
+        rows[x, _scalar(f"actions[{x}]", a, 0, n, integer=True)] = 1.0
     return StationaryStrategy(player, rows)
 
 
@@ -511,7 +547,8 @@ def validate(instance: GameInstance, min_prob: float = DEFAULT_MIN_PROB) -> Mode
 
     Args:
         instance: the game to diagnose.
-        min_prob: positivity threshold for the minorization check.
+        min_prob: positivity threshold for the minorization check, a
+            real, finite and > 0.
 
     Returns:
         ModelDiagnostics with delta, kappa, c_bar, the span bound
@@ -527,8 +564,7 @@ def validate(instance: GameInstance, min_prob: float = DEFAULT_MIN_PROB) -> Mode
     one state slab at a time.  The distance pass takes O((X*A*B)^2 * X)
     time, which dominates at large sizes.
     """
-    if not 0.0 < min_prob < math.inf:  # also rejects nan
-        raise ValueError(f"min_prob must be finite and > 0, got {min_prob!r}")
+    min_prob = _scalar("min_prob", min_prob, 0, ends="()")
     t = instance.transition
     checks: dict[str, AssumptionCheck] = {}
 
@@ -602,6 +638,10 @@ def assemble_from_arat(
     cost_i(x,a,b) = c_i1(x,a) + c_i2(x,b).  The resulting instance carries
     the decomposition, exactly consistent by construction.  The tables are
     built here and handed to the instance without a second copy.
+
+    Args:
+        theta: risk-sensitivity parameter, a real, finite and > 0.
+        anchor_state: an integer in [0, n_states).
     """
     transition = _frozen(arat.p1[:, :, None, :] + arat.p2[:, None, :, :])
     cost1 = _frozen(arat.c11[:, :, None] + arat.c12[:, None, :])
@@ -624,16 +664,20 @@ def random_instance(
     ``arat_flag`` the instance is built through a random additive
     decomposition (a per-state mass split between the players' kernels) and
     carries it.
+
+    Args:
+        seed: seed of the one generator every draw comes from.
+        dims: (states, actions_a, actions_b), each an integer >= 1.
+        min_prob: transition floor, a real, finite and > 0, with
+            min_prob * states < 1.
+        c_bar: cost bound, a real, finite and >= 0.
+        theta: risk-sensitivity parameter, a real, finite and > 0.
     """
-    nx, na, nb = dims
-    if min(dims) < 1:
-        raise ValueError(f"dims {tuple(dims)} must be positive state and action counts")
-    if not min_prob > 0.0:  # also rejects nan
-        raise ValueError(f"min_prob must be > 0, got {min_prob!r}")
+    nx, na, nb = (_scalar(k, d, 1, integer=True) for k, d in zip(_DIMS, dims, strict=True))
+    min_prob = _scalar("min_prob", min_prob, 0, ends="()")
     if min_prob * nx >= 1.0:
         raise ValueError(f"min_prob {min_prob} infeasible: {min_prob} * {nx} >= 1")
-    if not 0.0 <= c_bar < math.inf:  # also rejects nan
-        raise ValueError(f"c_bar must be finite and >= 0, got {c_bar!r}")
+    c_bar = _scalar("c_bar", c_bar, 0)
     rng = default_rng(seed)
     if not arat_flag:
         dir_rows = rng.dirichlet(np.ones(nx), size=(nx, na, nb))
@@ -763,10 +807,10 @@ def instance_from_dict(d: dict) -> GameInstance:
         )
     except KeyError as e:
         raise ValueError(f"instance document missing field {e.args[0]!r}") from e
-    declared = (d.get("states"), d.get("actions_a"), d.get("actions_b"))
     actual = (instance.n_states, instance.n_actions_a, instance.n_actions_b)
-    for name, want, got in zip(("states", "actions_a", "actions_b"), declared, actual):
-        if want is not None and int(want) != got:
+    for name, got in zip(_DIMS, actual):
+        want = d.get(name)
+        if want is not None and _scalar(name, want, 1, integer=True) != got:
             raise ValueError(f"declared {name} = {want} but tables have {got}")
     return instance
 
@@ -777,7 +821,7 @@ def strategy_to_dict(strategy: StationaryStrategy) -> dict:
 
 def strategy_from_dict(d: dict) -> StationaryStrategy:
     try:
-        return StationaryStrategy(int(d["player"]), np.array(d["rows"], dtype=float))
+        return StationaryStrategy(d["player"], np.array(d["rows"], dtype=float))
     except KeyError as e:
         raise ValueError(f"strategy document missing field {e.args[0]!r}") from e
 

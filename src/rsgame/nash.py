@@ -48,6 +48,7 @@ from .game_model import (  # noqa: F401
     GameInstance,
     StationaryStrategy,
     _decomposition_checks,
+    _scalar,
     pure_strategy,
     require_solvable,
     strategy_to_dict,
@@ -129,7 +130,12 @@ def best_response(
     opponent_strategy: StationaryStrategy,
     tol: float = DEFAULT_TOL,
 ) -> BestResponse:
-    """Solve the player's optimality equation and extract the argmin sets."""
+    """Solve the player's optimality equation and extract the argmin sets.
+
+    Args:
+        player: the integer 1 or 2.
+        tol: the solve's stopping tolerance, a real, finite and > 0.
+    """
     result = solve_optimality(instance, player, opponent_strategy, tol=tol)
     return BestResponse(
         solve=result,
@@ -138,16 +144,27 @@ def best_response(
     )
 
 
-def _values(
+def _certificate(
     instance: GameInstance,
-    player: int,
     Phi: StationaryStrategy,
     Psi: StationaryStrategy,
-    tol: float,
-) -> tuple[float, float]:
-    """(J_i, rho_i*) from one solve against the opponent; its kernel dies here."""
-    solve = solve_optimality(instance, player, Psi if player == 1 else Phi, tol=tol)
-    return ergodic_cost(instance, player, Phi, Psi, kernel=solve.kernel), solve.rho
+    solve1: SolveResult,
+    solve2: SolveResult,
+    rounds: int = 0,
+) -> NashCertificate:
+    """The pair's certificate from each player's solve against the other's strategy.
+
+    rho_i* is solve i's value and J_i comes from the kernel solve i swept,
+    with the player's own strategy mixed in.
+    """
+    j1 = ergodic_cost(instance, 1, Phi, Psi, kernel=solve1.kernel)
+    j2 = ergodic_cost(instance, 2, Phi, Psi, kernel=solve2.kernel)
+    return NashCertificate(
+        Phi=Phi, Psi=Psi, J1=j1, J2=j2,
+        rho1_star=solve1.rho, rho2_star=solve2.rho,
+        eps1=j1 - solve1.rho, eps2=j2 - solve2.rho,
+        rounds=rounds,
+    )
 
 
 def epsilon_gap(
@@ -159,15 +176,14 @@ def epsilon_gap(
     """Certify a pair: best-response values, the pair's values, and the gaps.
 
     Per player, one solve against the opponent; J_i comes from the kernel
-    that solve swept, which is dropped before the other player's is built.
+    that solve swept.
+
+    Args:
+        tol: the solves' stopping tolerance, a real, finite and > 0.
     """
-    j1, rho1 = _values(instance, 1, Phi, Psi, tol)
-    j2, rho2 = _values(instance, 2, Phi, Psi, tol)
-    return NashCertificate(
-        Phi=Phi, Psi=Psi, J1=j1, J2=j2,
-        rho1_star=rho1, rho2_star=rho2,
-        eps1=j1 - rho1, eps2=j2 - rho2,
-    )
+    solve1 = solve_optimality(instance, 1, Psi, tol=tol)
+    solve2 = solve_optimality(instance, 2, Phi, tol=tol)
+    return _certificate(instance, Phi, Psi, solve1, solve2)
 
 
 def verify_certificate(
@@ -199,9 +215,22 @@ def _smoothed_rows(values: np.ndarray, tau: float) -> np.ndarray:
     return w / w.sum(axis=1, keepdims=True)
 
 
-def _damp(old_rows: np.ndarray, target_rows: np.ndarray, beta: float) -> np.ndarray:
-    mixed = (1.0 - beta) * old_rows + beta * target_rows
-    return mixed / mixed.sum(axis=1, keepdims=True)
+def _response(
+    instance: GameInstance, old: StationaryStrategy, solve: SolveResult,
+    tau: float | None, beta: float,
+) -> StationaryStrategy:
+    """The damped response of ``old``'s player to ``solve``, its solve against the other strategy.
+
+    The target is the solve's pure selector when tau is None, else the
+    logit map of its action values at temperature tau; beta of it is mixed
+    into old's rows.
+    """
+    if tau is None:
+        target = pure_strategy(instance, old.player, solve.selector).rows
+    else:
+        target = _smoothed_rows(solve.action_values, tau)
+    mixed = (1.0 - beta) * old.rows + beta * target
+    return StationaryStrategy(old.player, mixed / mixed.sum(axis=1, keepdims=True))
 
 
 def _fingerprint(phi_rows: np.ndarray, psi_rows: np.ndarray) -> int:
@@ -226,8 +255,8 @@ def best_response_dynamics(
         Psi <- (1 - beta) Psi + beta * logit_tau(player-2 action values)
 
     with the temperature tau annealed geometrically from tau_schedule =
-    (tau0, tau_min, decay); tau_schedule=None plays exact (unsmoothed) pure
-    responses.  After each round the current pair is certified; the run
+    (tau0, tau_min, tau_decay); tau_schedule=None plays exact (unsmoothed)
+    pure responses.  After each round the current pair is certified; the run
     stops as soon as max(eps1, eps2) <= eps_target.  On exhausting
     max_rounds the best certificate seen is returned with converged=False
     and a cycle report when the recent strategy-pair fingerprint window
@@ -236,24 +265,24 @@ def best_response_dynamics(
 
     Args:
         init_pair: starting (Phi, Psi); uniform randomization by default.
-        beta: damping weight in (0, 1] on the new response.
-        tau_schedule: tau0 and tau_min finite and > 0, decay in (0, 1).
-        max_rounds: round cap, >= 0 (0 certifies the starting pair alone).
-        eps_target: certification target for max(eps1, eps2).
+        beta: damping weight on the new response, a real in (0, 1].
+        tau_schedule: tau0 and tau_min reals, finite and > 0, and
+            tau_decay a real in (0, 1).
+        max_rounds: round cap, an integer >= 0 (0 certifies the starting
+            pair alone).
+        eps_target: certification target for max(eps1, eps2), a real,
+            finite and > 0.
+        tol: the solves' stopping tolerance, a real, finite and > 0.
     """
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must be in (0, 1], got {beta!r}")
-    if not 0.0 < eps_target < np.inf:  # also rejects nan
-        raise ValueError(f"eps_target must be finite and > 0, got {eps_target!r}")
-    if max_rounds < 0:
-        raise ValueError(f"max_rounds must be >= 0, got {max_rounds!r}")
+    beta = _scalar("beta", beta, 0, 1, ends="(]")
+    eps_target = _scalar("eps_target", eps_target, 0, ends="()")
+    max_rounds = _scalar("max_rounds", max_rounds, 0, integer=True)
+    tau = None
     if tau_schedule is not None:
-        tau, tau_min, decay = tau_schedule
-        for name, value in (("tau0", tau), ("tau_min", tau_min)):
-            if not 0.0 < value < np.inf:  # also rejects nan
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if not 0.0 < decay < 1.0:
-            raise ValueError(f"invalid tau_schedule {tau_schedule!r}")
+        tau0, tau_min, decay = tau_schedule
+        tau = _scalar("tau0", tau0, 0, ends="()")
+        tau_min = _scalar("tau_min", tau_min, 0, ends="()")
+        decay = _scalar("tau_decay", decay, 0, 1, ends="()")
     require_solvable(instance)
     if init_pair is None:
         Phi = uniform_strategy(instance, 1)
@@ -267,33 +296,14 @@ def best_response_dynamics(
     seen: deque[int] = deque(maxlen=CYCLE_WINDOW)
     cycle: dict | None = None
     solve1 = solve_optimality(instance, 1, Psi, tol=tol)
-    for rounds in range(1, int(max_rounds) + 1):
-        vals1 = solve1.action_values
-        if tau_schedule is None:
-            target1 = pure_strategy(instance, 1, vals1.argmin(axis=1)).rows
-        else:
-            target1 = _smoothed_rows(vals1, tau)
-        Phi = StationaryStrategy(1, _damp(Phi.rows, target1, beta))
-
+    for rounds in range(1, max_rounds + 1):
+        Phi = _response(instance, Phi, solve1, tau, beta)
         solve2 = solve_optimality(instance, 2, Phi, tol=tol)
-        vals2 = solve2.action_values
-        if tau_schedule is None:
-            target2 = pure_strategy(instance, 2, vals2.argmin(axis=1)).rows
-        else:
-            target2 = _smoothed_rows(vals2, tau)
-        Psi = StationaryStrategy(2, _damp(Psi.rows, target2, beta))
-
+        Psi = _response(instance, Psi, solve2, tau, beta)
         # certify the updated pair from the two solves' own kernels; solve1
         # doubles as next round's response
         solve1 = solve_optimality(instance, 1, Psi, tol=tol)
-        j1 = ergodic_cost(instance, 1, Phi, Psi, kernel=solve1.kernel)
-        j2 = ergodic_cost(instance, 2, Phi, Psi, kernel=solve2.kernel)
-        cert = NashCertificate(
-            Phi=Phi, Psi=Psi, J1=j1, J2=j2,
-            rho1_star=solve1.rho, rho2_star=solve2.rho,
-            eps1=j1 - solve1.rho, eps2=j2 - solve2.rho,
-            rounds=rounds,
-        )
+        cert = _certificate(instance, Phi, Psi, solve1, solve2, rounds)
         if cert.max_gap <= eps_target:
             return cert
         if cert.max_gap < best.max_gap:
@@ -305,9 +315,9 @@ def best_response_dynamics(
             period = len(recent) - max(i for i, s in enumerate(recent) if s == fp)
             cycle = {"round": rounds, "period": period}
         seen.append(fp)
-        if tau_schedule is not None:
+        if tau is not None:
             tau = max(tau * decay, tau_min)
-    return replace(best, rounds=int(max_rounds), converged=False, cycle=cycle)
+    return replace(best, rounds=max_rounds, converged=False, cycle=cycle)
 
 
 # ---------------------------------------------------------------------------
@@ -481,11 +491,14 @@ def brute_force_nash(
     pairs.  Kernels are mixed in log space and values taken on row-shifted
     kernels, so large theta * cost cannot overflow; pairs are evaluated in
     chunks of at most CHUNK_PAIRS to bound memory.
+
+    Args:
+        grid_step: the grid's spacing, a real that divides 1 evenly.
+        eps: survivor threshold on max(eps1, eps2), a real, finite and >= 0.
+        tol: the best responses' stopping tolerance, a real, finite and > 0.
     """
-    if not 0.0 < tol < np.inf:  # also rejects nan
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    if not 0.0 <= eps < np.inf:
-        raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
+    tol = _scalar("tol", tol, 0, ends="()")
+    eps = _scalar("eps", eps, 0)
     require_solvable(instance)
     points_a = _simplex_grid(instance.n_actions_a, grid_step)
     points_b = _simplex_grid(instance.n_actions_b, grid_step)
@@ -541,7 +554,7 @@ def brute_force_nash(
         rho1_star=rho1_star[j][order], rho2_star=rho2_star[i][order],
         eps1=eps1[order], eps2=eps2[order], maps_a=maps_a, maps_b=maps_b,
         grid_step=float(grid_step),
-        eps=float(eps),
+        eps=eps,
         searched_pairs=s1 * s2,
         existence_guaranteed=guaranteed,
     )

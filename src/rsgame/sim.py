@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game_model import GameInstance, StationaryStrategy, check_strategy
+from .game_model import GameInstance, StationaryStrategy, _scalar, check_strategy
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,11 +130,9 @@ def _walk(
     uniforms u and picks each index as the first whose cumulative
     probability exceeds u (see _drawer).
     """
-    if n < 1 or n_paths < 1:
-        raise ValueError(f"n and n_paths must be >= 1, got {n} and {n_paths}")
-    if not 0 <= x0 < instance.n_states:
-        raise ValueError(f"start state {x0} out of range")
-    n, n_paths = int(n), int(n_paths)
+    n = _scalar("n", n, 1, integer=True)
+    n_paths = _scalar("n_paths", n_paths, 1, integer=True)
+    x0 = _scalar("x0", x0, 0, instance.n_states, integer=True)
     draw_a = _drawer(check_strategy(instance, Phi, 1), n_paths)
     draw_b = _drawer(check_strategy(instance, Psi, 2), n_paths)
     draw_y = _drawer(instance.transition, n_paths)
@@ -142,7 +140,7 @@ def _walk(
 
     def steps():
         rng = np.random.default_rng(seed)
-        y = np.full(n_paths, int(x0))
+        y = np.full(n_paths, x0)
         for _ in range(n):
             x = y
             u = rng.random((3, n_paths))
@@ -168,6 +166,11 @@ def sample_path(
     so a one-path estimate with the same seed reads this path.  Works for
     any valid transition table, including rows with zero entries
     (deterministic chains), which the optimizing solvers reject.
+
+    Args:
+        x0: start state, an integer in [0, n_states).
+        n: number of steps, an integer >= 1.
+        seed: seed of the one generator every draw comes from.
     """
     steps = zip(*_walk(instance, Phi, Psi, x0, n, 1, seed))
     x, a, b, y = (np.concatenate(v) for v in steps)
@@ -198,12 +201,17 @@ def mc_cost_estimate(
     of the difference, accounting for the correlation induced by sharing
     paths between the two terms.  Memory is O(n_paths): only the running
     sums S_n and S_{n-1} of both players are kept.
+
+    Args:
+        x: start state, an integer in [0, n_states).
+        n: horizon, an integer >= 1.
+        n_paths: number of paths, an integer >= 1.
+        seed: seed of the one generator every draw comes from.
     """
     # both cost tables as [player, flat (x, a, b)] columns: one take per step
     costs = np.stack([instance.cost1, instance.cost2]).reshape(2, -1)
     na, nb = instance.n_actions_a, instance.n_actions_b
     steps = _walk(instance, Phi, Psi, x, n, n_paths, seed)
-    n_paths = int(n_paths)
     total = prev_total = np.zeros((2, n_paths))
     for xs, a, b, _ in steps:
         prev_total, total = total, total + costs.take((xs * na + a) * nb + b, axis=1)

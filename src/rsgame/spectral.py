@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .game_model import GameInstance, StationaryStrategy, check_strategy
+from .game_model import GameInstance, StationaryStrategy, _scalar, check_strategy
 from .transforms import log_twisted_tensor
 
 if TYPE_CHECKING:
@@ -49,7 +49,11 @@ _NOISE_FLOOR = 4.0 * np.finfo(float).eps
 def twisted_matrix(
     instance: GameInstance, player: int, Phi: StationaryStrategy, Psi: StationaryStrategy
 ) -> np.ndarray:
-    """ln Q[x][y], Q[x][y] = sum_{a,b} Phi(a|x) Psi(b|x) e^{theta*c_i(x,a,b)} P(y|x,a,b)."""
+    """ln Q[x][y], Q[x][y] = sum_{a,b} Phi(a|x) Psi(b|x) e^{theta*c_i(x,a,b)} P(y|x,a,b).
+
+    Args:
+        player: i, the integer 1 or 2.
+    """
     return log_twisted_tensor(
         instance, player, check_strategy(instance, Phi, 1), check_strategy(instance, Psi, 2)
     )
@@ -91,6 +95,9 @@ def perron_value(
     eigenvector w scaled so ln w[anchor] = 0; w itself would overflow once
     its entries spread past ~e^709.
 
+    Args:
+        anchor: the state that pins ln w to 0, an integer in [0, n).
+
     Raises:
         ValueError: if ln Q is not square, has an entry that is not finite
             (Q not strictly positive), or anchor is out of range.
@@ -102,8 +109,7 @@ def perron_value(
         raise ValueError(f"expected a square matrix, got shape {log_q.shape}")
     if not np.all(np.isfinite(log_q)):
         raise ValueError("perron_value requires a strictly positive matrix")
-    if not 0 <= anchor < log_q.shape[0]:
-        raise ValueError(f"anchor {anchor} out of range for {log_q.shape[0]} states")
+    anchor = _scalar("anchor", anchor, 0, log_q.shape[0], integer=True)
     bracketed = False
     for growth, log_u, _ in islice(_log_powers(log_q), MAX_POWER_STEPS):
         if bracketed:
@@ -134,6 +140,9 @@ def ergodic_cost(
     On an exact additive decomposition the solve never formed M, and Q is
     the doubly mixed kernel built from both strategies' rows, so the
     result equals the default exactly.
+
+    Args:
+        player: the integer 1 or 2.
 
     Raises:
         ValueError: if the kernel was swept for the other player or does
@@ -168,12 +177,15 @@ def finite_horizon_growth(
     sum), computed by n log-stabilized matrix-vector products.  The
     increments converge geometrically to :func:`ergodic_cost`; at n = 1 the
     value is ln of the twisted row sum at x.
+
+    Args:
+        player: the integer 1 or 2.
+        x: start state, an integer in [0, n_states).
+        n: horizon, an integer >= 1.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 <= x < instance.n_states:
-        raise ValueError(f"start state {x} out of range")
-    growth, _, _ = _nth_power(twisted_matrix(instance, player, Phi, Psi), int(n))
+    n = _scalar("n", n, 1, integer=True)
+    x = _scalar("x", x, 0, instance.n_states, integer=True)
+    growth, _, _ = _nth_power(twisted_matrix(instance, player, Phi, Psi), n)
     return float(growth[x])
 
 
@@ -189,13 +201,16 @@ def horizon_log_mgf(
 
     The time average of this quantity approaches the ergodic value only at
     rate O(1/n); it is the distribution target for Monte Carlo validation.
+
+    Args:
+        player: the integer 1 or 2.
+        x: start state, an integer in [0, n_states).
+        n: horizon, an integer >= 0.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if not 0 <= x < instance.n_states:
-        raise ValueError(f"start state {x} out of range")
+    n = _scalar("n", n, 0, integer=True)
+    x = _scalar("x", x, 0, instance.n_states, integer=True)
     log_q = twisted_matrix(instance, player, Phi, Psi)
     if n == 0:
         return 0.0
-    _, log_u, scale = _nth_power(log_q, int(n))
+    _, log_u, scale = _nth_power(log_q, n)
     return float(log_u[x] + scale)

@@ -297,6 +297,27 @@ class TestSolveOptimality:
             with pytest.raises(ValueError) as raised:
                 rs.solve_optimality(g2, 2, phi, max_iter=max_iter)
             assert str(raised.value) == f"max_iter must be >= 1, got {max_iter}"
+        refused = [
+            ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+            ({"max_iter": True}, "max_iter must be an integer, got True"),
+            ({"tol": "1e-12"}, "tol must be a real number, got '1e-12'"),
+            ({"player": True}, "player must be an integer, got True"),
+            ({"player": np.True_}, f"player must be an integer, got {np.True_!r}"),
+            ({"player": 3}, "player must be in [1, 2], got 3"),
+        ]
+        for kwargs, message in refused:
+            with pytest.raises(ValueError) as raised:
+                rs.solve_optimality(**{"instance": g2, "player": 2, "opponent_strategy": phi,
+                                       **kwargs})
+            assert str(raised.value) == message, kwargs
+        # numpy scalars are the same values
+        plain = rs.solve_optimality(g2, 2, phi, tol=1e-12, max_iter=100_000)
+        scalars = rs.solve_optimality(g2, np.int64(2), phi, tol=np.float64(1e-12),
+                                      max_iter=np.int64(100_000))
+        assert (scalars.rho, scalars.iterations) == (plain.rho, plain.iterations)
+        assert_array_equal(scalars.v, plain.v)
+        capped = rs.solve_optimality(g2, 2, phi, max_iter=np.int64(2))
+        assert capped.iterations == 2 and not capped.converged
         with pytest.raises(ValueError):
             rs.solve_optimality(g2, 3, phi)
         zero_t = np.zeros((2, 1, 1, 2))
@@ -419,6 +440,11 @@ class TestMeasuredContraction:
         phi, _ = g2_uniform
         with pytest.raises(ValueError):
             rs.measured_contraction(g2, 2, phi, n_pairs=0)
+        for n_pairs, message in ((0, "n_pairs must be >= 1, got 0"),
+                                 (2.5, "n_pairs must be an integer, got 2.5")):
+            with pytest.raises(ValueError) as raised:
+                rs.measured_contraction(g2, 2, phi, n_pairs=n_pairs)
+            assert str(raised.value) == message
         with pytest.raises(ValueError):
             rs.measured_contraction(g2, 2, phi, span_cap=0.0)
         for span_cap, shown in ((float("nan"), "nan"), (float("inf"), "inf"), (-1.0, "-1.0")):

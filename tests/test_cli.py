@@ -71,14 +71,14 @@ class TestGen:
         code, report, err = run(["gen", flag, value], capsys)
         assert code == 2
         assert report is None
-        assert err.startswith("error: dims (") and "must be positive" in err
+        assert err == f"error: {flag[2:].replace('-', '_')} must be >= 1, got {value}\n"
 
     @pytest.mark.parametrize("value, shown", [("nan", "nan"), ("-0.1", "-0.1"), ("0", "0.0")])
     def test_nonpositive_min_prob_is_usage_error(self, capsys, value, shown):
         code, report, err = run(["gen", "--min-prob", value], capsys)
         assert code == 2
         assert report is None
-        assert err == f"error: min_prob must be > 0, got {shown}\n"
+        assert err == f"error: min_prob must be finite and > 0, got {shown}\n"
 
 
 class TestValidateCommand:
@@ -264,7 +264,7 @@ class TestEvalCommand:
         )
         assert code == 2
         assert report is None
-        assert err == f"error: start state {x} out of range\n"
+        assert err == f"error: x must be in [0, 2), got {x}\n"
 
     def test_theta_override_changes_values_and_digest(self, g2_path, capsys):
         _, base, _ = run(
@@ -290,7 +290,7 @@ class TestEvalCommand:
         )
         assert code == 2
         assert report is None
-        assert err == "error: theta must be a positive finite real, got -1.0\n"
+        assert err == "error: theta must be finite and > 0, got -1.0\n"
 
 
 class TestNashCommand:
@@ -382,12 +382,33 @@ class TestErrorPaths:
         assert code == 3
         assert "line 1" in err and "column" in err
 
-    def test_semantically_invalid_document(self, tmp_path, capsys):
+    def test_semantically_invalid_document(self, g2, g2_path, tmp_path, capsys):
         path = tmp_path / "wrong.json"
         path.write_text(json.dumps({"theta": 1.0}))
         code, report, err = run(["validate", "--instance", str(path)], capsys)
         assert code == 3
         assert "transition" in err
+        # scalar fields are taken as written: never truncated, parsed or read as a number
+        fields = [
+            ("anchor_state", 0.9, "anchor_state must be an integer, got 0.9"),
+            ("anchor_state", 2.5, "anchor_state must be an integer, got 2.5"),
+            ("anchor_state", True, "anchor_state must be an integer, got True"),
+            ("theta", True, "theta must be a real number, got True"),
+            ("theta", "1.5", "theta must be a real number, got '1.5'"),
+            ("states", 3.7, "states must be an integer, got 3.7"),
+        ]
+        for key, value, message in fields:
+            doc = rs.instance_to_dict(g2)
+            doc[key] = value
+            write_document(path, doc)
+            assert run(["validate", "--instance", str(path)], capsys) == (
+                3, None, f"error: {path}: {message}\n"), (key, value)
+        phi = tmp_path / "phi.json"
+        for value in (1.7, True, "1"):
+            write_document(phi, {"player": value, "rows": [[1, 0], [1, 0]]})
+            argv = ["eval", "--instance", g2_path, "--phi", str(phi), "--psi", "uniform"]
+            assert run(argv, capsys) == (
+                3, None, f"error: {phi}: player must be an integer, got {value!r}\n"), value
 
     # (--instance document, --phi document, stderr after "error: <path>: ")
     BAD_DOCUMENTS = {
@@ -475,12 +496,13 @@ class TestErrorPaths:
                 code, report, err = run([*argv, flag, value], capsys)
                 assert (code, report, err) == (2, None, f"error: {message}, got {shown}\n"), (
                     argv[0], flag, value)
-        counts = [
+        others = [
             (nash, "--rounds", "-1", "max_rounds must be >= 0"),
             (solve, "--max-iter", "0", "max_iter must be >= 1"),
             (solve, "--max-iter", "-5", "max_iter must be >= 1"),
+            (nash, "--tau-decay", "1.5", "tau_decay must be in (0, 1)"),
         ]
-        for argv, flag, value, message in counts:
+        for argv, flag, value, message in others:
             code, report, err = run([*argv, flag, value], capsys)
             assert (code, report, err) == (2, None, f"error: {message}, got {value}\n"), (
                 argv[0], flag, value)

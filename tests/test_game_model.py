@@ -455,6 +455,26 @@ class TestConstruction:
             rs.GameInstance(g2.transition, g2.cost1, g2.cost2, anchor_state=2)
         with pytest.raises(ValueError):
             rs.GameInstance(g2.transition, -g2.cost1, g2.cost2)
+        # taken as given: never truncated, parsed or read as a number
+        refused = [
+            ({"anchor_state": 0.9}, "anchor_state must be an integer, got 0.9"),
+            ({"anchor_state": 1.0}, "anchor_state must be an integer, got 1.0"),
+            ({"anchor_state": True}, "anchor_state must be an integer, got True"),
+            ({"anchor_state": 2}, "anchor_state must be in [0, 2), got 2"),
+            ({"theta": True}, "theta must be a real number, got True"),
+            ({"theta": "1.5"}, "theta must be a real number, got '1.5'"),
+            ({"theta": float("nan")}, "theta must be finite and > 0, got nan"),
+        ]
+        for kwargs, message in refused:
+            with pytest.raises(ValueError) as raised:
+                rs.GameInstance(g2.transition, g2.cost1, g2.cost2, **kwargs)
+            assert str(raised.value) == message, kwargs
+        # numpy scalars are the same values
+        same = rs.GameInstance(g2.transition, g2.cost1, g2.cost2, theta=np.float64(1.0),
+                               anchor_state=np.int64(1))
+        assert (type(same.theta), type(same.anchor_state)) == (float, int)
+        plain = rs.GameInstance(g2.transition, g2.cost1, g2.cost2, theta=1.0, anchor_state=1)
+        assert rs.instance_digest(same) == rs.instance_digest(plain)
 
     def test_arrays_are_read_only(self, g2):
         with pytest.raises(ValueError):
@@ -534,6 +554,10 @@ class TestConstruction:
         assert_array_equal(g2.cost(2), g2.cost2)
         with pytest.raises(ValueError):
             g2.cost(3)
+        for player in (True, np.True_, 1.0):
+            with pytest.raises(ValueError) as raised:
+                g2.cost(player)
+            assert str(raised.value) == f"player must be an integer, got {player!r}"
 
     def test_assemble_from_arat_matches_componentwise_sum(self, g2):
         arat = g2.arat
@@ -553,13 +577,33 @@ class TestStrategies:
         assert_array_equal(psi.rows, np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert psi.player == 2
 
-    def test_rejects_bad_rows(self):
+    def test_rejects_bad_rows(self, g2):
         with pytest.raises(ValueError):
             rs.StationaryStrategy(1, np.array([[0.5, 0.6]]))
         with pytest.raises(ValueError):
             rs.StationaryStrategy(1, np.array([[1.5, -0.5]]))
         with pytest.raises(ValueError):
             rs.StationaryStrategy(3, np.array([[1.0]]))
+        refused = [
+            (lambda: rs.StationaryStrategy(True, np.array([[1.0]])),
+             "player must be an integer, got True"),
+            (lambda: rs.StationaryStrategy(np.True_, np.array([[1.0]])),
+             f"player must be an integer, got {np.True_!r}"),
+            (lambda: rs.StationaryStrategy(1.0, np.array([[1.0]])),
+             "player must be an integer, got 1.0"),
+            (lambda: rs.StationaryStrategy(3, np.array([[1.0]])),
+             "player must be in [1, 2], got 3"),
+            # a negative index would pick an action from the end
+            (lambda: rs.pure_strategy(g2, 1, [-1, 0]), "actions[0] must be in [0, 2), got -1"),
+            (lambda: rs.pure_strategy(g2, 2, [1, 2]), "actions[1] must be in [0, 2), got 2"),
+            (lambda: rs.pure_strategy(g2, 2, [1, 0.0]), "actions[1] must be an integer, got 0.0"),
+        ]
+        for build, message in refused:
+            with pytest.raises(ValueError) as raised:
+                build()
+            assert str(raised.value) == message
+        assert rs.StationaryStrategy(np.int64(2), np.array([[1.0]])).player == 2
+        assert_array_equal(rs.pure_strategy(g2, 2, np.array([1, 0])).rows, [[0, 1], [1, 0]])
 
 
 #: every consumer of a strategy pair, called with a bad player-1 strategy
@@ -630,8 +674,11 @@ class TestRandomInstances:
     @pytest.mark.parametrize("dims", [(0, 2, 2), (-1, 2, 2), (3, 0, 2), (3, 2, 0)])
     @pytest.mark.parametrize("arat_flag", [False, True])
     def test_nonpositive_dims_rejected_first(self, dims, arat_flag):
-        with pytest.raises(ValueError, match=r"dims \(.*\) must be positive"):
+        k = next(k for k, d in enumerate(dims) if d < 1)
+        with pytest.raises(ValueError) as raised:
             rs.random_instance(0, dims=dims, arat_flag=arat_flag)
+        name = ("states", "actions_a", "actions_b")[k]
+        assert str(raised.value) == f"{name} must be >= 1, got {dims[k]}"
 
     @pytest.mark.parametrize("min_prob, shown", [
         (float("nan"), "nan"), (-0.1, "-0.1"), (0.0, "0.0"),
@@ -640,7 +687,7 @@ class TestRandomInstances:
     def test_nonpositive_min_prob_rejected(self, min_prob, shown, arat_flag):
         with pytest.raises(ValueError) as raised:
             rs.random_instance(0, dims=(3, 2, 2), min_prob=min_prob, arat_flag=arat_flag)
-        assert str(raised.value) == f"min_prob must be > 0, got {shown}"
+        assert str(raised.value) == f"min_prob must be finite and > 0, got {shown}"
 
     def test_infeasible_min_prob_rejected(self, monkeypatch):
         with pytest.raises(ValueError):

@@ -259,6 +259,17 @@ class TestBestResponseDynamics:
         with pytest.raises(ValueError) as raised:
             rs.best_response_dynamics(g2, max_rounds=-1)
         assert str(raised.value) == "max_rounds must be >= 0, got -1"
+        exact = [
+            ({"max_rounds": 1.5}, "max_rounds must be an integer, got 1.5"),
+            ({"beta": True}, "beta must be a real number, got True"),
+            ({"beta": 1.5}, "beta must be in (0, 1], got 1.5"),
+            ({"tau_schedule": (0.1, 1e-4, 1.5)}, "tau_decay must be in (0, 1), got 1.5"),
+            ({"tau_schedule": (0.1, 1e-4, float("nan"))}, "tau_decay must be in (0, 1), got nan"),
+        ]
+        for kwargs, message in exact:
+            with pytest.raises(ValueError) as raised:
+                rs.best_response_dynamics(g2, **kwargs)
+            assert str(raised.value) == message, kwargs
         for value, shown in ((float("nan"), "nan"), (float("inf"), "inf"), (-1.0, "-1.0")):
             refusals = [
                 (rs.best_response_dynamics, {"eps_target": value}, "eps_target", "> 0"),

@@ -241,6 +241,17 @@ class TestMcCostEstimate:
             rs.mc_cost_estimate(g2, phi, psi, x=0, n=5, n_paths=0, seed=1)
         with pytest.raises(ValueError):
             rs.mc_cost_estimate(g2, phi, psi, x=9, n=5, n_paths=10, seed=1)
+        refused = [
+            ({"n_paths": 10.0}, "n_paths must be an integer, got 10.0"),
+            ({"n": 2.5}, "n must be an integer, got 2.5"),
+            ({"x": True}, "x0 must be an integer, got True"),
+            ({"x": 2}, "x0 must be in [0, 2), got 2"),
+        ]
+        for kwargs, message in refused:
+            with pytest.raises(ValueError) as raised:
+                rs.mc_cost_estimate(g2, phi, psi, **{"x": 0, "n": 5, "n_paths": 10, "seed": 1,
+                                                      **kwargs})
+            assert str(raised.value) == message, kwargs
 
 
 def golden_game(name: str):

@@ -122,9 +122,10 @@ class TestPerronValue:
         assert ln_r1 == pytest.approx(ln_r0, abs=1e-13)
         assert log_w1[1] == 0.0
         assert_allclose(log_w1, log_w0 - log_w0[1], atol=1e-10)
-        for anchor in (-1, 2):
+        for anchor in (-1, 2, True, 1.0):
             with pytest.raises(ValueError, match="anchor"):
                 rs.perron_value(log_q, anchor=anchor)
+        assert rs.perron_value(log_q, anchor=np.int64(1))[0] == ln_r1
 
     def test_rejects_bad_matrices(self):
         with pytest.raises(ValueError):
@@ -261,12 +262,17 @@ class TestFiniteHorizonGrowth:
         phi, psi = g2_uniform
         with pytest.raises(ValueError):
             rs.finite_horizon_growth(g2, 2, phi, psi, x=0, n=0)
+        for horizon in (rs.finite_horizon_growth, rs.horizon_log_mgf):
+            with pytest.raises(ValueError) as raised:
+                horizon(g2, 2, phi, psi, x=0, n=2.5)
+            assert str(raised.value) == "n must be an integer, got 2.5"
 
     @pytest.mark.parametrize("x", [-1, 2])
     def test_rejects_out_of_range_start_state(self, g2, g2_uniform, x):
         phi, psi = g2_uniform
-        with pytest.raises(ValueError, match=f"start state {x} out of range"):
+        with pytest.raises(ValueError) as raised:
             rs.finite_horizon_growth(g2, 2, phi, psi, x=x, n=3)
+        assert str(raised.value) == f"x must be in [0, 2), got {x}"
 
 
 class TestHorizonLogMgf:
@@ -278,8 +284,9 @@ class TestHorizonLogMgf:
     @pytest.mark.parametrize("x", [-1, 2])
     def test_rejects_out_of_range_start_state(self, g2, g2_uniform, x, n):
         phi, psi = g2_uniform
-        with pytest.raises(ValueError, match=f"start state {x} out of range"):
+        with pytest.raises(ValueError) as raised:
             rs.horizon_log_mgf(g2, 2, phi, psi, x=x, n=n)
+        assert str(raised.value) == f"x must be in [0, 2), got {x}"
 
     def test_increments_reproduce_growth(self, g2, g2_uniform):
         phi, psi = g2_uniform

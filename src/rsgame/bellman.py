@@ -87,9 +87,7 @@ class SolveResult:
     dense and row-shifted on the table route, or the opponent's mixed side
     alone on an exact decomposition, where M is never formed.  It is kept
     so callers can mix in the player's own strategy without rebuilding the
-    opponent's (``kernel.mix_own(rows)`` gives ln Q [x, y]).  From
-    :func:`relative_value_iteration` on a stack of kernels, every array
-    carries the stack's leading axes.
+    opponent's (``kernel.mix_own(rows)`` gives ln Q [x, y]).
     """
 
     rho: float
@@ -274,7 +272,11 @@ def mixed_objective(
 
     c^_i(x, phi, psi) + ln sum_y e^{v(y)} P^_i(y | x, phi, psi).  For player
     2 this is the inner objective as a function of psi; for player 1, of phi.
+
+    Args:
+        x: the state, an integer in [0, n_states).
     """
+    x = _scalar("x", x, 0, instance.n_states, integer=True)
     c_hat, p_hat = normalized_kernel(instance, player, x, phi, psi)
     v = np.asarray(v, dtype=float)
     top = v.max()
@@ -288,7 +290,11 @@ def dual_value(instance: GameInstance, player: int, x: int, phi, psi, v) -> floa
     measure mu*(y) proportional to e^{v(y)} P^(y).  Agrees with
     :func:`mixed_objective` to ~1e-10; the twisted measure maximizes the
     bracketed concave functional over all next-state measures.
+
+    Args:
+        x: the state, an integer in [0, n_states).
     """
+    x = _scalar("x", x, 0, instance.n_states, integer=True)
     c_hat, p_hat = normalized_kernel(instance, player, x, phi, psi)
     v = np.asarray(v, dtype=float)
     mu = twisted_measure(p_hat, v)
@@ -300,30 +306,38 @@ def relative_value_iteration(
     anchor: int,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-) -> SolveResult:
-    """Relative value iteration on a stack of log kernels L[..., x, k, y].
+) -> np.ndarray:
+    """Optimal ergodic values rho [...] of a stack of log kernels L[..., x, k, y].
 
     Iterates v <- Tv - (Tv)(anchor), with (Tv)(x) = min_k ln sum_y
     e^{L(x,k,y) + v(y)}, from v = 0 until the span of successive
     differences is below tol for every kernel in the stack, then reads
-    rho = (Tv)(anchor), the selector and the action values off one more
-    sweep.  The result's arrays carry the stack's leading axes; residual is
-    the largest span over the stack.  With one own action rho is the log
-    Perron root of e^L.
+    rho = (Tv)(anchor) off one more sweep.
 
     The stop never asks for less than the sweep's rounding noise: once the
     span stops shrinking it only has to be below max(tol, 4 eps max|Tv|),
     so values near theta*c = 1e6 converge as values near 1 do.  The
     arguments are not checked again: the one caller, brute force, passes
     the instance's anchor and a tolerance it has checked.
+
+    Raises:
+        RuntimeError: if the stack has not converged in max_iter sweeps.
     """
-    return _relative_value_iteration(_shifted(log_kernel), anchor, tol, max_iter)
+    result = _relative_value_iteration(_shifted(log_kernel), anchor, tol, max_iter)
+    if not result.converged:
+        raise RuntimeError(f"batched value iteration did not converge in {max_iter} steps")
+    return result.rho
 
 
 def _relative_value_iteration(
     kernel: _DenseKernel | _SplitKernel, anchor: int, tol: float, max_iter: int
 ) -> SolveResult:
-    """:func:`relative_value_iteration` on a kernel in either form."""
+    """Relative value iteration on a kernel in either form, or a stack of dense ones.
+
+    As :func:`relative_value_iteration`, but returns the whole result and
+    reports non-convergence in it.  The result's arrays carry a stack's
+    leading axes; residual is the largest span over the stack.
+    """
     v = np.zeros(kernel.shape[:-2])
     residual = np.inf
     converged = False

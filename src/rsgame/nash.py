@@ -34,9 +34,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import spectral
 # action_values, apply_T and validate are unused here; bench/tracing.py patches them here
 from .bellman import (  # noqa: F401
-    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     SolveResult,
     action_values,
@@ -195,7 +195,11 @@ def verify_certificate(
     must reproduce every stored value within 1e-8, and the recomputed max
     gap must be <= eps.  Unlike :func:`epsilon_gap`, J_i does not come from
     the solver's kernel, so the check stays independent of it.
+
+    Args:
+        eps: the largest gap accepted, a real, finite and >= 0.
     """
+    eps = _scalar("eps", eps, 0)
     Phi, Psi = certificate.Phi, certificate.Psi
     j1, j2 = ergodic_cost(instance, 1, Phi, Psi), ergodic_cost(instance, 2, Phi, Psi)
     rho1 = solve_optimality(instance, 1, Psi).rho
@@ -428,53 +432,6 @@ def _gather(table: np.ndarray, index_a: np.ndarray, index_b: np.ndarray) -> np.n
     return out.transpose(1, 2, 0, 3).reshape(-1, n, n)
 
 
-def _rvi_values(log_kernel: np.ndarray, anchor: int, tol: float) -> np.ndarray:
-    """Optimal ergodic values of a stack of log kernels L[n, x, own action, y]."""
-    result = relative_value_iteration(log_kernel, anchor, tol)
-    if not result.converged:
-        raise RuntimeError(
-            f"batched value iteration did not converge in {DEFAULT_MAX_ITER} steps"
-        )
-    return result.rho
-
-
-def _log_perron(log_q: np.ndarray, anchor: int) -> np.ndarray:
-    """ln spectral radius of each positive matrix e^{log_q[n]}.
-
-    Two states take the closed form of the larger eigenvalue, scaled by
-    m = max(a, d, (b+c)/2) over the log entries [[a, b], [c, d]]; the
-    discriminant is a sum of nonnegative terms, so nothing cancels.  Other
-    sizes run single-action relative value iteration.
-    """
-    if log_q.shape[1] != 2:
-        return _rvi_values(log_q[:, :, None, :], anchor, DEFAULT_TOL)
-    a, b, c, d = log_q[:, 0, 0], log_q[:, 0, 1], log_q[:, 1, 0], log_q[:, 1, 1]
-    # m + ln(0.5 (ea + ed) + sqrt(0.25 (ea - ed)^2 + e^{b + c - 2m})) in four
-    # buffers, written in place: fresh pages cost more than the arithmetic
-    m = np.maximum(a, d)
-    u = np.add(b, c)
-    u *= 0.5
-    np.maximum(m, u, out=m)
-    np.subtract(a, m, out=u)
-    ea = np.exp(u, out=u)
-    ed = np.subtract(d, m)
-    np.exp(ed, out=ed)
-    diff = np.subtract(ea, ed)
-    half_sum = np.add(ea, ed, out=ea)
-    half_sum *= 0.5
-    np.square(diff, out=diff)
-    diff *= 0.25
-    # b + c - 2m as 2 (0.5 (b + c) - m): scaling by 2 is exact, so the bits agree
-    cross = np.add(b, c, out=ed)
-    cross *= 0.5
-    cross -= m
-    cross *= 2.0
-    diff += np.exp(cross, out=cross)
-    half_sum += np.sqrt(diff, out=diff)
-    m += np.log(half_sum, out=half_sum)
-    return m
-
-
 def brute_force_nash(
     instance: GameInstance,
     grid_step: float = 0.05,
@@ -493,10 +450,11 @@ def brute_force_nash(
     chunks of at most CHUNK_PAIRS to bound memory.
 
     Args:
-        grid_step: the grid's spacing, a real that divides 1 evenly.
+        grid_step: the grid's spacing, a real in (0, 1] that divides 1 evenly.
         eps: survivor threshold on max(eps1, eps2), a real, finite and >= 0.
         tol: the best responses' stopping tolerance, a real, finite and > 0.
     """
+    grid_step = _scalar("grid_step", grid_step, 0, 1, ends="(]")
     tol = _scalar("tol", tol, 0, ends="()")
     eps = _scalar("eps", eps, 0)
     require_solvable(instance)
@@ -516,8 +474,10 @@ def brute_force_nash(
 
     # best-response values: rho1*[j] against every Psi map, rho2*[i] against
     # every Phi map — grid-free, so gaps are measured against all deviations
-    rho1_star = _rvi_values(log_twisted_tensor(instance, 1, psi=maps_b), anchor, tol)
-    rho2_star = _rvi_values(log_twisted_tensor(instance, 2, phi=maps_a), anchor, tol)
+    rho1_star = relative_value_iteration(
+        log_twisted_tensor(instance, 1, psi=maps_b), anchor, tol)
+    rho2_star = relative_value_iteration(
+        log_twisted_tensor(instance, 2, phi=maps_a), anchor, tol)
 
     # a pair's kernel row at x depends only on the two grid points it plays
     # at x: per player, every point pair mixed once, ln Q [pa, pb, x, y]
@@ -535,8 +495,9 @@ def brute_force_nash(
         for j0 in range(0, s2, cols):
             jb = slice(j0, min(j0 + cols, s2))
             j1, j2 = (
-                _log_perron(_gather(table, index_a[ia], index_b[jb]), anchor)
-                .reshape(ia.stop - i0, jb.stop - j0)
+                spectral._log_perron(
+                    _gather(table, index_a[ia], index_b[jb]), anchor, spectral.DEFAULT_TOL
+                ).reshape(ia.stop - i0, jb.stop - j0)
                 for table in tables
             )
             keep = np.maximum(j1 - rho1_star[jb], j2 - rho2_star[ia, None]) <= eps
@@ -553,7 +514,7 @@ def brute_force_nash(
         phi_index=i[order], psi_index=j[order], J1=j1[order], J2=j2[order],
         rho1_star=rho1_star[j][order], rho2_star=rho2_star[i][order],
         eps1=eps1[order], eps2=eps2[order], maps_a=maps_a, maps_b=maps_b,
-        grid_step=float(grid_step),
+        grid_step=grid_step,
         eps=eps,
         searched_pairs=s1 * s2,
         existence_guaranteed=guaranteed,

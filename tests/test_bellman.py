@@ -140,6 +140,13 @@ class TestObjectiveForms:
             direct = rs.mixed_objective(g2, 2, x, phi.rows[x], psi.rows[x], v)
             dual = rs.dual_value(g2, 2, x, phi.rows[x], psi.rows[x], v)
             assert abs(direct - dual) <= 1e-10
+        for x, message in ((True, "x must be an integer, got True"),
+                           (-1, "x must be in [0, 2), got -1"),
+                           (5, "x must be in [0, 2), got 5")):
+            for objective in (rs.mixed_objective, rs.dual_value):
+                with pytest.raises(ValueError) as raised:
+                    objective(g2, 2, x, UNIFORM2, UNIFORM2, np.zeros(2))
+                assert str(raised.value) == message
 
     def test_dual_at_flat_v_is_log_normalizer(self, g2):
         rng = np.random.default_rng(6)

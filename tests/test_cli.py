@@ -364,7 +364,7 @@ class TestBruteCommand:
         code, report, err = run(["brute", "--instance", g2_path, "--grid", step], capsys)
         assert code == 2
         assert report is None
-        assert err == f"error: grid_step {shown} must evenly divide 1\n"
+        assert err == f"error: grid_step must be in (0, 1], got {shown}\n"
 
 
 class TestErrorPaths:

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import rsgame as rs
-from rsgame import nash
+from rsgame import nash, spectral
 from rsgame.game_model import dumps_decimal
 from rsgame.nash import _simplex_grid, certificate_to_dict
 
@@ -153,6 +153,13 @@ class TestVerifyCertificate:
         cert = rs.epsilon_gap(g2, phi, psi)
         assert rs.verify_certificate(g2, cert, eps=cert.max_gap + 1e-9)
         assert not rs.verify_certificate(g2, cert, eps=cert.max_gap / 2.0)
+        refusals = ((float("inf"), "eps must be finite and >= 0, got inf"),
+                    (True, "eps must be a real number, got True"),
+                    (float("nan"), "eps must be finite and >= 0, got nan"))
+        for eps, message in refusals:
+            with pytest.raises(ValueError) as raised:
+                rs.verify_certificate(g2, cert, eps=eps)
+            assert str(raised.value) == message
 
     def test_tampered_values_are_rejected(self, g2):
         phi = rs.pure_strategy(g2, 1, [0, 0])
@@ -284,6 +291,13 @@ class TestBestResponseDynamics:
                 with pytest.raises(ValueError) as raised:
                     search(g2, **kwargs)
                 assert str(raised.value) == f"{name} must be finite and {bound}, got {shown}"
+        for step, message in ((True, "grid_step must be a real number, got True"),
+                              (0.0, "grid_step must be in (0, 1], got 0.0"),
+                              (float("nan"), "grid_step must be in (0, 1], got nan"),
+                              (1.5, "grid_step must be in (0, 1], got 1.5")):
+            with pytest.raises(ValueError) as raised:
+                rs.brute_force_nash(g2, grid_step=step)
+            assert str(raised.value) == message
 
 
 class TestSimplexGrid:
@@ -368,13 +382,13 @@ class TestBruteForce:
         assert len(base) > 5
         n_psi = len(base.maps_b)
         batches = []
-        perron = nash._log_perron
+        perron = spectral._log_perron
 
-        def recorded(log_q, anchor):
+        def recorded(log_q, anchor, tol):
             batches.append(log_q.shape[0])
-            return perron(log_q, anchor)
+            return perron(log_q, anchor, tol)
 
-        monkeypatch.setattr(nash, "_log_perron", recorded)
+        monkeypatch.setattr(spectral, "_log_perron", recorded)
         # below the Psi map count Psi is tiled; above it, whole Phi rows
         for chunk in (2, 7, n_psi - 1, n_psi, n_psi + 1, 3 * n_psi + 2):
             monkeypatch.setattr(nash, "CHUNK_PAIRS", chunk)
@@ -384,14 +398,10 @@ class TestBruteForce:
             assert max(batches) <= chunk
             assert tiled.phi_index.tobytes() == base.phi_index.tobytes()
             assert tiled.psi_index.tobytes() == base.psi_index.tobytes()
+            # closed-form roots at two states, and power iteration that stops
+            # each pair on its own bracket above: pair by pair either way
             for name in RESULT_COLUMNS[2:]:
-                if states == 2:  # closed-form Perron roots: pair by pair
-                    assert getattr(tiled, name).tobytes() == getattr(base, name).tobytes()
-                else:
-                    # relative value iteration stops when every pair in its
-                    # batch has converged, so the last bits follow the chunk
-                    assert_allclose(getattr(tiled, name), getattr(base, name),
-                                    rtol=0, atol=1e-11)
+                assert getattr(tiled, name).tobytes() == getattr(base, name).tobytes()
 
     def test_survivor_certificates_verify_fresh(self, g2):
         result = rs.brute_force_nash(g2, grid_step=0.5, eps=0.3)
@@ -543,13 +553,13 @@ class TestBruteForce:
 
     def test_pair_kernels_are_twisted_matrices(self, g2, monkeypatch):
         kernels = []
-        perron = nash._log_perron
+        perron = spectral._log_perron
 
-        def recorded(log_q, anchor):
+        def recorded(log_q, anchor, tol):
             kernels.append(log_q.copy())
-            return perron(log_q, anchor)
+            return perron(log_q, anchor, tol)
 
-        monkeypatch.setattr(nash, "_log_perron", recorded)
+        monkeypatch.setattr(spectral, "_log_perron", recorded)
         result = rs.brute_force_nash(g2, grid_step=0.25, eps=0.05)
         n_psi = len(result.maps_b)
         assert [len(k) for k in kernels] == [result.searched_pairs] * 2
@@ -587,7 +597,7 @@ class TestBruteForce:
         want = m + np.log(0.5 * (ea + ed) + np.sqrt(0.25 * (ea - ed) ** 2 + np.exp(b + c - 2 * m)))
         tracemalloc.start()
         try:
-            got = nash._log_perron(log_q, 0)
+            got = spectral._log_perron(log_q, 0, spectral.DEFAULT_TOL)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

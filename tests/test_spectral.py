@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import rsgame as rs
+from rsgame import spectral
 
 from helpers import corpus_instance, frozen_pair_instance, random_pair
 
@@ -132,6 +135,66 @@ class TestPerronValue:
             rs.perron_value(np.array([[0.0, -np.inf], [-np.inf, 0.0]]))  # ln I
         with pytest.raises(ValueError):
             rs.perron_value(np.zeros((2, 3)))
+
+
+#: ln of the near-degenerate [[1, 2e-3], [1e-3, 1]]: eigenvalues 1 +- 1.4e-3
+NEAR_DEGENERATE = np.log([[1.0, 2e-3], [1e-3, 1.0]])
+
+
+def log_stack(rng, n: int, members: int, scale: float) -> np.ndarray:
+    """Positive matrices ln Q [members, n, n] with log entries up to about +-scale.
+
+    Two states draw every log entry on its own.  Above two, each row is a
+    log-Dirichlet row plus a shift of up to +-scale, the form e^{theta c} P
+    of every twisted matrix: where a row spreads its own entries over
+    hundreds of orders of magnitude, a dominant cycle longer than one state
+    makes the matrix nearly periodic, and power iteration does not settle.
+    """
+    shifts = rng.uniform(-scale, scale, size=(members, n, 1))
+    if n == 2:
+        stack = rng.uniform(-scale, scale, size=(members, n, n))
+        return np.concatenate([stack, NEAR_DEGENERATE[None]])
+    return np.log(rng.dirichlet(np.ones(n), size=(members, n))) + shifts
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([2, 3, 6]),
+    members=st.integers(1, 8),
+    scale=st.sampled_from([1e-3, 1.0, 30.0, 800.0]),
+    anchor=st.integers(0, 5),
+)
+def test_stacked_roots_are_the_single_matrix_roots(seed, n, members, scale, anchor):
+    rng = np.random.default_rng(seed)
+    anchor %= n
+    log_q = log_stack(rng, n, members, scale)
+    tol = spectral.DEFAULT_TOL
+    stacked = spectral._log_perron(log_q, anchor, tol)
+    # the same matrices in reverse order, in a stack of another length
+    reversed_ = spectral._log_perron(log_q[:0:-1], anchor, tol)[::-1]
+    if n > 2:
+        _, stacked_w = spectral._power_roots(log_q, anchor, tol)
+    for k, member in enumerate(log_q):
+        ln_r, log_w = rs.perron_value(member, anchor)
+        assert stacked[k] == ln_r
+        if k > 0:
+            assert reversed_[k - 1] == ln_r
+        assert log_w[anchor] == 0.0
+        if n > 2:
+            assert stacked_w[k].tobytes() == log_w.tobytes()
+        else:
+            # Q w = r w row by row, in log space: lse_y(ln Q + ln w) - ln w - ln r
+            terms = member + log_w
+            top = terms.max(axis=1)
+            residual = top + np.log(np.exp(terms - top[:, None]).sum(axis=1)) - log_w - ln_r
+            size = max(1.0, np.abs(member).max() + np.abs(log_w).max())
+            assert np.all(np.abs(residual) <= 16 * np.finfo(float).eps * size), residual
+        if scale <= 30.0:
+            lam = np.log(np.abs(np.linalg.eigvals(np.exp(member))).max())
+            ulps = np.spacing(max(1.0, abs(ln_r)))
+            # the closed form to rounding; power iteration to its bracket, < tol
+            assert abs(ln_r - lam) <= (8 * ulps if n == 2 else tol + 8 * ulps)
 
 
 class TestErgodicCost:

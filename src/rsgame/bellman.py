@@ -32,12 +32,13 @@ sweeps
 
 one product with p_own (p1 or p2) and one X*Y product.  In both forms
 every factor is bounded, so large theta * cost products cannot overflow.
-One relative value iteration loop serves both forms, single solves here
-and whole stacks of dense kernels in the brute-force search.
+One relative value iteration loop, in solve_optimality, serves both forms.
+Brute force takes its best-response values from Perron roots instead
+(see nash.brute_force_nash), so every solve here is a single kernel.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,10 +115,10 @@ def span(v) -> float:
 
 @dataclass(frozen=True, eq=False)
 class _DenseKernel:
-    """M = e^{shift} K held whole, K [..., x, k, y] <= 1 and shift [..., x, k].
+    """M = e^{shift} K held whole, K [x, k, y] <= 1 and shift [x, k].
 
-    The table route's form, and the form of every stack of kernels.  player
-    is the player whose own action k indexes, when a solve built it.
+    The table route's form.  player is the player whose own action k
+    indexes, when a solve built it.
     """
 
     kernel: np.ndarray
@@ -131,7 +132,7 @@ class _DenseKernel:
     def sweep(self, v: np.ndarray) -> np.ndarray:
         """Action values ln sum_y e^{s} K(x, k, y) e^{v(y)}, [..., x, k].
 
-        v [..., y] broadcasts against the kernel's leading axes.
+        v [..., y] may carry leading axes, a batch of vectors swept at once.
         """
         top = v.max(axis=-1)
         sums = np.einsum("...xky,...y->...xk", self.kernel, np.exp(v - top[..., None]))
@@ -301,73 +302,6 @@ def dual_value(instance: GameInstance, player: int, x: int, phi, psi, v) -> floa
     return c_hat + float(mu @ v) - relative_entropy(mu, p_hat)
 
 
-def relative_value_iteration(
-    log_kernel: np.ndarray,
-    anchor: int,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> np.ndarray:
-    """Optimal ergodic values rho [...] of a stack of log kernels L[..., x, k, y].
-
-    Iterates v <- Tv - (Tv)(anchor), with (Tv)(x) = min_k ln sum_y
-    e^{L(x,k,y) + v(y)}, from v = 0 until the span of successive
-    differences is below tol for every kernel in the stack, then reads
-    rho = (Tv)(anchor) off one more sweep.
-
-    The stop never asks for less than the sweep's rounding noise: once the
-    span stops shrinking it only has to be below max(tol, 4 eps max|Tv|),
-    so values near theta*c = 1e6 converge as values near 1 do.  The
-    arguments are not checked again: the one caller, brute force, passes
-    the instance's anchor and a tolerance it has checked.
-
-    Raises:
-        RuntimeError: if the stack has not converged in max_iter sweeps.
-    """
-    result = _relative_value_iteration(_shifted(log_kernel), anchor, tol, max_iter)
-    if not result.converged:
-        raise RuntimeError(f"batched value iteration did not converge in {max_iter} steps")
-    return result.rho
-
-
-def _relative_value_iteration(
-    kernel: _DenseKernel | _SplitKernel, anchor: int, tol: float, max_iter: int
-) -> SolveResult:
-    """Relative value iteration on a kernel in either form, or a stack of dense ones.
-
-    As :func:`relative_value_iteration`, but returns the whole result and
-    reports non-convergence in it.  The result's arrays carry a stack's
-    leading axes; residual is the largest span over the stack.
-    """
-    v = np.zeros(kernel.shape[:-2])
-    residual = np.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        tv = kernel.sweep(v).min(axis=-1)
-        v_next = tv - tv[..., anchor, None]
-        diff = v_next - v
-        previous, residual = residual, float((diff.max(axis=-1) - diff.min(axis=-1)).max())
-        v = v_next
-        # the floor is only worked out once the span stops shrinking, which
-        # in exact arithmetic it never does: a stall is rounding noise
-        if residual < tol or (
-            residual >= previous and residual < _NOISE_FLOOR * float(np.abs(tv).max())
-        ):
-            converged = True
-            break
-    vals = kernel.sweep(v)
-    return SolveResult(
-        rho=vals.min(axis=-1)[..., anchor],
-        v=v,
-        selector=vals.argmin(axis=-1),
-        residual=residual,
-        iterations=iterations,
-        converged=converged,
-        action_values=vals,
-        kernel=kernel,
-    )
-
-
 def solve_optimality(
     instance: GameInstance,
     player: int,
@@ -378,12 +312,13 @@ def solve_optimality(
     """Relative value iteration for one player against a fixed opponent.
 
     Iterates v <- Tv - (Tv)(anchor) from v = 0 until span(v_{k+1} - v_k)
-    < tol, or until it stalls below the rounding floor of
-    :func:`relative_value_iteration`, then reads rho, a minimizing
-    selector and the action values off a final operator application; the
-    result keeps the kernel it swept.  On an exact additive decomposition
-    the sweeps run on the opponent's mixed side and M is never formed (see
-    the module docstring).  At the fixed point
+    < tol, then reads rho, a minimizing selector and the action values off
+    a final operator application; the result keeps the kernel it swept.
+    The stop never asks for less than the sweep's rounding noise: once the
+    span stops shrinking it only has to be below max(tol, 4 eps max|Tv|),
+    so values near theta*c = 1e6 converge as values near 1 do.  On an exact
+    additive decomposition the sweeps run on the opponent's mixed side and
+    M is never formed (see the module docstring).  At the fixed point
     rho + v = Tv, rho is the player's optimal ergodic value against the
     fixed opponent, and every stationary strategy supported on per-state
     argmins attains it.
@@ -402,8 +337,35 @@ def solve_optimality(
     max_iter = _scalar("max_iter", max_iter, 1, integer=True)
     require_solvable(instance)
     kernel = _solve_kernel(instance, player, opponent_strategy)
-    result = _relative_value_iteration(kernel, instance.anchor_state, tol, max_iter)
-    return replace(result, rho=float(result.rho))
+    anchor = instance.anchor_state
+    v = np.zeros(instance.n_states)
+    residual = np.inf
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        tv = kernel.sweep(v).min(axis=-1)
+        v_next = tv - tv[anchor]
+        diff = v_next - v
+        previous, residual = residual, float(diff.max() - diff.min())
+        v = v_next
+        # the floor is only worked out once the span stops shrinking, which
+        # in exact arithmetic it never does: a stall is rounding noise
+        if residual < tol or (
+            residual >= previous and residual < _NOISE_FLOOR * float(np.abs(tv).max())
+        ):
+            converged = True
+            break
+    vals = kernel.sweep(v)
+    return SolveResult(
+        rho=float(vals.min(axis=-1)[anchor]),
+        v=v,
+        selector=vals.argmin(axis=-1),
+        residual=residual,
+        iterations=iterations,
+        converged=converged,
+        action_values=vals,
+        kernel=kernel,
+    )
 
 
 def measured_contraction(

@@ -124,7 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, default=0.05, help="survivor gap threshold")
     sp.add_argument("--top", type=int, default=100,
                     help="number of certificates included in the report")
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                    help="bracket tolerance of every Perron root taken, pair values and "
+                    "best-response values alike (two-state roots take a closed form)")
 
     sp = sub.add_parser("gen", help="write an instance file")
     common(sp, instance=False)
@@ -251,7 +253,8 @@ def _nash(args, instance) -> tuple[int, dict]:
             f"rounds (best max gap {cert.max_gap:g})",
             file=sys.stderr,
         )
-    payload = {**certificate_to_dict(cert), "max_gap": cert.max_gap, "verified": verified}
+    payload = {**certificate_to_dict(cert), "max_gap": cert.max_gap, "verified": verified,
+               "stage": "snap" if cert.snapped else "dynamics"}
     return (0 if cert.converged and verified else 1), payload
 
 

@@ -2,28 +2,32 @@
 
 A strategy pair is an eps-Nash point when neither player can lower their
 ergodic value by more than eps through any unilateral stationary deviation.
-Certification is direct: the best-achievable values rho_i* come from the
-opponent-fixed Bellman solver, the pair's values J_i are log Perron roots,
-and the gaps are their differences.  Each player's solve builds one
-opponent-mixed kernel, and J_i is read from that same kernel with the
-player's own strategy mixed in, so a certificate reads the transition table
-once per player.  On an exact additive decomposition the solve sweeps only
-the opponent's mixed side, and J_i is the root of the doubly mixed kernel,
-the value verify_certificate recomputes.  Certificates are sound regardless
-of how a candidate pair was produced, and verify_certificate recomputes
-every value independently, from doubly mixed kernels of its own.
+Certification is direct: in epsilon_gap the best-achievable values
+rho_i* come from the opponent-fixed Bellman solver, the pair's values J_i
+are log Perron roots, and the gaps are their differences.  Each player's
+solve builds one opponent-mixed kernel, and J_i is read from that same
+kernel with the player's own strategy mixed in, so a certificate reads the
+transition table once per player.  On an exact additive decomposition the
+solve sweeps only the opponent's mixed side, and J_i is the root of the
+doubly mixed kernel, the value verify_certificate recomputes.
+Certificates are sound regardless of how a candidate pair was produced,
+and verify_certificate recomputes every value independently, from doubly
+mixed kernels of its own.
 
 Candidates come from two searchers.  best_response_dynamics runs damped
 alternating best responses, smoothed through an annealed logit map to avoid
 the discontinuous jumps of exact argmins; convergence is not guaranteed
 (cycling is a reportable outcome, not a bug), so the best certificate seen
-is always returned, with a cycle report on failure.  brute_force_nash
-enumerates a per-state simplex grid outright and certifies every pair —
-viable only at desk scale, but an oracle the dynamics can be checked
-against.  Equilibrium existence is only guaranteed for instances carrying a
-verified additive (per-player) decomposition; brute-force output on other
-instances is labeled accordingly.  When several equilibria survive, all are
-reported without preference.
+is always returned, with a cycle report on failure; when the rounds run
+out, the argmax pure pair of that certificate is certified once more.
+brute_force_nash enumerates a per-state simplex grid outright and
+certifies every pair — viable only at desk scale, but an oracle the
+dynamics can be checked against.  It runs no solve: every value it reports
+is a log Perron root, rho_i* being the least root over the player's pure
+grid maps, which attain it.  Equilibrium existence is only guaranteed for
+instances carrying a verified additive (per-player) decomposition;
+brute-force output on other instances is labeled accordingly.  When
+several equilibria survive, all are reported without preference.
 """
 from __future__ import annotations
 
@@ -41,7 +45,6 @@ from .bellman import (  # noqa: F401
     SolveResult,
     action_values,
     apply_T,
-    relative_value_iteration,
     solve_optimality,
 )
 from .game_model import (  # noqa: F401
@@ -104,7 +107,9 @@ class NashCertificate:
     eps_i = J_i - rho_i_star measures how much player i could gain by the
     best unilateral deviation; both are nonnegative up to solver noise
     (~1e-9).  The pair is an eps-Nash point iff max_gap <= eps.  cycle, when
-    present, is the dynamics' repeating-fingerprint report.
+    present, is the dynamics' repeating-fingerprint report, and snapped is
+    True when the dynamics certified the argmax pure pair of their best
+    certificate rather than a pair they played.
     """
 
     Phi: StationaryStrategy
@@ -118,6 +123,7 @@ class NashCertificate:
     rounds: int = 0
     converged: bool = True
     cycle: dict | None = None
+    snapped: bool = False
 
     @property
     def max_gap(self) -> float:
@@ -262,10 +268,15 @@ def best_response_dynamics(
     (tau0, tau_min, tau_decay); tau_schedule=None plays exact (unsmoothed)
     pure responses.  After each round the current pair is certified; the run
     stops as soon as max(eps1, eps2) <= eps_target.  On exhausting
-    max_rounds the best certificate seen is returned with converged=False
-    and a cycle report when the recent strategy-pair fingerprint window
-    contained a repeat.  Non-convergence is a legitimate outcome of this
-    class of dynamics and must be handled by the caller.
+    max_rounds the argmax pure pair of the best certificate seen (per state,
+    each player's heaviest action, the lowest among ties) is certified once,
+    and returned with snapped=True if it meets eps_target: dynamics that
+    settle next to a pure equilibrium at the temperature floor approach it
+    without reaching it.  Otherwise the best certificate seen is returned
+    with converged=False, and in either case with a cycle report when the
+    recent strategy-pair fingerprint window contained a repeat.
+    Non-convergence is a legitimate outcome of this class of dynamics and
+    must be handled by the caller.
 
     Args:
         init_pair: starting (Phi, Psi); uniform randomization by default.
@@ -273,7 +284,7 @@ def best_response_dynamics(
         tau_schedule: tau0 and tau_min reals, finite and > 0, and
             tau_decay a real in (0, 1).
         max_rounds: round cap, an integer >= 0 (0 certifies the starting
-            pair alone).
+            pair and its argmax pure pair alone).
         eps_target: certification target for max(eps1, eps2), a real,
             finite and > 0.
         tol: the solves' stopping tolerance, a real, finite and > 0.
@@ -321,6 +332,11 @@ def best_response_dynamics(
         seen.append(fp)
         if tau is not None:
             tau = max(tau * decay, tau_min)
+    snap = epsilon_gap(instance, *(
+        pure_strategy(instance, s.player, s.rows.argmax(axis=1)) for s in (best.Phi, best.Psi)
+    ), tol=tol)
+    if snap.max_gap <= eps_target:
+        return replace(snap, rounds=max_rounds, cycle=cycle, snapped=True)
     return replace(best, rounds=max_rounds, converged=False, cycle=cycle)
 
 
@@ -432,6 +448,28 @@ def _gather(table: np.ndarray, index_a: np.ndarray, index_b: np.ndarray) -> np.n
     return out.transpose(1, 2, 0, 3).reshape(-1, n, n)
 
 
+def _chunk_roots(
+    tables: list[np.ndarray], index_a: np.ndarray, index_b: np.ndarray, anchor: int, tol: float
+):
+    """Yield (rows, cols, roots) over the pairs index_a x index_b, in chunks.
+
+    roots holds ln r [rows, cols] per point-pair table.  Chunks are whole
+    Phi rows, or one row's Psi tiles when a row alone exceeds CHUNK_PAIRS,
+    so no root batch holds more than CHUNK_PAIRS pairs; pair order (Phi
+    major) is the enumeration order.
+    """
+    s1, s2 = len(index_a), len(index_b)
+    rows, cols = max(1, CHUNK_PAIRS // s2), min(s2, CHUNK_PAIRS)
+    for i0 in range(0, s1, rows):
+        ia = slice(i0, min(i0 + rows, s1))
+        for j0 in range(0, s2, cols):
+            jb = slice(j0, min(j0 + cols, s2))
+            yield ia, jb, [
+                spectral._log_perron(_gather(table, index_a[ia], index_b[jb]), anchor, tol)
+                .reshape(ia.stop - i0, jb.stop - j0) for table in tables
+            ]
+
+
 def brute_force_nash(
     instance: GameInstance,
     grid_step: float = 0.05,
@@ -449,10 +487,19 @@ def brute_force_nash(
     kernels, so large theta * cost cannot overflow; pairs are evaluated in
     chunks of at most CHUNK_PAIRS to bound memory.
 
+    A best-response value is attained by a pure stationary selector on
+    strictly positive kernels, so rho1*[j] is the least J1 over the pure
+    Phi maps against Psi map j, and rho2*[i] the least J2 over the pure Psi
+    maps against Phi map i.  Every grid contains the simplex vertices, so
+    these values are grid-free, and they come from the same root finder as
+    the pairs' values: a pure pair's gap is 0 exactly.
+
     Args:
         grid_step: the grid's spacing, a real in (0, 1] that divides 1 evenly.
         eps: survivor threshold on max(eps1, eps2), a real, finite and >= 0.
-        tol: the best responses' stopping tolerance, a real, finite and > 0.
+        tol: the bracket tolerance of every root taken, pairs and pure maps
+            alike, a real, finite and > 0; two-state roots take a closed
+            form and ignore it.
     """
     grid_step = _scalar("grid_step", grid_step, 0, 1, ends="(]")
     tol = _scalar("tol", tol, 0, ends="()")
@@ -472,37 +519,27 @@ def brute_force_nash(
     maps_a, maps_b = points_a[index_a], points_b[index_b]
     anchor = instance.anchor_state
 
-    # best-response values: rho1*[j] against every Psi map, rho2*[i] against
-    # every Phi map — grid-free, so gaps are measured against all deviations
-    rho1_star = relative_value_iteration(
-        log_twisted_tensor(instance, 1, psi=maps_b), anchor, tol)
-    rho2_star = relative_value_iteration(
-        log_twisted_tensor(instance, 2, phi=maps_a), anchor, tol)
-
     # a pair's kernel row at x depends only on the two grid points it plays
     # at x: per player, every point pair mixed once, ln Q [pa, pb, x, y]
     phi = np.broadcast_to(points_a[:, None, None], (len(points_a), 1, n, points_a.shape[1]))
     psi = np.broadcast_to(points_b[None, :, None], (1, len(points_b), n, points_b.shape[1]))
     tables = [log_twisted_tensor(instance, p, phi, psi) for p in (1, 2)]
 
-    # chunks of whole Phi rows, or of one row's Psi tiles when a row alone
-    # exceeds CHUNK_PAIRS; pair order (Phi major) is the enumeration order
-    rows = max(1, CHUNK_PAIRS // s2)
-    cols = min(s2, CHUNK_PAIRS)
+    # best-response values over the pure maps, whose every point is a simplex
+    # vertex (points are j/k, so a vertex's 1.0 is exact)
+    pure_a = index_a[(points_a.max(axis=-1) == 1.0)[index_a].all(axis=-1)]
+    pure_b = index_b[(points_b.max(axis=-1) == 1.0)[index_b].all(axis=-1)]
+    rho1_star, rho2_star = np.full(s2, np.inf), np.full(s1, np.inf)
+    for _, jb, (roots,) in _chunk_roots(tables[:1], pure_a, index_b, anchor, tol):
+        np.minimum(rho1_star[jb], roots.min(axis=0), out=rho1_star[jb])
+    for ia, _, (roots,) in _chunk_roots(tables[1:], index_a, pure_b, anchor, tol):
+        np.minimum(rho2_star[ia], roots.min(axis=1), out=rho2_star[ia])
+
     kept = []
-    for i0 in range(0, s1, rows):
-        ia = slice(i0, min(i0 + rows, s1))
-        for j0 in range(0, s2, cols):
-            jb = slice(j0, min(j0 + cols, s2))
-            j1, j2 = (
-                spectral._log_perron(
-                    _gather(table, index_a[ia], index_b[jb]), anchor, spectral.DEFAULT_TOL
-                ).reshape(ia.stop - i0, jb.stop - j0)
-                for table in tables
-            )
-            keep = np.maximum(j1 - rho1_star[jb], j2 - rho2_star[ia, None]) <= eps
-            i, j = np.nonzero(keep)
-            kept.append((i + i0, j + j0, j1[keep], j2[keep]))
+    for ia, jb, (j1, j2) in _chunk_roots(tables, index_a, index_b, anchor, tol):
+        keep = np.maximum(j1 - rho1_star[jb], j2 - rho2_star[ia, None]) <= eps
+        i, j = np.nonzero(keep)
+        kept.append((i + ia.start, j + jb.start, j1[keep], j2[keep]))
 
     # survivors in pair order, then a stable sort by gap
     i, j, j1, j2 = map(np.concatenate, zip(*kept))

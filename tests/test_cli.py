@@ -299,6 +299,7 @@ class TestNashCommand:
         assert code == 0
         assert report["converged"] is True
         assert report["verified"] is True
+        assert report["stage"] == "dynamics"
         assert report["max_gap"] <= 1e-6
         assert report["rounds"] <= 30
         phi_rows = np.array(report["phi"]["rows"])
@@ -634,7 +635,7 @@ SHAPES = {
         ["nash", "--instance", "G2"], 0, "",
         f"{ENVELOPE} flags.eps flags.beta flags.tau0 flags.tau_min flags.tau_decay "
         f"flags.no_smoothing flags.rounds flags.tol flags.phi0 flags.psi0 wall_clock_s "
-        f"{CERTIFICATE_KEYS} max_gap verified",
+        f"{CERTIFICATE_KEYS} max_gap verified stage",
     ),
     "brute": (
         ["brute", "--instance", "G2", "--grid", "0.5", "--eps", "0.3", "--top", "2"], 0, "",

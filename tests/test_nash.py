@@ -222,6 +222,31 @@ class TestBestResponseDynamics:
         assert cert.cycle["period"] == 1  # stationary repeat at the fixed point
         assert cert.cycle["round"] <= 120
 
+    def test_snapped_pure_pair_certifies_when_the_rounds_run_out(self):
+        # the logit dynamics settle next to a pure equilibrium at tau_min
+        # (a period-1 cycle) with a gap of ~1.2e-6, just above the target
+        inst = rs.random_instance(2323222959, dims=(50, 4, 4), min_prob=0.002, arat_flag=True)
+        cert = rs.best_response_dynamics(inst)
+        assert cert.converged and cert.snapped
+        assert cert.rounds == nash.DEFAULT_MAX_ROUNDS
+        assert cert.cycle == {"round": nash.DEFAULT_MAX_ROUNDS, "period": 1}
+        assert cert.max_gap <= nash.DEFAULT_EPS_TARGET
+        for strategy in (cert.Phi, cert.Psi):
+            assert np.all(strategy.rows.max(axis=1) == 1.0)
+        assert rs.verify_certificate(inst, cert, nash.DEFAULT_EPS_TARGET)
+
+    def test_a_snap_that_misses_the_target_keeps_the_best_pair(self):
+        inst = rs.random_instance(2607653292, dims=(50, 4, 4), min_prob=0.002, arat_flag=True)
+        cert = rs.best_response_dynamics(inst)
+        assert not cert.converged and not cert.snapped
+        assert cert.cycle is None
+        # the best pair the dynamics played, mixed, and its own certificate
+        assert cert.max_gap == pytest.approx(1.7995430631745357e-06, rel=1e-9)
+        assert not np.all(cert.Phi.rows.max(axis=1) == 1.0)
+        fresh = rs.epsilon_gap(inst, cert.Phi, cert.Psi)
+        for name in CERTIFICATE_FIELDS[:6]:
+            assert getattr(cert, name) == getattr(fresh, name), name
+
     def test_warm_start_from_equilibrium_stays_put(self, g2):
         phi = rs.pure_strategy(g2, 1, [0, 0])
         psi = rs.pure_strategy(g2, 2, [1, 1])
@@ -239,8 +264,9 @@ class TestBestResponseDynamics:
             cert = rs.best_response_dynamics(inst, eps_target=1e-15, max_rounds=rounds)
             assert not cert.converged and cert.rounds == rounds
             counts.append(len(calls))
-        # entry certificate (2) and player 1's first response (1), then 2 a round
-        assert counts == [5, 7, 9]
+        # entry certificate (2) and player 1's first response (1), then 2 a
+        # round, and the snapped pair's certificate (2) once the rounds run out
+        assert counts == [7, 9, 11]
 
     def test_round_values_match_the_independent_oracles(self):
         inst = corpus_instance(3, dims=(4, 3, 3))
@@ -380,7 +406,11 @@ class TestBruteForce:
             inst, step = rs.random_instance(5, dims=(3, 2, 2)), 0.5
         base = rs.brute_force_nash(inst, grid_step=step, eps=0.1)
         assert len(base) > 5
-        n_psi = len(base.maps_b)
+        n_phi, n_psi = len(base.maps_a), len(base.maps_b)
+        # the pairs for both players, then each player's pure maps against
+        # every map of the other: A^X * s2 roots for rho1*, s1 * B^X for rho2*
+        pure_roots = (inst.n_actions_a ** inst.n_states * n_psi
+                      + n_phi * inst.n_actions_b ** inst.n_states)
         batches = []
         perron = spectral._log_perron
 
@@ -394,7 +424,7 @@ class TestBruteForce:
             monkeypatch.setattr(nash, "CHUNK_PAIRS", chunk)
             batches.clear()
             tiled = rs.brute_force_nash(inst, grid_step=step, eps=0.1)
-            assert sum(batches) == 2 * tiled.searched_pairs
+            assert sum(batches) == 2 * tiled.searched_pairs + pure_roots
             assert max(batches) <= chunk
             assert tiled.phi_index.tobytes() == base.phi_index.tobytes()
             assert tiled.psi_index.tobytes() == base.psi_index.tobytes()
@@ -402,6 +432,33 @@ class TestBruteForce:
             # each pair on its own bracket above: pair by pair either way
             for name in RESULT_COLUMNS[2:]:
                 assert getattr(tiled, name).tobytes() == getattr(base, name).tobytes()
+
+    def test_survivor_gaps_are_never_negative(self):
+        # a best-response value is the least pure-map root of the same root
+        # finder, so no grid pair's value can fall below it
+        inst = rs.random_instance(1, dims=(2, 2, 2), min_prob=0.02, arat_flag=True)
+        result = rs.brute_force_nash(inst, grid_step=0.05, eps=0.05)
+        assert len(result) > 1000
+        assert result.eps1.min() >= 0.0 and result.eps2.min() >= 0.0
+        # the best pair is pure, and its gaps are 0 exactly
+        assert result[0].max_gap == 0.0
+
+    @pytest.mark.parametrize("states", [2, 3])
+    def test_best_response_values_match_single_solves(self, g2, states):
+        if states == 2:
+            inst, step = g2, 0.25
+        else:
+            inst, step = rs.random_instance(5, dims=(3, 2, 2)), 0.5
+        # every pair survives, so every map's best-response value is reported
+        result = rs.brute_force_nash(inst, grid_step=step, eps=100.0)
+        assert len(result) == result.searched_pairs
+        rng = np.random.default_rng(states)
+        for k in rng.choice(len(result), size=20, replace=False):
+            i, j = int(result.phi_index[k]), int(result.psi_index[k])
+            psi = rs.StationaryStrategy(2, result.maps_b[j])
+            phi = rs.StationaryStrategy(1, result.maps_a[i])
+            assert abs(result.rho1_star[k] - rs.solve_optimality(inst, 1, psi).rho) <= 1e-11
+            assert abs(result.rho2_star[k] - rs.solve_optimality(inst, 2, phi).rho) <= 1e-11
 
     def test_survivor_certificates_verify_fresh(self, g2):
         result = rs.brute_force_nash(g2, grid_step=0.5, eps=0.3)
@@ -561,16 +618,24 @@ class TestBruteForce:
 
         monkeypatch.setattr(spectral, "_log_perron", recorded)
         result = rs.brute_force_nash(g2, grid_step=0.25, eps=0.05)
-        n_psi = len(result.maps_b)
-        assert [len(k) for k in kernels] == [result.searched_pairs] * 2
+        maps_a, maps_b = result.maps_a, result.maps_b
+        # pure maps play a simplex vertex in every state
+        pure_a = np.flatnonzero((maps_a.max(axis=-1) == 1.0).all(axis=-1))
+        pure_b = np.flatnonzero((maps_b.max(axis=-1) == 1.0).all(axis=-1))
+        assert len(pure_a) == len(pure_b) == 4
+        all_a, all_b = np.arange(len(maps_a)), np.arange(len(maps_b))
+        # rho1*'s pure Phi maps, rho2*'s pure Psi maps, then every pair per player
+        batches = [(1, pure_a, all_b), (2, all_a, pure_b), (1, all_a, all_b), (2, all_a, all_b)]
+        assert [len(k) for k in kernels] == [len(a) * len(b) for _, a, b in batches]
+        assert len(kernels[2]) == result.searched_pairs
         rng = np.random.default_rng(0)
-        pairs = rng.choice(result.searched_pairs, size=40, replace=False)
-        for player, kernel in zip((1, 2), kernels):
-            for k in pairs:
-                i, j = divmod(int(k), n_psi)
+        for (player, index_a, index_b), kernel in zip(batches, kernels):
+            for k in rng.choice(len(kernel), size=min(40, len(kernel)), replace=False):
+                a, b = divmod(int(k), len(index_b))
+                i, j = index_a[a], index_b[b]
                 want = rs.twisted_matrix(
-                    g2, player, rs.StationaryStrategy(1, result.maps_a[i]),
-                    rs.StationaryStrategy(2, result.maps_b[j]),
+                    g2, player, rs.StationaryStrategy(1, maps_a[i]),
+                    rs.StationaryStrategy(2, maps_b[j]),
                 )
                 ulps = 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(want))
                 assert np.all(np.abs(kernel[k] - want) <= ulps), (player, i, j)

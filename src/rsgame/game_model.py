@@ -12,16 +12,21 @@ machinery needs.
 
 All tables are dense numpy arrays and enter through one gate, :func:`_own`:
 instances are immutable after construction (the arrays are marked
-read-only) and safe to share across workers.
+read-only) and safe to share across workers.  An instance assembled from a
+decomposition (:func:`assemble_from_arat`, so :func:`random_instance` with
+``arat_flag`` and :func:`g2_instance`) holds ``p1`` and ``p2`` in place of
+the X*A*B*Y transition table: it checks the rows of ``p1 + p2`` a block of
+states at a time at construction, knows its decomposition exact from then
+on, and builds the table only when something first reads ``transition``.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 # loaded with the package: numpy >= 2 defers numpy.random to its first use,
@@ -173,6 +178,52 @@ class AratStructure:
             raise ValueError("c12/c22 must be [x][b] tables matching p2")
 
 
+#: float64 scratch bytes one tile of a blocked pass over a table may use (the
+#: row check of p1 + p2, the pairwise-distance pass): small enough that a tile
+#: stays in a core's L2 cache
+_TILE_BYTES = 256 * 2**10
+
+
+def _sum_table(arat: AratStructure) -> np.ndarray:
+    """The transition table p1 + p2 [x][a][b][y] of a decomposition, built whole and frozen."""
+    return _frozen(arat.p1[:, :, None, :] + arat.p2[:, None, :, :])
+
+
+def _split_positivity(arat: AratStructure) -> bool | None:
+    """Whether every entry of p1 + p2 is > 0, when no row of it would be renormalized; else None.
+
+    The rows are formed a block of states at a time, ``p1[xs][:, :, None] +
+    p2[xs][:, None]``, in blocks of about _TILE_BYTES (at least one state:
+    one at 300x20x20, which was fastest there).  A row sum runs along the
+    block's contiguous last axis, so it has the bits :func:`_check_rows`
+    gets from the whole table.  None as soon as a row sum is more than
+    EXACT_TOL off 1: the caller then builds the table and checks it whole,
+    which renormalizes the row or raises.  No entry is negative or NaN,
+    since the decomposition's tables passed :func:`_finite_nonnegative`, so
+    the smallest entry decides positivity as :func:`_check_rows`'s minimum
+    does.
+    """
+    p1, p2 = arat.p1, arat.p2
+    step = max(1, _TILE_BYTES // (p1[0].nbytes * p2.shape[1]))
+    low = np.inf
+    for x in range(0, len(p1), step):
+        block = p1[x:x + step, :, None] + p2[x:x + step, None]
+        if not np.all(np.abs(block.sum(axis=-1) - 1.0) <= EXACT_TOL):
+            return None
+        low = min(low, block.min())
+    return bool(low > 0.0)
+
+
+class _Unbuilt:
+    """The ``transition`` argument :func:`assemble_from_arat` passes: p1 + p2, built on first read."""
+
+    def __repr__(self) -> str:
+        return "<p1 + p2, built on first read>"
+
+
+_UNBUILT = _Unbuilt()
+
+
 @dataclass(frozen=True, eq=False)
 class GameInstance:
     """A finite two-player stochastic game with risk-sensitive ergodic cost.
@@ -191,6 +242,15 @@ class GameInstance:
     renormalizes any drift beyond 1e-12, so stored rows always sum to 1 at
     the exact tolerance.  Zero transition entries are representable (e.g.
     deterministic chains for simulation tests) but fail validation.
+
+    An instance from :func:`assemble_from_arat` whose rows of p1 + p2 need
+    no renormalizing holds no transition table: it is built from ``p1`` and
+    ``p2`` on the first read of ``transition`` and kept.  Such an instance
+    knows its decomposition exact from construction; ``repr`` and
+    :func:`instance_digest` do not build the table.  ``dataclasses.replace``
+    reads every field, so it builds the table; the copy holds the same
+    arrays and treats the table as given, exactly as an instance built
+    with it.
     """
 
     transition: np.ndarray
@@ -203,43 +263,80 @@ class GameInstance:
     _positive: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        t = _own(self.transition)
-        if t.ndim != 4 or t.shape[0] != t.shape[3]:
+        a = self.arat
+        unbuilt = self.transition is _UNBUILT
+        t = None if unbuilt else _own(self.transition)
+        shape = (*a.p1.shape[:2], *a.p2.shape[1:]) if unbuilt else t.shape
+        if len(shape) != 4 or shape[0] != shape[3]:
             raise ValueError(
-                f"transition must be [x][a][b][y] with matching state axes, got {t.shape}"
+                f"transition must be [x][a][b][y] with matching state axes, got {shape}"
             )
-        if 0 in t.shape:
-            raise ValueError(f"transition {t.shape} has an empty state or action axis")
-        # renormalized rows come back as a new array: frozen here
-        t, positive = _check_rows("transition", t)
-        object.__setattr__(self, "transition", _frozen(t))
+        if 0 in shape:
+            raise ValueError(f"transition {shape} has an empty state or action axis")
+        if unbuilt:
+            positive = _split_positivity(a)
+            if positive is None:  # a row to renormalize: the table is built and checked
+                t = _sum_table(a)
+        if t is None:
+            del self.__dict__["transition"]  # built by __getattr__ on first read
+            # assemble_from_arat built the cost tables from the same parts
+            self.__dict__["_exact_arat"] = a
+        else:
+            # renormalized rows come back as a new array: frozen here
+            t, positive = _check_rows("transition", t)
+            object.__setattr__(self, "transition", _frozen(t))
         object.__setattr__(self, "_positive", positive)
         for f in ("cost1", "cost2"):
             c = _own(getattr(self, f))
-            if c.shape != t.shape[:3]:
-                raise ValueError(f"{f} shape {c.shape} != {t.shape[:3]}")
+            if c.shape != shape[:3]:
+                raise ValueError(f"{f} shape {c.shape} != {shape[:3]}")
             object.__setattr__(self, f, _finite_nonnegative(f, c))
         object.__setattr__(self, "theta", _scalar("theta", self.theta, 0, ends="()"))
         object.__setattr__(self, "anchor_state", _scalar(
-            "anchor_state", self.anchor_state, 0, t.shape[0], integer=True))
-        if self.arat is not None:
-            a = self.arat
-            if a.p1.shape != (t.shape[0], t.shape[1], t.shape[3]):
-                raise ValueError(f"arat.p1 shape {a.p1.shape} inconsistent with {t.shape}")
-            if a.p2.shape != (t.shape[0], t.shape[2], t.shape[3]):
-                raise ValueError(f"arat.p2 shape {a.p2.shape} inconsistent with {t.shape}")
+            "anchor_state", self.anchor_state, 0, shape[0], integer=True))
+        if a is not None:
+            if a.p1.shape != (shape[0], shape[1], shape[3]):
+                raise ValueError(f"arat.p1 shape {a.p1.shape} inconsistent with {shape}")
+            if a.p2.shape != (shape[0], shape[2], shape[3]):
+                raise ValueError(f"arat.p2 shape {a.p2.shape} inconsistent with {shape}")
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance does not hold: an
+        # assembled instance's transition table, built here once
+        if name != "transition" or "arat" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        t = self.__dict__["transition"] = _sum_table(self.arat)
+        return t
+
+    def __repr__(self) -> str:
+        # the generated repr would read, and so build, an unbuilt table
+        shown = (f"{f.name}={self.__dict__.get(f.name, _UNBUILT)!r}"
+                 for f in fields(self) if f.repr)
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+    def _transition_blocks(self) -> Iterable[np.ndarray]:
+        """The transition law in C order, in blocks, without building it.
+
+        A held table is one block.  An unbuilt one comes as ``p1[x, a] +
+        p2[x]`` [b, y] for each (x, a) in turn: the entries the built table
+        would hold, bit for bit, with no temporary larger than one block.
+        """
+        if "transition" in self.__dict__:
+            return (self.transition,)
+        a = self.arat
+        return (row + p2 for p1, p2 in zip(a.p1, a.p2) for row in p1[:, None])
 
     @property
     def n_states(self) -> int:
-        return self.transition.shape[0]
+        return self.cost1.shape[0]
 
     @property
     def n_actions_a(self) -> int:
-        return self.transition.shape[1]
+        return self.cost1.shape[1]
 
     @property
     def n_actions_b(self) -> int:
-        return self.transition.shape[2]
+        return self.cost1.shape[2]
 
     @property
     def c_bar(self) -> float:
@@ -272,10 +369,11 @@ class GameInstance:
         """The decomposition if it reproduces every stored table bit for bit, else None.
 
         Every sum of parts in :meth:`_compare_decomposition` must equal its
-        table under ``==``; the pass stops at the first one that does not.  Decided on
-        first use and kept, not at construction.  A decomposition one ulp
-        off anywhere (rows renormalized on construction, a document failing
-        "4.1") gives None.
+        table under ``==``; the pass stops at the first one that does not.
+        Decided on first use and kept.  An instance holding an unbuilt table
+        is exact by construction and never runs this pass.  A decomposition
+        one ulp off anywhere (rows renormalized on construction, a document
+        failing "4.1") gives None.
         """
         a = self.arat
         if a is None or not all(self._compare_decomposition(lambda s, t: (s == t).all())):
@@ -400,9 +498,6 @@ _DESCRIPTIONS = {
 }
 
 
-#: float64 scratch bytes one tile of the pairwise-distance pass may use: small
-#: enough that a tile's difference block stays in a core's L2 cache
-_TV_TILE_BYTES = 256 * 2**10
 #: violating index tuples a FAIL verdict lists: the first ones, row-major
 _MAX_VIOLATIONS = 20
 
@@ -424,7 +519,7 @@ def _tv_distances(instance: GameInstance) -> tuple[float, list]:
     The rows are the R = X*A*B rows P(.|x,a,b), flattened in (x, a, b)
     order.  The distance matrix is symmetric, so only its upper triangle is
     formed, tile by tile: a block of rows against the columns from the
-    block's diagonal on, in tiles of about _TV_TILE_BYTES of scratch
+    block's diagonal on, in tiles of about _TILE_BYTES of scratch
     whatever the instance size.  Each pair is formed once, apart from the
     pairs below the diagonal inside a row block's first tile.  Time is still
     O(R^2 * X).
@@ -438,7 +533,7 @@ def _tv_distances(instance: GameInstance) -> tuple[float, list]:
     """
     rows = instance.transition.reshape(-1, instance.n_states)
     n_rows, width = rows.shape
-    tile_pairs = max(1, _TV_TILE_BYTES // (width * 8))
+    tile_pairs = max(1, _TILE_BYTES // (width * 8))
     block = min(n_rows, math.isqrt(tile_pairs))
     cols = min(n_rows, tile_pairs // block)
     threshold = 2.0 - EXACT_TOL
@@ -632,21 +727,22 @@ def require_solvable(instance: GameInstance) -> None:
 def assemble_from_arat(
     arat: AratStructure, theta: float = 1.0, anchor_state: int = 0
 ) -> GameInstance:
-    """Build the full game tables from an additive decomposition.
+    """The game whose tables are the sums of an additive decomposition's parts.
 
     transition[x,a,b] = p1[x,a] + p2[x,b] (must be stochastic), and
     cost_i(x,a,b) = c_i1(x,a) + c_i2(x,b).  The resulting instance carries
-    the decomposition, exactly consistent by construction.  The tables are
-    built here and handed to the instance without a second copy.
+    the decomposition, exactly consistent by construction.  The cost tables
+    are built here and handed to the instance without a second copy; the
+    transition table is built on its first read (see :class:`GameInstance`),
+    unless a row of p1 + p2 needs renormalizing, when it is built here.
 
     Args:
         theta: risk-sensitivity parameter, a real, finite and > 0.
         anchor_state: an integer in [0, n_states).
     """
-    transition = _frozen(arat.p1[:, :, None, :] + arat.p2[:, None, :, :])
     cost1 = _frozen(arat.c11[:, :, None] + arat.c12[:, None, :])
     cost2 = _frozen(arat.c21[:, :, None] + arat.c22[:, None, :])
-    return GameInstance(transition, cost1, cost2, theta, anchor_state, arat)
+    return GameInstance(_UNBUILT, cost1, cost2, theta, anchor_state, arat)
 
 
 def random_instance(
@@ -663,7 +759,7 @@ def random_instance(
     entries are >= min_prob; costs are uniform on [0, c_bar].  With
     ``arat_flag`` the instance is built through a random additive
     decomposition (a per-state mass split between the players' kernels) and
-    carries it.
+    carries it.  The drawn tables are frozen and handed over, not copied.
 
     Args:
         seed: seed of the one generator every draw comes from.
@@ -681,9 +777,9 @@ def random_instance(
     rng = default_rng(seed)
     if not arat_flag:
         dir_rows = rng.dirichlet(np.ones(nx), size=(nx, na, nb))
-        transition = min_prob + (1.0 - min_prob * nx) * dir_rows
-        cost1 = rng.uniform(0.0, c_bar, size=(nx, na, nb))
-        cost2 = rng.uniform(0.0, c_bar, size=(nx, na, nb))
+        transition = _frozen(min_prob + (1.0 - min_prob * nx) * dir_rows)
+        cost1 = _frozen(rng.uniform(0.0, c_bar, size=(nx, na, nb)))
+        cost2 = _frozen(rng.uniform(0.0, c_bar, size=(nx, na, nb)))
         return GameInstance(transition, cost1, cost2, theta, 0)
     # additive transitions: player 1's kernel carries mass s(x), player 2's
     # the rest, each entry padded by min_prob/2 so the sums stay >= min_prob
@@ -692,12 +788,12 @@ def random_instance(
     p1 = half + (s[:, None, None] - half * nx) * rng.dirichlet(np.ones(nx), (nx, na))
     p2 = half + (1.0 - s[:, None, None] - half * nx) * rng.dirichlet(np.ones(nx), (nx, nb))
     arat = AratStructure(
-        p1=p1,
-        p2=p2,
-        c11=rng.uniform(0.0, 0.5 * c_bar, size=(nx, na)),
-        c21=rng.uniform(0.0, 0.5 * c_bar, size=(nx, na)),
-        c12=rng.uniform(0.0, 0.5 * c_bar, size=(nx, nb)),
-        c22=rng.uniform(0.0, 0.5 * c_bar, size=(nx, nb)),
+        p1=_frozen(p1),
+        p2=_frozen(p2),
+        c11=_frozen(rng.uniform(0.0, 0.5 * c_bar, size=(nx, na))),
+        c21=_frozen(rng.uniform(0.0, 0.5 * c_bar, size=(nx, na))),
+        c12=_frozen(rng.uniform(0.0, 0.5 * c_bar, size=(nx, nb))),
+        c22=_frozen(rng.uniform(0.0, 0.5 * c_bar, size=(nx, nb))),
     )
     return assemble_from_arat(arat, theta, 0)
 
@@ -838,18 +934,22 @@ def instance_digest(instance: GameInstance) -> str:
     float64.  Last come ``theta`` as little-endian float64 and
     ``anchor_state`` as little-endian int64.  Every bit of every entry
     counts, so -0.0 and 0.0 differ; a file's indentation and key order do
-    not.  The tables are hashed in place, without a copy.
+    not.  The tables are hashed in place, without a copy; a transition table
+    not yet built is hashed block by block and stays unbuilt.
     """
-    tables = {"transition": instance.transition, "cost1": instance.cost1,
-              "cost2": instance.cost2}
+    stored = {"cost1": instance.cost1, "cost2": instance.cost2}
     if instance.arat is not None:
-        tables.update((f, getattr(instance.arat, f)) for f in _ARAT_TABLES)
+        stored.update((f, getattr(instance.arat, f)) for f in _ARAT_TABLES)
+    tables = {key: (t.shape, (t,)) for key, t in stored.items()}
+    x, a, b = instance.cost1.shape
+    tables["transition"] = ((x, a, b, x), instance._transition_blocks())
     h = hashlib.sha256()
     for key in sorted(tables):
-        table = np.ascontiguousarray(tables[key], dtype="<f8")
+        shape, blocks = tables[key]
         h.update(key.encode() + b"\0")
-        h.update(np.array([table.ndim, *table.shape], dtype="<i8"))
-        h.update(table)
+        h.update(np.array([len(shape), *shape], dtype="<i8"))
+        for block in blocks:
+            h.update(np.ascontiguousarray(block, dtype="<f8"))
     h.update(np.array(instance.theta, dtype="<f8"))
     h.update(np.array(instance.anchor_state, dtype="<i8"))
     return h.hexdigest()

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import tracemalloc
 from unittest import mock
@@ -201,7 +202,7 @@ class TestDistancePass:
     @staticmethod
     def set_tile_bytes(monkeypatch, tile_bytes):
         if tile_bytes is not None:
-            monkeypatch.setattr(game_model, "_TV_TILE_BYTES", tile_bytes)
+            monkeypatch.setattr(game_model, "_TILE_BYTES", tile_bytes)
 
     @pytest.mark.parametrize("tile_bytes", TILE_BYTES)
     def test_tiled_delta_equals_one_shot_form(self, monkeypatch, tile_bytes):
@@ -268,7 +269,7 @@ class TestDistancePass:
         else:
             inst = rs.random_instance(seed, dims=dims, min_prob=0.001)
         with mock.patch.object(
-            game_model, "_TV_TILE_BYTES", tile_bytes or game_model._TV_TILE_BYTES
+            game_model, "_TILE_BYTES", tile_bytes or game_model._TILE_BYTES
         ):
             worst, disjoint = game_model._tv_distances(inst)
         assert worst == float(pairwise_tv_distances(inst).max())
@@ -386,6 +387,7 @@ class TestViolationLists:
     def test_decomposition_checks_hold_no_float_table(self):
         # forming p1 + p2 - transition whole, as one float table, peaks at 1.29 tables
         inst = rs.random_instance(0, dims=(100, 5, 5), min_prob=1e-3, arat_flag=True)
+        inst.transition  # built on first read: outside the trace, which measures validate
         tracemalloc.start()
         try:
             diag = rs.validate(inst)
@@ -515,14 +517,20 @@ class TestConstruction:
         assert t.nbytes + peak < 2.2 * t.nbytes
 
     def test_assemble_from_arat_holds_one_table(self):
-        arat = rs.random_instance(0, dims=(60, 6, 6), min_prob=1e-3, arat_flag=True).arat
-        table = 60 * 6 * 6 * 60 * 8
+        arat = rs.random_instance(0, dims=(100, 8, 8), min_prob=1e-3, arat_flag=True).arat
+        table = 100 * 8 * 8 * 100 * 8
         tracemalloc.start()
         try:
             inst = rs.assemble_from_arat(arat)
+            _, assembled = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            inst.transition  # built on its first read
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        # the two cost tables and at most two tiles of p1 + p2 (~256 KiB
+        # each); building the table at construction would be 1.0
+        assert assembled < 0.2 * table
         assert inst.transition.nbytes == table
         assert not inst.transition.flags.writeable
         assert not inst.cost1.flags.writeable and not inst.cost2.flags.writeable
@@ -567,6 +575,124 @@ class TestConstruction:
         assert_array_equal(rebuilt.transition, g2.transition)
         assert_array_equal(rebuilt.cost1, g2.cost1)
         assert_array_equal(rebuilt.cost2, g2.cost2)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Every transition table built from a decomposition, in build order."""
+    built = []
+    build = game_model._sum_table
+
+    def counted(arat):
+        built.append(build(arat))
+        return built[-1]
+
+    monkeypatch.setattr(game_model, "_sum_table", counted)
+    return built
+
+
+def bits(certificate) -> list[bytes]:
+    """Every field of an epsilon_gap certificate as bytes: equal lists are equal bits."""
+    values = [certificate.Phi.rows, certificate.Psi.rows]
+    values += [getattr(certificate, f) for f in ("J1", "J2", "rho1_star", "rho2_star",
+                                                 "eps1", "eps2", "rounds", "converged")]
+    return [np.asarray(v).tobytes() for v in values] + [repr(certificate.cycle).encode()]
+
+
+#: instance builders that go through assemble_from_arat, by test id
+ASSEMBLED = {
+    "g2": rs.g2_instance,
+    **{f"{x}x{a}x{b}-{seed}": functools.partial(
+        rs.random_instance, seed, (x, a, b), min_prob, arat_flag=True)
+       for (x, a, b), min_prob, seeds in (((2, 2, 2), 0.02, (0, 1, 2)),
+                                          ((50, 4, 4), 0.002, (0, 11)),
+                                          ((30, 4, 4), 1e-3, (1, 2, 3)))
+       for seed in seeds},
+}
+
+
+class TestAssembledInstances:
+    """Instances from assemble_from_arat hold p1 and p2 and build the table on its first read."""
+
+    def test_solvers_build_no_table_and_table_readers_build_one(self, builds):
+        inst = rs.random_instance(5, dims=(30, 4, 4), min_prob=1e-3, arat_flag=True)
+        phi, psi = random_pair(inst, np.random.default_rng(5))
+        rs.epsilon_gap(inst, phi, psi)
+        rs.finite_horizon_growth(inst, 1, phi, psi, 0, 20)
+        rs.solve_optimality(inst, 2, phi)
+        for player in (1, 2):
+            rs.log_twisted_tensor(inst, player, phi.rows, psi.rows)
+            rs.log_twisted_tensor(inst, player, psi=psi.rows)
+            rs.log_twisted_tensor(inst, player, phi=phi.rows)
+            rs.normalized_kernel(inst, player, 3, phi.rows[3], psi.rows[3])
+        rs.instance_digest(inst)
+        assert "built on first read" in repr(inst)
+        assert builds == []
+        rs.validate(inst, min_prob=1e-3)
+        rs.mc_cost_estimate(inst, phi, psi, 0, 5, 50, 0)
+        rs.instance_to_dict(inst)
+        assert len(builds) == 1
+        assert inst.transition is builds[0]  # kept: a second read builds none
+        assert not inst.transition.flags.writeable
+        assert len(builds) == 1
+        assert "built on first read" not in repr(inst)
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_replace_builds_the_table_once_and_shares_it(self, builds, read_first):
+        inst = rs.random_instance(6, dims=(30, 4, 4), min_prob=1e-3, arat_flag=True)
+        if read_first:
+            inst.transition
+        hot = dataclasses.replace(inst, theta=2.0)
+        assert len(builds) == 1
+        assert hot.theta == 2.0 and hot.arat is inst.arat
+        for f in ("p1", "p2"):
+            assert getattr(hot.arat, f) is getattr(inst.arat, f)
+        assert hot.transition is inst.transition is builds[0]
+        assert hot.cost1 is inst.cost1 and hot.cost2 is inst.cost2
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("name", list(ASSEMBLED))
+    def test_a_loaded_copy_gives_the_same_results(self, builds, name):
+        lazy = ASSEMBLED[name]()
+        phi, psi = random_pair(lazy, np.random.default_rng(lazy.n_states))
+        digest, gap = rs.instance_digest(lazy), bits(rs.epsilon_gap(lazy, phi, psi))
+        assert builds == []
+        document = rs.instance_to_dict(lazy)
+        loaded = rs.instance_from_dict(document)
+        assert rs.instance_digest(lazy) == rs.instance_digest(loaded) == digest
+        assert rs.instance_to_dict(loaded) == document
+        assert lazy._positive is loaded._positive is True
+        assert bits(rs.epsilon_gap(loaded, phi, psi)) == gap
+        reports = [dumps_decimal(dataclasses.asdict(rs.validate(inst, min_prob=1e-3)))
+                   for inst in (lazy, loaded)]
+        assert reports[0] == reports[1]
+        assert loaded._exact_arat is loaded.arat
+        assert len(builds) == 1
+
+    def drifted(self, g2, drift):
+        """g2's decomposition with every row (0, 0, b) of p1 + p2 summing to 1 + drift."""
+        parts = {f: getattr(g2.arat, f).copy() for f in game_model._ARAT_TABLES}
+        parts["p1"][0, 0, 0] += drift
+        return rs.AratStructure(**parts)
+
+    def test_rows_to_renormalize_build_the_table_at_construction(self, builds, g2):
+        arat = self.drifted(g2, 3e-10)
+        inst = rs.assemble_from_arat(arat)
+        assert len(builds) == 1 and "transition" in vars(inst)
+        given = rs.GameInstance(arat.p1[:, :, None, :] + arat.p2[:, None, :, :],
+                                inst.cost1, inst.cost2, arat=arat)
+        assert_array_equal(inst.transition, given.transition)
+        assert not np.array_equal(inst.transition, builds[0])  # renormalized
+        assert inst._exact_arat is None and inst._positive
+        assert rs.instance_digest(inst) == rs.instance_digest(given)
+        assert len(builds) == 1
+
+    def test_rows_off_by_more_than_the_load_tolerance_are_refused(self, g2):
+        arat = self.drifted(g2, 3e-9)
+        with pytest.raises(ValueError) as raised:
+            rs.assemble_from_arat(arat)
+        assert str(raised.value) == (
+            "transition row (0, 0, 0) sums to 1.000000003, off by more than 1e-09")
 
 
 class TestStrategies:

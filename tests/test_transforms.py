@@ -289,20 +289,25 @@ class TestSplitRoute:
         counting = functools.cached_property(counted)
         counting.__set_name__(GameInstance, "_exact_arat")
         monkeypatch.setattr(GameInstance, "_exact_arat", counting)
-        inst = rs.random_instance(4, dims=(5, 3, 2), min_prob=1e-3, arat_flag=True)
-        log_twisted_tensor(inst, 1)  # the unmixed table needs no decision
-        assert calls == []
-        phi, psi = random_pair(inst, np.random.default_rng(4))
-        for player in (1, 2):
-            log_twisted_tensor(inst, player, phi.rows, psi.rows)
-            log_twisted_tensor(inst, player, psi=psi.rows)
-            rs.normalized_kernel(inst, player, 0, phi.rows[0], psi.rows[0])
-        rs.solve_optimality(inst, 1, psi)
-        rs.epsilon_gap(inst, phi, psi)
-        assert calls == [inst]
-        other = dataclasses.replace(inst, theta=2.0)
+        # an assembled instance knows its decomposition exact from construction
+        assembled = rs.random_instance(4, dims=(5, 3, 2), min_prob=1e-3, arat_flag=True)
+        loaded = rs.instance_from_dict(rs.instance_to_dict(assembled))
+        phi, psi = random_pair(loaded, np.random.default_rng(4))
+        for inst, decided in ((loaded, [loaded]), (assembled, [])):
+            log_twisted_tensor(inst, 1)  # the unmixed table needs no decision
+            assert calls == []
+            for player in (1, 2):
+                log_twisted_tensor(inst, player, phi.rows, psi.rows)
+                log_twisted_tensor(inst, player, psi=psi.rows)
+                rs.normalized_kernel(inst, player, 0, phi.rows[0], psi.rows[0])
+            rs.solve_optimality(inst, 1, psi)
+            rs.epsilon_gap(inst, phi, psi)
+            assert calls == decided
+            calls.clear()
+        assert assembled._exact_arat is assembled.arat
+        other = dataclasses.replace(loaded, theta=2.0)
         log_twisted_tensor(other, 2, phi=phi.rows)
-        assert calls == [inst, other]
+        assert calls == [other]
 
     def test_solvers_run_without_the_table_core(self, g2, monkeypatch):
         def refused(*args):

@@ -15,24 +15,25 @@ anchors iterates at the instance's anchor state and stops on the span of
 successive differences, yielding the optimal ergodic value rho and the
 relative value function v with v(anchor) = 0.
 
-A solve sweeps M in one of two forms, each able to sweep a value vector
-and to mix in the player's own strategy.  Both take their pieces from
+A solve sweeps M in one form on both routes, able to sweep a value vector
+and to mix in the player's own strategy.  Its pieces come from
 transforms, the one place the twisted kernel is built; this module never
-reads the decomposition or scales a cost by theta.  Without an exact
-additive decomposition, ln M comes from log_twisted_tensor and M is held
-dense and row-shifted, K = e^{ln M - rowmax} <= 1, and a sweep is
-ln(K e^{v - max v}) + rowmax + max v.  With one (P = p1 + p2 and
-c_i = c_i1 + c_i2 bit for bit), M is never formed: the solve keeps only
-the opponent's mixed side (sigma, T, R) and the player's own log weights
-and part, (w_own, p_own), as transforms._split_side returns them, and
-sweeps
+reads the decomposition or scales a cost by theta.  The opponent's
+strategy, mixed into its side by transforms._mixed_side, leaves
 
-    sum_y M(x,k,y) e^{v(y)} = e^{w_own(x,k) + sigma(x)}
-                              (T(x) (p_own e^v)(x,k) + (R e^v)(x)),
+    M(x, k, y) = e^{shift(x, k)} (p_own(x, k, y) + r(x, y)),
 
-one product with p_own (p1 or p2) and one X*Y product.  In both forms
-every factor is bounded, so large theta * cost products cannot overflow.
-One relative value iteration loop, in solve_optimality, serves both forms.
+and a sweep is ln((p_own u)(x, k) + (r u)(x)) + shift + max v with
+u = e^{v - max v} <= 1.  Without an exact additive decomposition,
+shift = sigma and p_own = R of the opponent mixed into the table
+(transforms._table_side), and there is no r.  With one (P = p1 + p2 and
+c_i = c_i1 + c_i2 bit for bit), M is never formed: with the player's own
+log weights and part (w_own, p_own), p1 or p2, and the opponent's mixed
+side (sigma, T, R) from transforms._split_side, shift = w_own + sigma +
+ln T and r = R / T.  Either way a sweep is one product with p_own (and
+one X*Y product with r), and every factor is bounded, so large
+theta * cost products cannot overflow.  One relative value iteration
+loop, in solve_optimality, serves both routes.
 Brute force takes its best-response values from Perron roots instead
 (see nash.brute_force_nash), so every solve here is a single kernel.
 """
@@ -52,6 +53,7 @@ from .game_model import (
 from .transforms import (
     _mixed_side,
     _split_side,
+    _table_side,
     log_twisted_tensor,
     normalized_kernel,
     relative_entropy,
@@ -84,11 +86,10 @@ class SolveResult:
     among ties), residual the final span of successive differences, and
     iterations the number of operator applications.  action_values [x, k]
     is the final sweep at v, so (Tv)(x) is its row minimum, and kernel is
-    the opponent-mixed kernel M the sweeps ran on, in the form they used:
-    dense and row-shifted on the table route, or the opponent's mixed side
-    alone on an exact decomposition, where M is never formed.  It is kept
-    so callers can mix in the player's own strategy without rebuilding the
-    opponent's (``kernel.mix_own(rows)`` gives ln Q [x, y]).
+    the opponent-mixed kernel M the sweeps ran on, e^{shift} (p_own + r)
+    (see the module docstring).  It is kept so callers can mix in the
+    player's own strategy without rebuilding the opponent's
+    (``kernel.mix_own(rows)`` gives ln Q [x, y]).
     """
 
     rho: float
@@ -97,7 +98,7 @@ class SolveResult:
     residual: float
     iterations: int
     action_values: np.ndarray
-    kernel: _DenseKernel | _SplitKernel = field(repr=False)
+    kernel: _Kernel = field(repr=False)
     converged: bool = True
 
     def tied_actions(self) -> list[np.ndarray]:
@@ -114,70 +115,13 @@ def span(v) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class _DenseKernel:
-    """M = e^{shift} K held whole, K [x, k, y] <= 1 and shift [x, k].
+class _Kernel:
+    """The player's twisted kernel with the opponent mixed in, M = e^{shift} (p_own + r).
 
-    The table route's form.  player is the player whose own action k
-    indexes, when a solve built it.
-    """
-
-    kernel: np.ndarray
-    shift: np.ndarray
-    player: int | None = None
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.kernel.shape
-
-    def sweep(self, v: np.ndarray) -> np.ndarray:
-        """Action values ln sum_y e^{s} K(x, k, y) e^{v(y)}, [..., x, k].
-
-        v [..., y] may carry leading axes, a batch of vectors swept at once.
-        """
-        top = v.max(axis=-1)
-        sums = np.einsum("...xky,...y->...xk", self.kernel, np.exp(v - top[..., None]))
-        return np.log(sums) + self.shift + top[..., None, None]
-
-    def mix_own(self, rows: np.ndarray) -> np.ndarray:
-        """ln Q(x, y) = ln sum_k rows(k|x) e^{shift(x, k)} K(x, k, y), by one product per state.
-
-        Mixed by :func:`transforms._mixed_side`, which shifts the weights
-        ln rows + shift by their maximum over k, so nothing overflows.
-        """
-        with np.errstate(divide="ignore"):
-            sigma, _, mixed = _mixed_side(self.shift, self.kernel, rows)
-        return np.log(mixed) + sigma[:, None]
-
-
-def _shifted(log_kernel: np.ndarray, player: int | None = None) -> _DenseKernel:
-    """M = e^{log_kernel} as e^s K, s the row max and K <= 1.
-
-    A row of e^{log_kernel} is a combination sum_t w_t P_t of transition
-    rows with weights w_t > 0, so it lies between W min P and W (W = sum_t
-    w_t).  K is then at least the smallest transition entry, and each sum of
-    K e^{v - max v} (which holds K itself at the argmax of v) stays a normal
-    float for any theta * cost.
-    """
-    shift = log_kernel.max(axis=-1)
-    kernel = log_kernel - shift[..., None]
-    return _DenseKernel(np.exp(kernel, out=kernel), shift, player)
-
-
-@dataclass(frozen=True, eq=False)
-class _SplitKernel:
-    """M on an exact decomposition, never formed: the opponent's mixed side alone.
-
-    With (w_own, p_own, sigma, T, R) from :func:`transforms._split_side`,
-    the opponent's strategy mixed into its side (for player 1, w_own =
-    theta*c_11 and p_own = p1; player 2 mirrors it with c_22 and p2),
-
-        M(x, k, y) = e^{w_own(x,k) + sigma(x)} (T(x) p_own(x, k, y) + R(x, y))
-                   = e^{shift(x, k)} (p_own(x, k, y) + r(x, y)),
-
-    shift = w_own + sigma + ln T and r = R / T.  The sweeps read p_own as
-    p_t [y, x*k] and r as r_t [y, x], transposed views for one product each.
-    opponent holds the rows that side was mixed with, so the doubly mixed
-    kernel can be built from them.
+    Held as the sweeps read it: shift [x, k], p_own as p_t [y, x*k] and r
+    as r_t [y, x], transposed views for one product each, with r_t None on
+    the table route.  opponent holds the rows the opponent's side was mixed
+    with, so the doubly mixed kernel can be built from them.
     """
 
     instance: GameInstance
@@ -185,7 +129,7 @@ class _SplitKernel:
     opponent: np.ndarray
     shift: np.ndarray
     p_t: np.ndarray
-    r_t: np.ndarray
+    r_t: np.ndarray | None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -195,13 +139,14 @@ class _SplitKernel:
         """Action values ln((p_own u)(x, k) + (r u)(x)) + shift + max v, [..., x, k].
 
         u = e^{v - max v} <= 1 and v [..., y] may carry leading axes.  The
-        sum holds p_own + r >= min P / T at the argmax of v, so it stays a
-        normal float as in the dense form.
+        sum holds p_own + r at the argmax of v, at least min P on the table
+        route and min P / T on the split route, so it stays a normal float.
         """
         top = v.max(axis=-1, keepdims=True)
         u = np.exp(v - top)
         sums = (u @ self.p_t).reshape(u.shape[:-1] + self.shift.shape)
-        sums += (u @ self.r_t)[..., None]
+        if self.r_t is not None:
+            sums += (u @ self.r_t)[..., None]
         np.log(sums, out=sums)
         sums += self.shift
         sums += top[..., None]
@@ -210,31 +155,35 @@ class _SplitKernel:
     def mix_own(self, rows: np.ndarray) -> np.ndarray:
         """ln Q [x, y]: the doubly mixed kernel of rows against the opponent's rows.
 
-        Built by :func:`log_twisted_tensor` with both strategies, so it is
-        the kernel :func:`spectral.twisted_matrix` gives for the same pair.
+        On the table route rows are mixed into the held M by
+        :func:`transforms._mixed_side`, and the table is not read again.  On
+        the split route Q is built by :func:`log_twisted_tensor` with both
+        strategies, so it is the kernel :func:`spectral.twisted_matrix`
+        gives for the same pair.
         """
+        if self.r_t is None:
+            with np.errstate(divide="ignore"):
+                sigma, _, mixed = _mixed_side(self.shift, self.p_t.T.reshape(self.shape), rows)
+            return np.log(mixed) + sigma[:, None]
         phi, psi = (rows, self.opponent) if self.player == 1 else (self.opponent, rows)
         return log_twisted_tensor(self.instance, self.player, phi, psi)
 
 
-def _solve_kernel(
-    instance: GameInstance, player: int, opponent: StationaryStrategy
-) -> _DenseKernel | _SplitKernel:
-    """The player's twisted kernel with the opponent mixed in, in the form a solve sweeps.
-
-    Split when the instance's additive decomposition is exact, else dense
-    from ln M[x, own action, y].
-    """
+def _solve_kernel(instance: GameInstance, player: int, opponent: StationaryStrategy) -> _Kernel:
+    """The player's twisted kernel with the opponent mixed in, in the form a solve sweeps."""
     player = _scalar("player", player, 1, 2, integer=True, ends="[]")
     rows = check_strategy(instance, opponent, 3 - player)
     mixed = {"psi": rows} if player == 1 else {"phi": rows}
-    if instance._exact_arat is None:
-        return _shifted(log_twisted_tensor(instance, player, **mixed), player)
     with np.errstate(divide="ignore"):
-        w_own, p_own, sigma, t, r = _split_side(instance, player, slice(None), **mixed)
-    shift = w_own + (sigma + np.log(t))[:, None]
+        if instance._exact_arat is None:
+            shift, _, p_own = _table_side(instance, player, slice(None), **mixed)
+            r_t = None
+        else:
+            w_own, p_own, sigma, t, r = _split_side(instance, player, slice(None), **mixed)
+            shift = w_own + (sigma + np.log(t))[:, None]
+            r_t = (r / t[:, None]).T
     p_t = p_own.reshape(-1, p_own.shape[-1]).T
-    return _SplitKernel(instance, player, rows, shift, p_t, (r / t[:, None]).T)
+    return _Kernel(instance, player, rows, shift, p_t, r_t)
 
 
 def action_values(
@@ -316,7 +265,10 @@ def solve_optimality(
     a final operator application; the result keeps the kernel it swept.
     The stop never asks for less than the sweep's rounding noise: once the
     span stops shrinking it only has to be below max(tol, 4 eps max|Tv|),
-    so values near theta*c = 1e6 converge as values near 1 do.  On an exact
+    so values near theta*c = 1e6 converge as values near 1 do.  Rounding
+    can also trap the iterates in a cycle of period 2 whose span stays above
+    both; the sweeps then go on from the midpoint of its two iterates, which
+    only changes solves that would otherwise never stop.  On an exact
     additive decomposition the sweeps run on the opponent's mixed side and
     M is never formed (see the module docstring).  At the fixed point
     rho + v = Tv, rho is the player's optimal ergodic value against the
@@ -339,6 +291,7 @@ def solve_optimality(
     kernel = _solve_kernel(instance, player, opponent_strategy)
     anchor = instance.anchor_state
     v = np.zeros(instance.n_states)
+    earlier = (None, None)  # the two iterates before v
     residual = np.inf
     converged = False
     iterations = 0
@@ -347,14 +300,22 @@ def solve_optimality(
         v_next = tv - tv[anchor]
         diff = v_next - v
         previous, residual = residual, float(diff.max() - diff.min())
-        v = v_next
         # the floor is only worked out once the span stops shrinking, which
         # in exact arithmetic it never does: a stall is rounding noise
         if residual < tol or (
             residual >= previous and residual < _NOISE_FLOOR * float(np.abs(tv).max())
         ):
-            converged = True
+            v, converged = v_next, True
             break
+        # iterates that repeat the two before them cycle for good, and span
+        # contractions have no cycle in exact arithmetic: the sweeps go on
+        # from the midpoint of the cycle (the span is equal in a 2-cycle)
+        if residual == previous and (
+            np.array_equal(v_next, earlier[1]) and np.array_equal(v, earlier[0])
+        ):
+            v_next = (v_next + v) / 2
+        earlier = (earlier[1], v)
+        v = v_next
     vals = kernel.sweep(v)
     return SolveResult(
         rho=float(vals.min(axis=-1)[anchor]),

@@ -40,7 +40,7 @@ from .game_model import GameInstance, StationaryStrategy, _scalar, check_strateg
 from .transforms import log_twisted_tensor
 
 if TYPE_CHECKING:
-    from .bellman import _DenseKernel, _SplitKernel
+    from .bellman import _Kernel
 
 DEFAULT_TOL = 1e-12
 MAX_POWER_STEPS = 100_000
@@ -242,7 +242,7 @@ def ergodic_cost(
     player: int,
     Phi: StationaryStrategy,
     Psi: StationaryStrategy,
-    kernel: _DenseKernel | _SplitKernel | None = None,
+    kernel: _Kernel | None = None,
 ) -> float:
     """Risk-sensitive ergodic value of a frozen pair: ln spectral radius of Q.
 

@@ -5,9 +5,10 @@ e^{theta*c_i(x,a,b)} * P(y|x,a,b), mixed over the players' strategies, and
 with its normalization: the log-normalizer c^_i(x, phi, psi) (the log of
 the normalizing constant c~_i) and the normalized probability kernel P^_i.
 This module is the one place where theta * cost meets the transition law.
-:func:`log_twisted_tensor` builds the kernel, and the Bellman solver's
-structured form on an exact additive decomposition comes from the same
-split builder, :func:`_split_side`.  Every strategy is mixed in by one
+:func:`log_twisted_tensor` builds the kernel, and the Bellman solver
+takes its opponent-mixed kernel from the same two route builders,
+:func:`_table_side` and, on an exact additive decomposition,
+:func:`_split_side`, without the log.  Every strategy is mixed in by one
 primitive, :func:`_mixed_side`: in log space, with the weights shifted by
 their maximum so large theta * cost never overflows, and with one matrix
 product over the mixed action axes, read straight from the transition
@@ -80,9 +81,8 @@ def _log_kernel(instance: GameInstance, player: int, rows: slice, phi, psi) -> n
     Every beta is at most 1, so nothing overflows; an entry is -inf exactly
     where the mixed transition vanishes.
     """
-    cost = instance.cost(player)
     if phi is None and psi is None or instance._exact_arat is None:
-        return _log_twisted(instance.theta * cost[rows], instance.transition[rows], phi, psi)
+        return _log_twisted(instance, player, rows, phi, psi)
     with np.errstate(divide="ignore"):
         w_kept, p_kept, sigma, t, r = _split_side(instance, player, rows, phi, psi)
         if phi is not None and psi is not None:
@@ -121,28 +121,45 @@ def _split_side(instance: GameInstance, player: int, rows: slice, phi=None, psi=
     return instance.theta * c_kept[rows], p_kept[rows], sigma, t, r
 
 
-def _log_twisted(w: np.ndarray, t: np.ndarray, phi, psi) -> np.ndarray:
-    """The table route of :func:`log_twisted_tensor`: theta*c w [x, a, b], rows t [x, a, b, y].
+def _log_twisted(instance: GameInstance, player: int, rows: slice, phi, psi) -> np.ndarray:
+    """The table route of :func:`_log_kernel`: ln M = ln R + sigma of :func:`_table_side`.
 
-    The mixed action axis (both, flattened, when both strategies are given)
-    goes last, and :func:`_mixed_side` mixes it: ln M = ln R + sigma.
+    With no strategy given it is the unmixed table theta*c + ln P.
     """
     with np.errstate(divide="ignore"):
         if phi is None and psi is None:
-            return w[..., None] + np.log(t)
-        if phi is None:
-            s = psi[..., None, :]
-        elif psi is None:
-            w, t, s = w.swapaxes(-1, -2), t.swapaxes(1, 2), phi[..., None, :]
-        else:
-            w = w + np.log(phi)[..., None]
-            w = w.reshape(*w.shape[:-2], -1)
-            s = np.concatenate([psi] * phi.shape[-1], axis=-1)  # psi(b|x) at a*B + b
-            t = t.reshape(t.shape[0], -1, t.shape[3])
-        sigma, _, mixed = _mixed_side(w, t, s)
+            w = instance.theta * instance.cost(player)[rows]
+            return w[..., None] + np.log(instance.transition[rows])
+        sigma, _, mixed = _table_side(instance, player, rows, phi, psi)
         np.log(mixed, out=mixed)
     mixed += sigma[..., None]
     return mixed
+
+
+def _table_side(instance: GameInstance, player: int, rows: slice, phi=None, psi=None) -> tuple:
+    """The given strategies mixed into the player's table: (sigma, T, R) of :func:`_mixed_side`.
+
+    The log weights w = theta*c_i [x, a, b] and rows P [x, a, b, y] of the
+    states ``rows`` are arranged with the mixed action axis last: psi mixes
+    P as it is, phi its transposed view [x, b, a, y] (no copy), and both
+    its reshape [x, a*b, y] with w + ln phi.  The kernel with them mixed in
+    is then
+
+        M [..., x, k, y] (one given) or Q [..., x, y] (both) = e^{sigma} R,
+
+    k the action left unmixed.  Called with divide warnings off.
+    """
+    w, t = instance.theta * instance.cost(player)[rows], instance.transition[rows]
+    if phi is None:
+        s = psi[..., None, :]
+    elif psi is None:
+        w, t, s = w.swapaxes(-1, -2), t.swapaxes(1, 2), phi[..., None, :]
+    else:
+        w = w + np.log(phi)[..., None]
+        w = w.reshape(*w.shape[:-2], -1)
+        s = np.concatenate([psi] * phi.shape[-1], axis=-1)  # psi(b|x) at a*B + b
+        t = t.reshape(t.shape[0], -1, t.shape[3])
+    return _mixed_side(w, t, s)
 
 
 def _mixed_side(w: np.ndarray, p: np.ndarray, s) -> tuple:

@@ -26,16 +26,19 @@ G2_EPS2_UNIFORM = 0.29219861007968612
 
 
 def count_kernel_builds(monkeypatch) -> list:
-    """Record every log_twisted_tensor call, at each module that binds it."""
+    """Record every log_twisted_tensor call, at each module that binds it, and
+    every table-route solve kernel, which bellman builds from _table_side."""
     calls = []
-    original = rs.log_twisted_tensor
 
-    def counted(*args, **kwargs):
-        calls.append(args[1:3])
-        return original(*args, **kwargs)
+    def counted(original):
+        def call(*args, **kwargs):
+            calls.append(args[1:3])
+            return original(*args, **kwargs)
+        return call
 
     for module in (rs.bellman, rs.spectral, nash):
-        monkeypatch.setattr(module, "log_twisted_tensor", counted)
+        monkeypatch.setattr(module, "log_twisted_tensor", counted(rs.log_twisted_tensor))
+    monkeypatch.setattr(rs.bellman, "_table_side", counted(rs.bellman._table_side))
     return calls
 
 

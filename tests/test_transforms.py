@@ -193,7 +193,7 @@ class TestContraction:
 
 def table_core(inst: rs.GameInstance, player: int, phi=None, psi=None) -> np.ndarray:
     """The table route of log_twisted_tensor, whatever decomposition the instance carries."""
-    return transforms._log_twisted(inst.theta * inst.cost(player), inst.transition, phi, psi)
+    return transforms._log_twisted(inst, player, slice(None), phi, psi)
 
 
 def sparse_rows(rng: np.random.Generator, shape) -> np.ndarray:
@@ -314,6 +314,8 @@ class TestSplitRoute:
             raise AssertionError("the table core was used on an exact-split instance")
 
         monkeypatch.setattr(transforms, "_log_twisted", refused)
+        monkeypatch.setattr(transforms, "_table_side", refused)
+        monkeypatch.setattr(rs.bellman, "_table_side", refused)
         phi, psi = random_pair(g2, np.random.default_rng(5))
         assert rs.solve_optimality(g2, 1, psi).converged
         assert rs.solve_optimality(g2, 2, phi).converged

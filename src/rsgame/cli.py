@@ -34,6 +34,7 @@ from .game_model import (
     GameInstance,
     StationaryStrategy,
     _scalar,
+    assemble_from_arat,
     check_strategy,
     dumps_decimal,
     g2_instance,
@@ -169,8 +170,19 @@ def _read(path: str, parse):
 
 
 def _load_instance(args) -> GameInstance:
+    """The --instance document's instance, with --theta in place of its theta when given.
+
+    An instance assembled from its decomposition is assembled again with
+    the new theta, so its table stays unbuilt; ``replace`` would read, and
+    so build, it.  An instance holding a given table is copied by
+    ``replace`` and shares its tables.
+    """
     instance = _read(args.instance, instance_from_dict)
-    return instance if args.theta is None else replace(instance, theta=args.theta)
+    if args.theta is None:
+        return instance
+    if instance._assembled:
+        return assemble_from_arat(instance.arat, args.theta, instance.anchor_state)
+    return replace(instance, theta=args.theta)
 
 
 def _strategy(spec: str | None, instance: GameInstance, player: int) -> StationaryStrategy:

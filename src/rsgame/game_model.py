@@ -18,6 +18,7 @@ decomposition (:func:`assemble_from_arat`, so :func:`random_instance` with
 the X*A*B*Y transition table: it checks the rows of ``p1 + p2`` a block of
 states at a time at construction, knows its decomposition exact from then
 on, and builds the table only when something first reads ``transition``.
+Its document holds the decomposition alone (:func:`instance_to_dict`).
 """
 from __future__ import annotations
 
@@ -247,10 +248,11 @@ class GameInstance:
     no renormalizing holds no transition table: it is built from ``p1`` and
     ``p2`` on the first read of ``transition`` and kept.  Such an instance
     knows its decomposition exact from construction; ``repr`` and
-    :func:`instance_digest` do not build the table.  ``dataclasses.replace``
-    reads every field, so it builds the table; the copy holds the same
-    arrays and treats the table as given, exactly as an instance built
-    with it.
+    :func:`instance_digest` do not build the table, and
+    :func:`instance_to_dict` writes the decomposition alone.
+    ``dataclasses.replace`` reads every field, so it builds the table; the
+    copy holds the same arrays and treats the table as given, exactly as an
+    instance built with it.
     """
 
     transition: np.ndarray
@@ -261,6 +263,9 @@ class GameInstance:
     arat: AratStructure | None = None
     #: every transition entry is > 0, decided once at construction
     _positive: bool = field(init=False, repr=False)
+    #: built from the decomposition alone (assemble_from_arat, no row
+    #: renormalized): every table is the sum of its parts, bit for bit
+    _assembled: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         a = self.arat
@@ -286,6 +291,7 @@ class GameInstance:
             t, positive = _check_rows("transition", t)
             object.__setattr__(self, "transition", _frozen(t))
         object.__setattr__(self, "_positive", positive)
+        object.__setattr__(self, "_assembled", t is None)
         for f in ("cost1", "cost2"):
             c = _own(getattr(self, f))
             if c.shape != shape[:3]:
@@ -370,7 +376,7 @@ class GameInstance:
 
         Every sum of parts in :meth:`_compare_decomposition` must equal its
         table under ``==``; the pass stops at the first one that does not.
-        Decided on first use and kept.  An instance holding an unbuilt table
+        Decided on first use and kept.  An assembled instance (``_assembled``)
         is exact by construction and never runs this pass.  A decomposition
         one ulp off anywhere (rows renormalized on construction, a document
         failing "4.1") gives None.
@@ -619,13 +625,16 @@ def _decomposition_checks(instance: GameInstance) -> dict[str, AssumptionCheck]:
     :meth:`GameInstance._compare_decomposition` is compared with its table
     to EXACT_TOL, and only the boolean masks are kept: the two cost masks for "4.2", and one
     mask per state slab of the transition law for "4.1", so no float
-    temporary outgrows one slab.  This is all of :func:`validate` that brute
-    force needs for its existence label.
+    temporary outgrows one slab.  An instance assembled from its
+    decomposition passes both with no comparison, so no table is built.
+    This is all of :func:`validate` that brute force needs for its
+    existence label.
     """
     if instance.arat is None:
         return {k: _verdict(k, "SKIP", "no additive decomposition attached")
                 for k in ("4.1", "4.2")}
-    bad = list(instance._compare_decomposition(lambda s, t: np.abs(s - t) > EXACT_TOL))
+    bad = [] if instance._assembled else list(
+        instance._compare_decomposition(lambda s, t: np.abs(s - t) > EXACT_TOL))
     return {
         "4.1": _counted_verdict(
             "4.1", [bad[2:]], "p1 + p2 reproduces the transition law",
@@ -867,40 +876,77 @@ def dumps_decimal(obj: Any, indent: int = 2) -> str:
     return _render(obj, indent)
 
 
+#: the tables of an instance document in its full form, in the order it lists them
+_INSTANCE_TABLES = ("transition", "cost1", "cost2")
+
+
 def instance_to_dict(instance: GameInstance) -> dict:
+    """The instance document: ``theta``, ``anchor_state``, the three dimensions, then tables.
+
+    An instance assembled from its decomposition (:func:`assemble_from_arat`
+    with no row renormalized, so :func:`random_instance` with ``arat_flag``
+    and :func:`g2_instance`) is written as ``arat`` alone: its tables are
+    the sums of the parts, bit for bit, so the document holds none of
+    ``transition``, ``cost1`` and ``cost2`` and no table is built to write
+    it.  Every other instance is written in full: the three tables, then
+    ``arat`` when it carries one.  A given table is thus never replaced by
+    ``p1 + p2``, which could change its bits (a stored ``-0.0``, say).
+    """
     d: dict[str, Any] = {
         "theta": instance.theta,
         "anchor_state": instance.anchor_state,
         "states": instance.n_states,
         "actions_a": instance.n_actions_a,
         "actions_b": instance.n_actions_b,
-        "transition": instance.transition.tolist(),
-        "cost1": instance.cost1.tolist(),
-        "cost2": instance.cost2.tolist(),
     }
+    if not instance._assembled:
+        d.update((key, getattr(instance, key).tolist()) for key in _INSTANCE_TABLES)
     if instance.arat is not None:
         d["arat"] = {f: getattr(instance.arat, f).tolist() for f in _ARAT_TABLES}
     return d
 
 
 def instance_from_dict(d: dict) -> GameInstance:
+    """The instance an instance document describes, in either form :func:`instance_to_dict` writes.
+
+    A document with ``arat`` and none of ``transition``, ``cost1`` and
+    ``cost2`` is assembled from the decomposition by
+    :func:`assemble_from_arat`: the instance holds no transition table and
+    is exact by construction.  Any other document, a full one written
+    before the decomposition-only form existed included, is read as given:
+    its tables, and ``arat`` when present.  Either way the declared
+    dimensions, when present, must match the tables.
+
+    Raises:
+        ValueError: a missing field, which the message names (the first
+            missing of ``transition``, ``cost1`` and ``cost2`` unless the
+            document is decomposition-only); a table that fails the
+            instance's checks; or a declared dimension that disagrees.
+    """
     def table(doc, key) -> np.ndarray:
         # built here for the instance alone: adopted, not copied again
         return _frozen(np.array(doc[key], dtype=float))
 
+    def decomposition(doc) -> AratStructure:
+        return AratStructure(**{f: table(doc, f) for f in _ARAT_TABLES})
+
     try:
-        transition = table(d, "transition")
-        arat = None
-        if "arat" in d and d["arat"] is not None:
-            arat = AratStructure(**{f: table(d["arat"], f) for f in _ARAT_TABLES})
-        instance = GameInstance(
-            transition=transition,
-            cost1=table(d, "cost1"),
-            cost2=table(d, "cost2"),
-            theta=d["theta"],
-            anchor_state=d["anchor_state"],
-            arat=arat,
-        )
+        if (isinstance(d, dict) and d.get("arat") is not None
+                and d.keys().isdisjoint(_INSTANCE_TABLES)):
+            instance = assemble_from_arat(decomposition(d["arat"]), d["theta"], d["anchor_state"])
+        else:
+            transition = table(d, "transition")
+            arat = None
+            if "arat" in d and d["arat"] is not None:
+                arat = decomposition(d["arat"])
+            instance = GameInstance(
+                transition=transition,
+                cost1=table(d, "cost1"),
+                cost2=table(d, "cost2"),
+                theta=d["theta"],
+                anchor_state=d["anchor_state"],
+                arat=arat,
+            )
     except KeyError as e:
         raise ValueError(f"instance document missing field {e.args[0]!r}") from e
     actual = (instance.n_states, instance.n_actions_a, instance.n_actions_b)

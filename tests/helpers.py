@@ -187,6 +187,23 @@ def write_document(path, doc: dict) -> str:
     return str(path)
 
 
+def full_document(instance: rs.GameInstance) -> dict:
+    """The instance's document in the full form: ``transition``, ``cost1`` and ``cost2`` included.
+
+    ``instance_to_dict`` writes an instance assembled from its decomposition
+    as the decomposition alone; this writes the tables out as well, in the
+    full form's key order, as documents holding given tables have them.
+    Loading it takes the given-table path.
+    """
+    doc = rs.instance_to_dict(instance)
+    arat = doc.pop("arat", None)
+    doc.update((key, getattr(instance, key).tolist())
+               for key in ("transition", "cost1", "cost2"))
+    if arat is not None:
+        doc["arat"] = arat
+    return doc
+
+
 def read_instance(path) -> rs.GameInstance:
     """The instance in a JSON document written by :func:`write_document` or the CLI."""
     return rs.instance_from_dict(json.loads(Path(path).read_text()))

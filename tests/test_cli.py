@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import rsgame as rs
 from rsgame.cli import main
 
-from helpers import read_instance, write_document
+from helpers import full_document, read_instance, write_document
 
 # the bundled fixture's binary instance digest (helpers.reference_digest);
 # pins both the fixture and the digest layout
@@ -79,6 +79,96 @@ class TestGen:
         assert code == 2
         assert report is None
         assert err == f"error: min_prob must be finite and > 0, got {shown}\n"
+
+
+class TestInstanceDocuments:
+    """An instance assembled from its decomposition is written as the decomposition alone.
+
+    Which keys ``gen`` writes for each kind of instance is pinned by
+    :func:`test_report_shape`.
+    """
+
+    @pytest.mark.parametrize("dims", [None, (50, 4, 4)], ids=["g2", "50x4x4"])
+    def test_a_decomposition_only_document_reloads_unbuilt(
+        self, g2, tmp_path, builds, decisions, dims
+    ):
+        inst = g2 if dims is None else rs.random_instance(
+            7, dims=dims, min_prob=0.002, arat_flag=True)
+        document = rs.instance_to_dict(inst)
+        path = write_document(tmp_path / "slim.json", document)
+        loaded = read_instance(path)
+        assert rs.instance_digest(loaded) == rs.instance_digest(inst)
+        assert rs.instance_to_dict(loaded) == document
+        assert loaded._exact_arat is loaded.arat
+        assert "transition" not in vars(loaded)
+        assert builds == [] and decisions == []
+
+    def test_commands_on_a_decomposition_only_document_build_no_table(
+        self, tmp_path, capsys, builds, decisions
+    ):
+        inst = rs.random_instance(3, dims=(3, 2, 2), min_prob=0.02, arat_flag=True)
+        slim = write_document(tmp_path / "slim.json", rs.instance_to_dict(inst))
+        for argv in (
+            ["nash"],
+            ["eval", "--phi", "uniform", "--psi", "uniform", "--horizon", "20"],
+            ["solve", "--player", "1", "--opponent", "uniform"],
+            ["brute", "--grid", "0.5"],
+        ):
+            code, report, err = run([argv[0], "--instance", slim, *argv[1:]], capsys)
+            assert code == 0, (argv, err)
+            assert report["instance_digest"] == rs.instance_digest(inst)
+            assert builds == [] and decisions == [], argv
+
+    def test_theta_assembles_the_instance_again(self, tmp_path, capsys, builds, decisions):
+        inst = rs.random_instance(2, dims=(30, 4, 4), min_prob=1e-3, arat_flag=True)
+        slim = write_document(tmp_path / "slim.json", rs.instance_to_dict(inst))
+        code, report, err = run(["nash", "--instance", slim, "--theta", "2"], capsys)
+        assert (code, err) == (0, "")
+        hot = rs.assemble_from_arat(inst.arat, theta=2.0)
+        assert report["instance_digest"] == rs.instance_digest(hot)
+        assert builds == [] and decisions == []
+
+    @pytest.mark.parametrize("dims", [None, (50, 4, 4)], ids=["g2", "50x4x4"])
+    def test_both_forms_give_the_same_reports(self, g2, tmp_path, capsys, dims):
+        inst = g2 if dims is None else rs.random_instance(
+            11, dims=dims, min_prob=0.002, arat_flag=True)
+        paths = (write_document(tmp_path / "slim.json", rs.instance_to_dict(inst)),
+                 write_document(tmp_path / "full.json", full_document(inst)))
+        assert "transition" not in json.loads(Path(paths[0]).read_text())
+        for argv in (
+            ["validate"], ["validate", "--theta", "3"],
+            ["solve", "--player", "2", "--opponent", "uniform"],
+            ["eval", "--phi", "uniform", "--psi", "uniform", "--horizon", "10",
+             "--mc", "--paths", "200", "--seed", "5"],
+            ["nash"], ["nash", "--theta", "2"], ["nash", "--theta", "-1"],
+            ["brute", "--grid", "0.5", "--eps", "0.3", "--top", "3"],
+        ):
+            outputs = []
+            for path in paths:
+                code, report, err = run([argv[0], "--instance", path, *argv[1:]], capsys)
+                if report is not None:
+                    report.pop("wall_clock_s")
+                    report["flags"].pop("instance")
+                outputs.append((code, json.dumps(report), err))
+            assert outputs[0] == outputs[1], argv
+        # brute covers g2's grid and refuses the 50x4x4 one, in either form
+        assert outputs[0][0] == (0 if dims is None else 2)
+
+    def test_partial_documents_name_the_first_missing_table(self, g2):
+        document = rs.instance_to_dict(g2)
+        full = full_document(g2)
+        partial = [
+            ({"theta": 1.0}, "transition"),
+            ({**document, "cost1": full["cost1"]}, "transition"),
+            ({**document, "transition": full["transition"]}, "cost1"),
+            ({**document, "transition": full["transition"], "cost1": full["cost1"]}, "cost2"),
+            ({**document, "arat": None}, "transition"),
+            ({k: v for k, v in document.items() if k != "theta"}, "theta"),
+        ]
+        for doc, missing in partial:
+            with pytest.raises(ValueError) as raised:
+                rs.instance_from_dict(doc)
+            assert str(raised.value) == f"instance document missing field {missing!r}"
 
 
 class TestValidateCommand:
@@ -430,6 +520,7 @@ class TestErrorPaths:
             "sums to 1.1, off by more than 1e-09",
         ),
         "kind": (b"[1, 2]", b'{"player": null, "rows": [[1, 0], [1, 0]]}', ""),
+        "scalar": (b"5", b"5", ""),
     }
 
     @pytest.mark.parametrize("flag", ["--instance", "--phi"])
@@ -600,12 +691,15 @@ CERTIFICATE_KEYS = (
 )
 
 # argv ("G2" and "BAD" stand for instance files), exit code, stderr, key paths
+#: the key paths of an instance document, decomposition only and full
+DECOMPOSITION_ONLY = ("theta anchor_state states actions_a actions_b "
+                      "arat arat.p1 arat.p2 arat.c11 arat.c21 arat.c12 arat.c22")
+FULL = "theta anchor_state states actions_a actions_b transition cost1 cost2"
+
 SHAPES = {
-    "gen": (
-        ["gen", "--seed", "1", "--states", "2", "--arat"], 0, "",
-        "theta anchor_state states actions_a actions_b transition cost1 cost2 "
-        "arat arat.p1 arat.p2 arat.c11 arat.c21 arat.c12 arat.c22",
-    ),
+    "gen": (["gen", "--seed", "1", "--states", "2", "--arat"], 0, "", DECOMPOSITION_ONLY),
+    "gen-g2": (["gen", "--fixture", "g2"], 0, "", DECOMPOSITION_ONLY),
+    "gen-full": (["gen", "--seed", "1", "--states", "2"], 0, "", FULL),
     "validate-pass": (["validate", "--instance", "G2"], 0, "", VALIDATE_PATHS),
     "validate-fail": (
         ["validate", "--instance", "BAD"], 1,

@@ -19,6 +19,7 @@ from helpers import (
     corpus_instance,
     enumerate_delta,
     enumerate_kappa,
+    full_document,
     mix_transition,
     pairwise_tv_distances,
     random_pair,
@@ -577,20 +578,6 @@ class TestConstruction:
         assert_array_equal(rebuilt.cost2, g2.cost2)
 
 
-@pytest.fixture
-def builds(monkeypatch):
-    """Every transition table built from a decomposition, in build order."""
-    built = []
-    build = game_model._sum_table
-
-    def counted(arat):
-        built.append(build(arat))
-        return built[-1]
-
-    monkeypatch.setattr(game_model, "_sum_table", counted)
-    return built
-
-
 def bits(certificate) -> list[bytes]:
     """Every field of an epsilon_gap certificate as bytes: equal lists are equal bits."""
     values = [certificate.Phi.rows, certificate.Psi.rows]
@@ -658,16 +645,23 @@ class TestAssembledInstances:
         digest, gap = rs.instance_digest(lazy), bits(rs.epsilon_gap(lazy, phi, psi))
         assert builds == []
         document = rs.instance_to_dict(lazy)
-        loaded = rs.instance_from_dict(document)
-        assert rs.instance_digest(lazy) == rs.instance_digest(loaded) == digest
-        assert rs.instance_to_dict(loaded) == document
-        assert lazy._positive is loaded._positive is True
-        assert bits(rs.epsilon_gap(loaded, phi, psi)) == gap
-        reports = [dumps_decimal(dataclasses.asdict(rs.validate(inst, min_prob=1e-3)))
-                   for inst in (lazy, loaded)]
-        assert reports[0] == reports[1]
-        assert loaded._exact_arat is loaded.arat
-        assert len(builds) == 1
+        assert builds == []  # the decomposition alone is written
+        full = full_document(lazy)
+        assert len(builds) == 1  # lazy's table, written out in full
+        # the decomposition-only document loads unbuilt, and validate builds
+        # its table; the full one loads with its table given
+        for doc, built in ((document, 1), (full, 0)):
+            before = len(builds)
+            loaded = rs.instance_from_dict(doc)
+            assert rs.instance_digest(lazy) == rs.instance_digest(loaded) == digest
+            assert rs.instance_to_dict(loaded) == doc
+            assert lazy._positive is loaded._positive is True
+            assert bits(rs.epsilon_gap(loaded, phi, psi)) == gap
+            reports = [dumps_decimal(dataclasses.asdict(rs.validate(inst, min_prob=1e-3)))
+                       for inst in (lazy, loaded)]
+            assert reports[0] == reports[1]
+            assert loaded._exact_arat is loaded.arat
+            assert len(builds) == before + built
 
     def drifted(self, g2, drift):
         """g2's decomposition with every row (0, 0, b) of p1 + p2 summing to 1 + drift."""
@@ -1016,11 +1010,11 @@ class TestSerialization:
         assert_array_equal(loaded.rows, psi.rows)
 
     def test_dimension_cross_check_on_load(self, g2):
-        doc = rs.instance_to_dict(g2)
-        doc["states"] = 3
-        with pytest.raises(ValueError, match="states"):
-            rs.instance_from_dict(doc)
-        doc = rs.instance_to_dict(g2)
+        for doc in (rs.instance_to_dict(g2), full_document(g2)):
+            doc["states"] = 3
+            with pytest.raises(ValueError, match="states"):
+                rs.instance_from_dict(doc)
+        doc = full_document(g2)
         del doc["cost1"]
         with pytest.raises(ValueError, match="cost1"):
             rs.instance_from_dict(doc)

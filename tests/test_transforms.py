@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import math
 import os
 import subprocess
@@ -15,7 +14,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import rsgame as rs
 from rsgame import transforms
-from rsgame.game_model import GameInstance
 from rsgame.transforms import log_twisted_tensor
 
 from helpers import (
@@ -24,6 +22,7 @@ from helpers import (
     corpus_instance,
     einsum_log_twisted,
     frozen_pair_instance,
+    full_document,
     lifted_arat_instance,
     mix_transition,
     random_pair,
@@ -278,36 +277,29 @@ class TestSplitRoute:
                 assert_array_equal(log_twisted_tensor(inst, player, phi, psi),
                                    table_core(inst, player, phi, psi))
 
-    def test_exactness_is_decided_once_per_instance(self, monkeypatch):
-        calls = []
-        decide = GameInstance._exact_arat.func
-
-        def counted(instance):
-            calls.append(instance)
-            return decide(instance)
-
-        counting = functools.cached_property(counted)
-        counting.__set_name__(GameInstance, "_exact_arat")
-        monkeypatch.setattr(GameInstance, "_exact_arat", counting)
-        # an assembled instance knows its decomposition exact from construction
+    def test_exactness_is_decided_once_per_instance(self, decisions):
+        # an assembled instance knows its decomposition exact from construction,
+        # and so does one loaded from its decomposition-only document; a full
+        # document's tables are given, and compared with the decomposition once
         assembled = rs.random_instance(4, dims=(5, 3, 2), min_prob=1e-3, arat_flag=True)
-        loaded = rs.instance_from_dict(rs.instance_to_dict(assembled))
+        loaded = rs.instance_from_dict(full_document(assembled))
+        reassembled = rs.instance_from_dict(rs.instance_to_dict(assembled))
         phi, psi = random_pair(loaded, np.random.default_rng(4))
-        for inst, decided in ((loaded, [loaded]), (assembled, [])):
+        for inst, decided in ((loaded, [loaded]), (assembled, []), (reassembled, [])):
             log_twisted_tensor(inst, 1)  # the unmixed table needs no decision
-            assert calls == []
+            assert decisions == []
             for player in (1, 2):
                 log_twisted_tensor(inst, player, phi.rows, psi.rows)
                 log_twisted_tensor(inst, player, psi=psi.rows)
                 rs.normalized_kernel(inst, player, 0, phi.rows[0], psi.rows[0])
             rs.solve_optimality(inst, 1, psi)
             rs.epsilon_gap(inst, phi, psi)
-            assert calls == decided
-            calls.clear()
+            assert decisions == decided
+            decisions.clear()
         assert assembled._exact_arat is assembled.arat
         other = dataclasses.replace(loaded, theta=2.0)
         log_twisted_tensor(other, 2, phi=phi.rows)
-        assert calls == [other]
+        assert decisions == [other]
 
     def test_solvers_run_without_the_table_core(self, g2, monkeypatch):
         def refused(*args):

@@ -11,9 +11,9 @@ where M is the opponent-mixed twisted kernel.  The objective is the
 logarithm of a functional linear in the player's mixing weights, so the
 minimum over mixed actions is attained at a pure action; the full tied set
 is tracked because equilibria may mix over ties.  Relative value iteration
-anchors iterates at the instance's anchor state and stops on the span of
-successive differences, yielding the optimal ergodic value rho and the
-relative value function v with v(anchor) = 0.
+anchors iterates at the instance's anchor state and stops once the span of
+successive differences is below the constant TOL, yielding the optimal
+ergodic value rho and the relative value function v with v(anchor) = 0.
 
 A solve sweeps M in one form on both routes, able to sweep a value vector
 and to mix in the player's own strategy.  Its pieces come from
@@ -60,8 +60,8 @@ from .transforms import (
     twisted_measure,
 )
 
-#: default stopping tolerance on span(v_{k+1} - v_k)
-DEFAULT_TOL = 1e-12
+#: stopping tolerance on span(v_{k+1} - v_k)
+TOL = 1e-12
 #: default iteration cap for relative value iteration
 DEFAULT_MAX_ITER = 100_000
 #: absolute tolerance at which per-state action values count as tied
@@ -255,20 +255,21 @@ def solve_optimality(
     instance: GameInstance,
     player: int,
     opponent_strategy: StationaryStrategy,
-    tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> SolveResult:
     """Relative value iteration for one player against a fixed opponent.
 
     Iterates v <- Tv - (Tv)(anchor) from v = 0 until span(v_{k+1} - v_k)
-    < tol, then reads rho, a minimizing selector and the action values off
-    a final operator application; the result keeps the kernel it swept.
-    The stop never asks for less than the sweep's rounding noise: once the
-    span stops shrinking it only has to be below max(tol, 4 eps max|Tv|),
-    so values near theta*c = 1e6 converge as values near 1 do.  Rounding
-    can also trap the iterates in a cycle of period 2 whose span stays above
-    both; the sweeps then go on from the midpoint of its two iterates, which
-    only changes solves that would otherwise never stop.  On an exact
+    < TOL = 1e-12, then reads rho, a minimizing selector and the action
+    values off a final operator application; the result keeps the kernel it
+    swept.  The stop never asks for less than the sweep's rounding noise:
+    once the span stops shrinking it only has to be below max(TOL, 4 eps
+    max|Tv|), so values near theta*c = 1e6 converge as values near 1 do.
+    Rounding can also trap the iterates in a cycle of period 2 whose span
+    stays above both; the sweeps then go on from the midpoint of its two
+    iterates, which only changes solves that would otherwise never stop.
+    The tolerance is a constant: the solution (rho, v) is unique, so no
+    caller chooses where the iteration stops.  On an exact
     additive decomposition the sweeps run on the opponent's mixed side and
     M is never formed (see the module docstring).  At the fixed point
     rho + v = Tv, rho is the player's optimal ergodic value against the
@@ -277,15 +278,12 @@ def solve_optimality(
 
     Args:
         player: the integer 1 or 2.
-        tol: stopping tolerance on the span of successive differences, a
-            real, finite and > 0.
         max_iter: iteration cap, an integer >= 1; on hitting it the last
             iterate is returned with converged=False and the final residual.
 
     Raises:
         AssumptionError: if the instance has nonpositive transition entries.
     """
-    tol = _scalar("tol", tol, 0, ends="()")
     max_iter = _scalar("max_iter", max_iter, 1, integer=True)
     require_solvable(instance)
     kernel = _solve_kernel(instance, player, opponent_strategy)
@@ -302,7 +300,7 @@ def solve_optimality(
         previous, residual = residual, float(diff.max() - diff.min())
         # the floor is only worked out once the span stops shrinking, which
         # in exact arithmetic it never does: a stall is rounding noise
-        if residual < tol or (
+        if residual < TOL or (
             residual >= previous and residual < _NOISE_FLOOR * float(np.abs(tv).max())
         ):
             v, converged = v_next, True

@@ -27,7 +27,7 @@ from dataclasses import asdict, replace
 from typing import Any
 
 from . import __version__
-from .bellman import DEFAULT_MAX_ITER, DEFAULT_TOL, solve_optimality
+from .bellman import DEFAULT_MAX_ITER, TOL, solve_optimality
 from .game_model import (
     DEFAULT_MIN_PROB,
     AssumptionError,
@@ -47,10 +47,8 @@ from .game_model import (
     validate,
 )
 from .nash import (
-    DEFAULT_BETA,
     DEFAULT_EPS_TARGET,
     DEFAULT_MAX_ROUNDS,
-    DEFAULT_TAU_SCHEDULE,
     best_response_dynamics,
     brute_force_nash,
     certificate_to_dict,
@@ -88,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--player", type=int, required=True, choices=(1, 2))
     sp.add_argument("--opponent", required=True,
                     help="opponent strategy file, or 'uniform'")
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
     sp.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
 
     sp = sub.add_parser("eval", help="evaluate a fixed strategy pair")
@@ -108,14 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--eps", type=float, default=DEFAULT_EPS_TARGET,
                     help="certification target for max(eps1, eps2)")
-    sp.add_argument("--beta", type=float, default=DEFAULT_BETA)
-    sp.add_argument("--tau0", type=float, default=DEFAULT_TAU_SCHEDULE[0])
-    sp.add_argument("--tau-min", type=float, default=DEFAULT_TAU_SCHEDULE[1])
-    sp.add_argument("--tau-decay", type=float, default=DEFAULT_TAU_SCHEDULE[2])
-    sp.add_argument("--no-smoothing", action="store_true",
-                    help="play exact pure responses instead of logit smoothing")
     sp.add_argument("--rounds", type=int, default=DEFAULT_MAX_ROUNDS)
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
     sp.add_argument("--phi0", default=None, help="initial player-1 strategy file")
     sp.add_argument("--psi0", default=None, help="initial player-2 strategy file")
 
@@ -125,9 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, default=0.05, help="survivor gap threshold")
     sp.add_argument("--top", type=int, default=100,
                     help="number of certificates included in the report")
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                    help="bracket tolerance of every Perron root taken, pair values and "
-                    "best-response values alike (two-state roots take a closed form)")
 
     sp = sub.add_parser("gen", help="write an instance file")
     common(sp, instance=False)
@@ -211,12 +198,10 @@ def _validate(args, instance) -> tuple[int, dict]:
 
 def _solve(args, instance) -> tuple[int, dict]:
     opponent = _strategy(args.opponent, instance, 3 - args.player)
-    result = solve_optimality(
-        instance, args.player, opponent, tol=args.tol, max_iter=args.max_iter
-    )
+    result = solve_optimality(instance, args.player, opponent, max_iter=args.max_iter)
     if not result.converged:
         print(
-            f"solve did not reach tol {args.tol:g} in {args.max_iter} iterations "
+            f"solve did not reach tol {TOL:g} in {args.max_iter} iterations "
             f"(residual {result.residual:g})",
             file=sys.stderr,
         )
@@ -234,10 +219,13 @@ def _eval(args, instance) -> tuple[int, dict]:
     Psi = _strategy(args.psi, instance, 2)
     if args.mc and args.horizon is None:
         raise ValueError("--mc requires --horizon")
+    # checked even when no section reads them: the report records every flag
+    x = instance.anchor_state if args.x is None else args.x
+    x = _scalar("x", x, 0, instance.n_states, integer=True)
+    _scalar("n_paths", args.paths, 1, integer=True)
     payload: dict[str, Any] = {
         f"J{i}": ergodic_cost(instance, i, Phi, Psi) for i in (1, 2)
     }
-    x = instance.anchor_state if args.x is None else args.x
     if args.horizon is not None:
         payload["finite_horizon"] = {"n": args.horizon, "x": x, **{
             f"growth{i}": finite_horizon_growth(instance, i, Phi, Psi, x, args.horizon)
@@ -253,10 +241,8 @@ def _eval(args, instance) -> tuple[int, dict]:
 
 def _nash(args, instance) -> tuple[int, dict]:
     init = (_strategy(args.phi0, instance, 1), _strategy(args.psi0, instance, 2))
-    schedule = None if args.no_smoothing else (args.tau0, args.tau_min, args.tau_decay)
     cert = best_response_dynamics(
-        instance, init_pair=init, beta=args.beta, tau_schedule=schedule,
-        max_rounds=args.rounds, eps_target=args.eps, tol=args.tol,
+        instance, init_pair=init, max_rounds=args.rounds, eps_target=args.eps
     )
     verified = verify_certificate(instance, cert, args.eps)
     if not cert.converged:
@@ -272,7 +258,7 @@ def _nash(args, instance) -> tuple[int, dict]:
 
 def _brute(args, instance) -> tuple[int, dict]:
     top = _scalar("--top", args.top, 0, integer=True)
-    result = brute_force_nash(instance, grid_step=args.grid, eps=args.eps, tol=args.tol)
+    result = brute_force_nash(instance, grid_step=args.grid, eps=args.eps)
     return 0, {
         "grid_step": result.grid_step,
         "eps": result.eps,

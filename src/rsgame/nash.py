@@ -41,7 +41,6 @@ import numpy as np
 from . import spectral
 # action_values, apply_T and validate are unused here; bench/tracing.py patches them here
 from .bellman import (  # noqa: F401
-    DEFAULT_TOL,
     SolveResult,
     action_values,
     apply_T,
@@ -62,9 +61,9 @@ from .spectral import ergodic_cost
 from .transforms import log_twisted_tensor
 
 #: damping weight on the freshly computed response
-DEFAULT_BETA = 0.5
+BETA = 0.5
 #: logit temperature schedule: start, floor, per-round decay
-DEFAULT_TAU_SCHEDULE = (0.1, 1e-4, 0.85)
+TAU0, TAU_MIN, TAU_DECAY = 0.1, 1e-4, 0.85
 DEFAULT_MAX_ROUNDS = 500
 DEFAULT_EPS_TARGET = 1e-6
 #: sliding window of strategy-pair fingerprints scanned for repeats
@@ -131,18 +130,14 @@ class NashCertificate:
 
 
 def best_response(
-    instance: GameInstance,
-    player: int,
-    opponent_strategy: StationaryStrategy,
-    tol: float = DEFAULT_TOL,
+    instance: GameInstance, player: int, opponent_strategy: StationaryStrategy
 ) -> BestResponse:
     """Solve the player's optimality equation and extract the argmin sets.
 
     Args:
         player: the integer 1 or 2.
-        tol: the solve's stopping tolerance, a real, finite and > 0.
     """
-    result = solve_optimality(instance, player, opponent_strategy, tol=tol)
+    result = solve_optimality(instance, player, opponent_strategy)
     return BestResponse(
         solve=result,
         tied_actions=result.tied_actions(),
@@ -174,21 +169,15 @@ def _certificate(
 
 
 def epsilon_gap(
-    instance: GameInstance,
-    Phi: StationaryStrategy,
-    Psi: StationaryStrategy,
-    tol: float = DEFAULT_TOL,
+    instance: GameInstance, Phi: StationaryStrategy, Psi: StationaryStrategy
 ) -> NashCertificate:
     """Certify a pair: best-response values, the pair's values, and the gaps.
 
     Per player, one solve against the opponent; J_i comes from the kernel
     that solve swept.
-
-    Args:
-        tol: the solves' stopping tolerance, a real, finite and > 0.
     """
-    solve1 = solve_optimality(instance, 1, Psi, tol=tol)
-    solve2 = solve_optimality(instance, 2, Phi, tol=tol)
+    solve1 = solve_optimality(instance, 1, Psi)
+    solve2 = solve_optimality(instance, 2, Phi)
     return _certificate(instance, Phi, Psi, solve1, solve2)
 
 
@@ -225,21 +214,14 @@ def _smoothed_rows(values: np.ndarray, tau: float) -> np.ndarray:
     return w / w.sum(axis=1, keepdims=True)
 
 
-def _response(
-    instance: GameInstance, old: StationaryStrategy, solve: SolveResult,
-    tau: float | None, beta: float,
-) -> StationaryStrategy:
+def _response(old: StationaryStrategy, solve: SolveResult, tau: float) -> StationaryStrategy:
     """The damped response of ``old``'s player to ``solve``, its solve against the other strategy.
 
-    The target is the solve's pure selector when tau is None, else the
-    logit map of its action values at temperature tau; beta of it is mixed
-    into old's rows.
+    BETA of the logit map of the solve's action values at temperature tau
+    is mixed into old's rows.
     """
-    if tau is None:
-        target = pure_strategy(instance, old.player, solve.selector).rows
-    else:
-        target = _smoothed_rows(solve.action_values, tau)
-    mixed = (1.0 - beta) * old.rows + beta * target
+    target = _smoothed_rows(solve.action_values, tau)
+    mixed = (1.0 - BETA) * old.rows + BETA * target
     return StationaryStrategy(old.player, mixed / mixed.sum(axis=1, keepdims=True))
 
 
@@ -250,54 +232,42 @@ def _fingerprint(phi_rows: np.ndarray, psi_rows: np.ndarray) -> int:
 def best_response_dynamics(
     instance: GameInstance,
     init_pair: tuple[StationaryStrategy, StationaryStrategy] | None = None,
-    beta: float = DEFAULT_BETA,
-    tau_schedule: tuple[float, float, float] | None = DEFAULT_TAU_SCHEDULE,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     eps_target: float = DEFAULT_EPS_TARGET,
-    tol: float = DEFAULT_TOL,
 ) -> NashCertificate:
     """Damped alternating best responses with annealed logit smoothing.
 
     Each round updates player 1 against the current Psi, then player 2
     against the already-updated Phi:
 
-        Phi <- (1 - beta) Phi + beta * logit_tau(player-1 action values)
-        Psi <- (1 - beta) Psi + beta * logit_tau(player-2 action values)
+        Phi <- (1 - BETA) Phi + BETA * logit_tau(player-1 action values)
+        Psi <- (1 - BETA) Psi + BETA * logit_tau(player-2 action values)
 
-    with the temperature tau annealed geometrically from tau_schedule =
-    (tau0, tau_min, tau_decay); tau_schedule=None plays exact (unsmoothed)
-    pure responses.  After each round the current pair is certified; the run
-    stops as soon as max(eps1, eps2) <= eps_target.  On exhausting
-    max_rounds the argmax pure pair of the best certificate seen (per state,
-    each player's heaviest action, the lowest among ties) is certified once,
-    and returned with snapped=True if it meets eps_target: dynamics that
-    settle next to a pure equilibrium at the temperature floor approach it
-    without reaching it.  Otherwise the best certificate seen is returned
-    with converged=False, and in either case with a cycle report when the
-    recent strategy-pair fingerprint window contained a repeat.
+    with BETA = 0.5 and the temperature tau annealed geometrically, from
+    TAU0 = 0.1 by a factor TAU_DECAY = 0.85 a round down to TAU_MIN = 1e-4.
+    These are constants of the search, not of the game: a certificate is
+    sound however its pair was found.  After each round the current pair
+    is certified; the run stops as soon as max(eps1, eps2) <= eps_target.
+    On exhausting max_rounds the argmax pure pair of the best certificate
+    seen (per state, each player's heaviest action, the lowest among ties)
+    is certified once, and returned with snapped=True if it meets
+    eps_target: dynamics that settle next to a pure equilibrium at the
+    temperature floor approach it without reaching it.  Otherwise the best
+    certificate seen is returned with converged=False, and in either case
+    with a cycle report when the recent strategy-pair fingerprint window
+    contained a repeat.
     Non-convergence is a legitimate outcome of this class of dynamics and
     must be handled by the caller.
 
     Args:
         init_pair: starting (Phi, Psi); uniform randomization by default.
-        beta: damping weight on the new response, a real in (0, 1].
-        tau_schedule: tau0 and tau_min reals, finite and > 0, and
-            tau_decay a real in (0, 1).
         max_rounds: round cap, an integer >= 0 (0 certifies the starting
             pair and its argmax pure pair alone).
         eps_target: certification target for max(eps1, eps2), a real,
             finite and > 0.
-        tol: the solves' stopping tolerance, a real, finite and > 0.
     """
-    beta = _scalar("beta", beta, 0, 1, ends="(]")
     eps_target = _scalar("eps_target", eps_target, 0, ends="()")
     max_rounds = _scalar("max_rounds", max_rounds, 0, integer=True)
-    tau = None
-    if tau_schedule is not None:
-        tau0, tau_min, decay = tau_schedule
-        tau = _scalar("tau0", tau0, 0, ends="()")
-        tau_min = _scalar("tau_min", tau_min, 0, ends="()")
-        decay = _scalar("tau_decay", decay, 0, 1, ends="()")
     require_solvable(instance)
     if init_pair is None:
         Phi = uniform_strategy(instance, 1)
@@ -305,19 +275,20 @@ def best_response_dynamics(
     else:
         Phi, Psi = init_pair
 
-    best: NashCertificate = epsilon_gap(instance, Phi, Psi, tol=tol)
+    best: NashCertificate = epsilon_gap(instance, Phi, Psi)
     if best.max_gap <= eps_target:
         return best
     seen: deque[int] = deque(maxlen=CYCLE_WINDOW)
     cycle: dict | None = None
-    solve1 = solve_optimality(instance, 1, Psi, tol=tol)
+    solve1 = solve_optimality(instance, 1, Psi)
+    tau = TAU0
     for rounds in range(1, max_rounds + 1):
-        Phi = _response(instance, Phi, solve1, tau, beta)
-        solve2 = solve_optimality(instance, 2, Phi, tol=tol)
-        Psi = _response(instance, Psi, solve2, tau, beta)
+        Phi = _response(Phi, solve1, tau)
+        solve2 = solve_optimality(instance, 2, Phi)
+        Psi = _response(Psi, solve2, tau)
         # certify the updated pair from the two solves' own kernels; solve1
         # doubles as next round's response
-        solve1 = solve_optimality(instance, 1, Psi, tol=tol)
+        solve1 = solve_optimality(instance, 1, Psi)
         cert = _certificate(instance, Phi, Psi, solve1, solve2, rounds)
         if cert.max_gap <= eps_target:
             return cert
@@ -330,11 +301,10 @@ def best_response_dynamics(
             period = len(recent) - max(i for i, s in enumerate(recent) if s == fp)
             cycle = {"round": rounds, "period": period}
         seen.append(fp)
-        if tau is not None:
-            tau = max(tau * decay, tau_min)
+        tau = max(tau * TAU_DECAY, TAU_MIN)
     snap = epsilon_gap(instance, *(
         pure_strategy(instance, s.player, s.rows.argmax(axis=1)) for s in (best.Phi, best.Psi)
-    ), tol=tol)
+    ))
     if snap.max_gap <= eps_target:
         return replace(snap, rounds=max_rounds, cycle=cycle, snapped=True)
     return replace(best, rounds=max_rounds, converged=False, cycle=cycle)
@@ -449,7 +419,7 @@ def _gather(table: np.ndarray, index_a: np.ndarray, index_b: np.ndarray) -> np.n
 
 
 def _chunk_roots(
-    tables: list[np.ndarray], index_a: np.ndarray, index_b: np.ndarray, anchor: int, tol: float
+    tables: list[np.ndarray], index_a: np.ndarray, index_b: np.ndarray, anchor: int
 ):
     """Yield (rows, cols, roots) over the pairs index_a x index_b, in chunks.
 
@@ -465,7 +435,7 @@ def _chunk_roots(
         for j0 in range(0, s2, cols):
             jb = slice(j0, min(j0 + cols, s2))
             yield ia, jb, [
-                spectral._log_perron(_gather(table, index_a[ia], index_b[jb]), anchor, tol)
+                spectral._log_perron(_gather(table, index_a[ia], index_b[jb]), anchor)
                 .reshape(ia.stop - i0, jb.stop - j0) for table in tables
             ]
 
@@ -474,7 +444,6 @@ def brute_force_nash(
     instance: GameInstance,
     grid_step: float = 0.05,
     eps: float = 0.05,
-    tol: float = DEFAULT_TOL,
 ) -> BruteForceResult:
     """Enumerate a per-state simplex grid and certify every strategy pair.
 
@@ -497,12 +466,8 @@ def brute_force_nash(
     Args:
         grid_step: the grid's spacing, a real in (0, 1] that divides 1 evenly.
         eps: survivor threshold on max(eps1, eps2), a real, finite and >= 0.
-        tol: the bracket tolerance of every root taken, pairs and pure maps
-            alike, a real, finite and > 0; two-state roots take a closed
-            form and ignore it.
     """
     grid_step = _scalar("grid_step", grid_step, 0, 1, ends="(]")
-    tol = _scalar("tol", tol, 0, ends="()")
     eps = _scalar("eps", eps, 0)
     require_solvable(instance)
     points_a = _simplex_grid(instance.n_actions_a, grid_step)
@@ -530,13 +495,13 @@ def brute_force_nash(
     pure_a = index_a[(points_a.max(axis=-1) == 1.0)[index_a].all(axis=-1)]
     pure_b = index_b[(points_b.max(axis=-1) == 1.0)[index_b].all(axis=-1)]
     rho1_star, rho2_star = np.full(s2, np.inf), np.full(s1, np.inf)
-    for _, jb, (roots,) in _chunk_roots(tables[:1], pure_a, index_b, anchor, tol):
+    for _, jb, (roots,) in _chunk_roots(tables[:1], pure_a, index_b, anchor):
         np.minimum(rho1_star[jb], roots.min(axis=0), out=rho1_star[jb])
-    for ia, _, (roots,) in _chunk_roots(tables[1:], index_a, pure_b, anchor, tol):
+    for ia, _, (roots,) in _chunk_roots(tables[1:], index_a, pure_b, anchor):
         np.minimum(rho2_star[ia], roots.min(axis=1), out=rho2_star[ia])
 
     kept = []
-    for ia, jb, (j1, j2) in _chunk_roots(tables, index_a, index_b, anchor, tol):
+    for ia, jb, (j1, j2) in _chunk_roots(tables, index_a, index_b, anchor):
         keep = np.maximum(j1 - rho1_star[jb], j2 - rho2_star[ia, None]) <= eps
         i, j = np.nonzero(keep)
         kept.append((i + ia.start, j + jb.start, j1[keep], j2[keep]))

@@ -8,7 +8,8 @@ Bellman solvers that involves no optimization at all.  This module is the
 one home of that root, for single matrices and brute force's stacks
 alike, and the size picks the method: two states take the closed form of
 the larger eigenvalue, other sizes power iteration with max-normalization,
-which converges geometrically on positive matrices.
+which converges geometrically on positive matrices and stops on a bracket
+below the constant TOL.
 
 finite_horizon_growth returns the n-th increment of the log moment
 generating function, ln (Q^n 1)(x) - ln (Q^{n-1} 1)(x), which converges to
@@ -42,7 +43,8 @@ from .transforms import log_twisted_tensor
 if TYPE_CHECKING:
     from .bellman import _Kernel
 
-DEFAULT_TOL = 1e-12
+#: bracket tolerance of a power-iteration root
+TOL = 1e-12
 MAX_POWER_STEPS = 100_000
 #: bracket floor per unit of the largest |growth| in a step: growths near M
 #: carry rounding of about eps*M, so a bracket below a few of those is noise
@@ -108,13 +110,11 @@ def _nth_power(log_q: np.ndarray, n: int):
     return next(islice(_log_powers(log_q), n - 1, None))
 
 
-def _power_roots(
-    log_q: np.ndarray, anchor: int, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _power_roots(log_q: np.ndarray, anchor: int) -> tuple[np.ndarray, np.ndarray]:
     """(ln r, ln w) of each matrix of a stack ln Q [..., x, y], by power iteration.
 
     Each step's per-state growth brackets a matrix's log radius
-    (Collatz-Wielandt).  One step after its bracket is narrower than tol,
+    (Collatz-Wielandt).  One step after its bracket is narrower than TOL,
     or than the step's rounding noise 4 eps max|growth| if that is wider,
     a matrix's value is read at the anchor, with ln w[anchor] = 0.  Each
     matrix stops on its own bracket, so its value is the one it has alone.
@@ -134,25 +134,25 @@ def _power_roots(
             if not _any(running):
                 return ln_r, log_w
         top, bottom = _over_states(np.maximum, growth), _over_states(np.minimum, growth)
-        # spread < max(tol, 4 eps max(top, -bottom)), one bound at a time: on
+        # spread < max(TOL, 4 eps max(top, -bottom)), one bound at a time: on
         # a single matrix's numpy scalars np.maximum costs ten comparisons
         spread = top - bottom
         bracketed = (
-            (spread < tol) | (spread < _NOISE_FLOOR * top) | (spread < -_NOISE_FLOOR * bottom)
+            (spread < TOL) | (spread < _NOISE_FLOOR * top) | (spread < -_NOISE_FLOOR * bottom)
         )
     raise RuntimeError(f"power iteration did not converge in {MAX_POWER_STEPS} steps")
 
 
-def _log_perron(log_q: np.ndarray, anchor: int, tol: float) -> np.ndarray:
+def _log_perron(log_q: np.ndarray, anchor: int) -> np.ndarray:
     """ln spectral radius of each positive matrix of a stack ln Q [..., x, y], unchecked.
 
     Two states take the closed form of the larger eigenvalue, scaled by
     m = max(a, d, (b+c)/2) over the log entries [[a, b], [c, d]]; the
     discriminant is a sum of nonnegative terms, so nothing cancels, and
-    anchor and tol play no part.  Other sizes run :func:`_power_roots`.
+    anchor plays no part.  Other sizes run :func:`_power_roots`.
     """
     if log_q.shape[-1] != 2:
-        return _power_roots(log_q, anchor, tol)[0]
+        return _power_roots(log_q, anchor)[0]
     a, b, c, d = log_q[..., 0, 0], log_q[..., 0, 1], log_q[..., 1, 0], log_q[..., 1, 1]
     # m + ln(0.5 (ea + ed) + sqrt(0.25 (ea - ed)^2 + e^{b + c - 2m})) in four
     # buffers, written in place: fresh pages cost more than the arithmetic
@@ -199,17 +199,15 @@ def _two_state_vector(log_q: np.ndarray) -> np.ndarray:
     return np.array([b, ln_gap] if a <= d else [ln_gap, c])
 
 
-def perron_value(
-    log_q: np.ndarray, anchor: int = 0, tol: float = DEFAULT_TOL
-) -> tuple[float, np.ndarray]:
+def perron_value(log_q: np.ndarray, anchor: int = 0) -> tuple[float, np.ndarray]:
     """Log spectral radius and log right eigenvector of a positive matrix Q, given ln Q.
 
     Two states take the closed form of the larger eigenvalue and its
-    eigenvector, so tol plays no part.  Other sizes run power iteration in
-    log space: each step's per-state growth brackets the log radius
-    (Collatz-Wielandt); once the bracket is narrower than tol, or than the
-    step's rounding noise 4 eps max|growth| if that is wider, one more step
-    gives the value at the anchor.  Returns (ln r, ln w), the eigenvector w
+    eigenvector.  Other sizes run power iteration in log space: each
+    step's per-state growth brackets the log radius (Collatz-Wielandt);
+    once the bracket is narrower than TOL = 1e-12, or than the step's
+    rounding noise 4 eps max|growth| if that is wider, one more step gives
+    the value at the anchor.  Returns (ln r, ln w), the eigenvector w
     scaled so ln w[anchor] = 0; w itself would overflow once its entries
     spread past ~e^709.
 
@@ -231,10 +229,10 @@ def perron_value(
         raise ValueError("perron_value requires a strictly positive matrix")
     anchor = _scalar("anchor", anchor, 0, log_q.shape[0], integer=True)
     if log_q.shape[0] != 2:
-        ln_r, log_w = _power_roots(log_q, anchor, tol)
+        ln_r, log_w = _power_roots(log_q, anchor)
         return float(ln_r), log_w
     log_w = _two_state_vector(log_q)
-    return float(_log_perron(log_q[None], anchor, tol)[0]), log_w - log_w[anchor]
+    return float(_log_perron(log_q[None], anchor)[0]), log_w - log_w[anchor]
 
 
 def ergodic_cost(

@@ -356,6 +356,22 @@ class TestEvalCommand:
         assert report is None
         assert err == f"error: x must be in [0, 2), got {x}\n"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--x", "99"], "x must be in [0, 2), got 99"),
+        (["--x", "-1"], "x must be in [0, 2), got -1"),
+        (["--paths", "0"], "n_paths must be >= 1, got 0"),
+        (["--paths", "-3", "--horizon", "3"], "n_paths must be >= 1, got -3"),
+    ], ids=["x-99", "x-neg", "paths-0", "paths-neg-with-horizon"])
+    def test_start_state_and_paths_are_checked_when_unread(self, g2_path, capsys, flags,
+                                                            message):
+        """No section reads --x without --horizon, nor --paths without --mc; the
+        report would still record them, so they are checked up front."""
+        code, report, err = run(
+            ["eval", "--instance", g2_path, "--phi", "uniform", "--psi", "uniform", *flags],
+            capsys,
+        )
+        assert (code, report, err) == (2, None, f"error: {message}\n")
+
     def test_theta_override_changes_values_and_digest(self, g2_path, capsys):
         _, base, _ = run(
             ["eval", "--instance", g2_path, "--phi", "uniform", "--psi", "uniform"],
@@ -574,13 +590,8 @@ class TestErrorPaths:
         validate = ["validate", "--instance", g2_path]
         thresholds = [
             (["gen"], "--c-bar", "c_bar must be finite and >= 0"),
-            (solve, "--tol", "tol must be finite and > 0"),
-            (brute, "--tol", "tol must be finite and > 0"),
             (brute, "--eps", "eps must be finite and >= 0"),
-            (nash, "--tol", "tol must be finite and > 0"),
             (nash, "--eps", "eps_target must be finite and > 0"),
-            (nash, "--tau0", "tau0 must be finite and > 0"),
-            (nash, "--tau-min", "tau_min must be finite and > 0"),
             (validate, "--min-prob", "min_prob must be finite and > 0"),
         ]
         for argv, flag, message in thresholds:
@@ -592,12 +603,21 @@ class TestErrorPaths:
             (nash, "--rounds", "-1", "max_rounds must be >= 0"),
             (solve, "--max-iter", "0", "max_iter must be >= 1"),
             (solve, "--max-iter", "-5", "max_iter must be >= 1"),
-            (nash, "--tau-decay", "1.5", "tau_decay must be in (0, 1)"),
         ]
         for argv, flag, value, message in others:
             code, report, err = run([*argv, flag, value], capsys)
             assert (code, report, err) == (2, None, f"error: {message}, got {value}\n"), (
                 argv[0], flag, value)
+        # the stopping tolerance, the damping and the temperature schedule are
+        # constants: argparse refuses their old flags
+        removed = [(solve, "--tol", "1e-12"), (brute, "--tol", "1e-12"),
+                   (nash, "--tol", "1e-12"), (nash, "--beta", "0.5"), (nash, "--tau0", "0.1"),
+                   (nash, "--tau-min", "1e-4"), (nash, "--tau-decay", "0.85"),
+                   (nash, "--no-smoothing")]
+        for argv, *flag in removed:
+            code, report, err = run([*argv, *flag], capsys)
+            assert (code, report) == (2, None), flag
+            assert f"unrecognized arguments: {' '.join(flag)}" in err, flag
 
     def test_unwritable_report_path(self, g2_path, capsys):
         code = main(
@@ -647,7 +667,6 @@ class TestReportDeterminism:
         assert flags["instance"] == g2_path
         assert flags["player"] == 2
         assert flags["opponent"] == "uniform"
-        assert flags["tol"] == 1e-12
         assert flags["max_iter"] == 100000
         assert "command" not in flags
 
@@ -710,7 +729,7 @@ SHAPES = {
     ),
     "solve": (
         ["solve", "--instance", "G2", "--player", "2", "--opponent", "uniform"], 0, "",
-        f"{ENVELOPE} flags.player flags.opponent flags.tol flags.max_iter wall_clock_s "
+        f"{ENVELOPE} flags.player flags.opponent flags.max_iter wall_clock_s "
         "rho v selector residual iterations converged tied_actions",
     ),
     "eval": (
@@ -727,13 +746,12 @@ SHAPES = {
     ),
     "nash": (
         ["nash", "--instance", "G2"], 0, "",
-        f"{ENVELOPE} flags.eps flags.beta flags.tau0 flags.tau_min flags.tau_decay "
-        f"flags.no_smoothing flags.rounds flags.tol flags.phi0 flags.psi0 wall_clock_s "
+        f"{ENVELOPE} flags.eps flags.rounds flags.phi0 flags.psi0 wall_clock_s "
         f"{CERTIFICATE_KEYS} max_gap verified stage",
     ),
     "brute": (
         ["brute", "--instance", "G2", "--grid", "0.5", "--eps", "0.3", "--top", "2"], 0, "",
-        f"{ENVELOPE} flags.grid flags.eps flags.top flags.tol wall_clock_s grid_step eps "
+        f"{ENVELOPE} flags.grid flags.eps flags.top wall_clock_s grid_step eps "
         "searched_pairs survivors existence certificates " + " ".join(
             f"certificates.{i}.{k}" for i in (0, 1) for k in CERTIFICATE_KEYS.split()
         ),

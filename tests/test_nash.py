@@ -194,17 +194,19 @@ class TestBestResponseDynamics:
         assert np.all(cert.Phi.rows[:, 0] >= 0.999)
         assert np.all(cert.Psi.rows[:, 1] >= 0.999)
 
-    def test_decoupled_game_converges_in_one_exact_round(self):
+    def test_decoupled_game_converges_to_the_independent_optima(self):
         inst = decoupled_instance()
-        cert = rs.best_response_dynamics(
-            inst, beta=1.0, tau_schedule=None, eps_target=1e-9
-        )
-        assert cert.converged
-        assert cert.rounds <= 1
+        cert = rs.best_response_dynamics(inst, eps_target=1e-9)
+        assert cert.converged and not cert.snapped
+        assert cert.rounds <= 30
         assert cert.max_gap <= 1e-9
-        # the limit plays both players' independent optima
-        br2 = rs.best_response(inst, 2, cert.Phi)
-        assert br2.contains(cert.Psi)
+        assert rs.verify_certificate(inst, cert, eps=1e-9)
+        # the damped iterates home in on both players' independent optima
+        for strategy, br in ((cert.Phi, rs.best_response(inst, 1, cert.Psi)),
+                             (cert.Psi, rs.best_response(inst, 2, cert.Phi))):
+            assert np.all(strategy.rows.max(axis=1) >= 1 - 1e-8)
+            heaviest = rs.pure_strategy(inst, strategy.player, strategy.rows.argmax(axis=1))
+            assert br.contains(heaviest)
 
     def test_flat_costs_certify_immediately(self):
         base = corpus_instance(2)
@@ -285,22 +287,13 @@ class TestBestResponseDynamics:
 
     def test_parameter_validation(self, g2):
         with pytest.raises(ValueError):
-            rs.best_response_dynamics(g2, beta=0.0)
-        with pytest.raises(ValueError):
-            rs.best_response_dynamics(g2, beta=1.5)
-        with pytest.raises(ValueError):
             rs.best_response_dynamics(g2, eps_target=0.0)
-        with pytest.raises(ValueError):
-            rs.best_response_dynamics(g2, tau_schedule=(0.1, 1e-4, 1.5))
         with pytest.raises(ValueError) as raised:
             rs.best_response_dynamics(g2, max_rounds=-1)
         assert str(raised.value) == "max_rounds must be >= 0, got -1"
         exact = [
             ({"max_rounds": 1.5}, "max_rounds must be an integer, got 1.5"),
-            ({"beta": True}, "beta must be a real number, got True"),
-            ({"beta": 1.5}, "beta must be in (0, 1], got 1.5"),
-            ({"tau_schedule": (0.1, 1e-4, 1.5)}, "tau_decay must be in (0, 1), got 1.5"),
-            ({"tau_schedule": (0.1, 1e-4, float("nan"))}, "tau_decay must be in (0, 1), got nan"),
+            ({"eps_target": True}, "eps_target must be a real number, got True"),
         ]
         for kwargs, message in exact:
             with pytest.raises(ValueError) as raised:
@@ -309,11 +302,6 @@ class TestBestResponseDynamics:
         for value, shown in ((float("nan"), "nan"), (float("inf"), "inf"), (-1.0, "-1.0")):
             refusals = [
                 (rs.best_response_dynamics, {"eps_target": value}, "eps_target", "> 0"),
-                (rs.best_response_dynamics, {"tol": value}, "tol", "> 0"),
-                (rs.best_response_dynamics, {"tau_schedule": (value, 1e-4, 0.9)}, "tau0", "> 0"),
-                (rs.best_response_dynamics, {"tau_schedule": (0.1, value, 0.9)},
-                 "tau_min", "> 0"),
-                (rs.brute_force_nash, {"tol": value}, "tol", "> 0"),
                 (rs.brute_force_nash, {"eps": value}, "eps", ">= 0"),
             ]
             for search, kwargs, name, bound in refusals:
@@ -327,6 +315,24 @@ class TestBestResponseDynamics:
             with pytest.raises(ValueError) as raised:
                 rs.brute_force_nash(g2, grid_step=step)
             assert str(raised.value) == message
+
+    def test_search_constants_are_not_arguments(self, g2):
+        """The stopping tolerance, the damping and the temperature schedule are constants."""
+        phi, psi = rs.uniform_strategy(g2, 1), rs.uniform_strategy(g2, 2)
+        removed = [
+            (rs.solve_optimality, (g2, 1, psi), "tol", 1e-12),
+            (rs.best_response, (g2, 1, psi), "tol", 1e-12),
+            (rs.epsilon_gap, (g2, phi, psi), "tol", 1e-12),
+            (rs.best_response_dynamics, (g2,), "tol", 1e-12),
+            (rs.best_response_dynamics, (g2,), "beta", nash.BETA),
+            (rs.best_response_dynamics, (g2,), "tau_schedule",
+             (nash.TAU0, nash.TAU_MIN, nash.TAU_DECAY)),
+            (rs.brute_force_nash, (g2,), "tol", 1e-12),
+            (rs.perron_value, (np.zeros((3, 3)),), "tol", 1e-12),
+        ]
+        for function, args, keyword, value in removed:
+            with pytest.raises(TypeError, match=keyword):
+                function(*args, **{keyword: value})
 
 
 class TestSimplexGrid:
@@ -417,9 +423,9 @@ class TestBruteForce:
         batches = []
         perron = spectral._log_perron
 
-        def recorded(log_q, anchor, tol):
+        def recorded(log_q, anchor):
             batches.append(log_q.shape[0])
-            return perron(log_q, anchor, tol)
+            return perron(log_q, anchor)
 
         monkeypatch.setattr(spectral, "_log_perron", recorded)
         # below the Psi map count Psi is tiled; above it, whole Phi rows
@@ -615,9 +621,9 @@ class TestBruteForce:
         kernels = []
         perron = spectral._log_perron
 
-        def recorded(log_q, anchor, tol):
+        def recorded(log_q, anchor):
             kernels.append(log_q.copy())
-            return perron(log_q, anchor, tol)
+            return perron(log_q, anchor)
 
         monkeypatch.setattr(spectral, "_log_perron", recorded)
         result = rs.brute_force_nash(g2, grid_step=0.25, eps=0.05)
@@ -665,7 +671,7 @@ class TestBruteForce:
         want = m + np.log(0.5 * (ea + ed) + np.sqrt(0.25 * (ea - ed) ** 2 + np.exp(b + c - 2 * m)))
         tracemalloc.start()
         try:
-            got = spectral._log_perron(log_q, 0, spectral.DEFAULT_TOL)
+            got = spectral._log_perron(log_q, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -169,12 +169,11 @@ def test_stacked_roots_are_the_single_matrix_roots(seed, n, members, scale, anch
     rng = np.random.default_rng(seed)
     anchor %= n
     log_q = log_stack(rng, n, members, scale)
-    tol = spectral.DEFAULT_TOL
-    stacked = spectral._log_perron(log_q, anchor, tol)
+    stacked = spectral._log_perron(log_q, anchor)
     # the same matrices in reverse order, in a stack of another length
-    reversed_ = spectral._log_perron(log_q[:0:-1], anchor, tol)[::-1]
+    reversed_ = spectral._log_perron(log_q[:0:-1], anchor)[::-1]
     if n > 2:
-        _, stacked_w = spectral._power_roots(log_q, anchor, tol)
+        _, stacked_w = spectral._power_roots(log_q, anchor)
     for k, member in enumerate(log_q):
         ln_r, log_w = rs.perron_value(member, anchor)
         assert stacked[k] == ln_r
@@ -193,8 +192,8 @@ def test_stacked_roots_are_the_single_matrix_roots(seed, n, members, scale, anch
         if scale <= 30.0:
             lam = np.log(np.abs(np.linalg.eigvals(np.exp(member))).max())
             ulps = np.spacing(max(1.0, abs(ln_r)))
-            # the closed form to rounding; power iteration to its bracket, < tol
-            assert abs(ln_r - lam) <= (8 * ulps if n == 2 else tol + 8 * ulps)
+            # the closed form to rounding; power iteration to its bracket, < TOL
+            assert abs(ln_r - lam) <= (8 * ulps if n == 2 else spectral.TOL + 8 * ulps)
 
 
 class TestErgodicCost:

@@ -21,9 +21,9 @@ phi = rs.uniform_strategy(g2, 1)   # the frozen opponent
 # ---------------------------------------------------------------------------
 # twisted kernel and its mixed normalization at one state
 # ---------------------------------------------------------------------------
-kernel = np.exp(rs.log_twisted_tensor(g2, 2))
+kernel = np.exp(g2.theta * g2.cost2)[..., None] * g2.transition   # [x][a][b][y]
 print("twisted row sums equal e^{theta*c2}:",
-      np.allclose(kernel.sum(axis=-1), np.exp(g2.cost2)))
+      np.allclose(kernel.sum(axis=-1), np.exp(g2.theta * g2.cost2)))
 
 c_hat, p_hat = rs.normalized_kernel(g2, 2, 0, phi.rows[0], np.array([0.5, 0.5]))
 print(f"log-normalizer c^ at x=0 under uniform play: {c_hat:.12f}")

@@ -30,7 +30,6 @@ from .game_model import (
     StationaryStrategy,
     assemble_from_arat,
     check_strategy,
-    compute_kappa,
     g2_instance,
     instance_digest,
     instance_from_dict,
@@ -74,7 +73,7 @@ __all__ = [
     "NashCertificate", "SolveResult", "StationaryStrategy", "Trajectory",
     "action_values", "apply_T", "assemble_from_arat", "best_response",
     "best_response_dynamics", "brute_force_nash", "check_strategy",
-    "compute_kappa", "dual_value", "epsilon_gap", "ergodic_cost",
+    "dual_value", "epsilon_gap", "ergodic_cost",
     "finite_horizon_growth", "g2_instance", "horizon_log_mgf",
     "instance_digest", "instance_from_dict", "instance_to_dict",
     "log_twisted_tensor", "mc_cost_estimate", "measured_contraction",

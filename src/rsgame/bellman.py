@@ -347,14 +347,14 @@ def measured_contraction(
         player: the integer 1 or 2.
         n_pairs: number of pairs, an integer >= 1.
         span_cap: upper end of the sampling box, a real, finite and > 0.
-        seed: seed of the pair generator.
+        seed: seed of the pair generator, an integer >= 0.
     """
     remaining = _scalar("n_pairs", n_pairs, 1, integer=True)
     span_cap = _scalar("span_cap", span_cap, 0, ends="()")
     if instance.n_states == 1:
         return 0.0  # every Tv is a scalar; the ratio is identically zero
     kernel = _solve_kernel(instance, player, opponent_strategy)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_scalar("seed", seed, 0, integer=True))
 
     def batch_tv(vs: np.ndarray) -> np.ndarray:
         return kernel.sweep(vs).min(axis=-1)

@@ -223,6 +223,7 @@ def _eval(args, instance) -> tuple[int, dict]:
     x = instance.anchor_state if args.x is None else args.x
     x = _scalar("x", x, 0, instance.n_states, integer=True)
     _scalar("n_paths", args.paths, 1, integer=True)
+    _scalar("seed", args.seed, 0, integer=True)
     payload: dict[str, Any] = {
         f"J{i}": ergodic_cost(instance, i, Phi, Psi) for i in (1, 2)
     }

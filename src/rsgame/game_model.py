@@ -105,17 +105,16 @@ def _scalar(name: str, value, low, high=math.inf, *, integer: bool = False, ends
     return int(value) if integer else float(value)
 
 
-def _check_rows(
-    name: str, rows: np.ndarray, tol: float = ROW_SUM_TOL
-) -> tuple[np.ndarray, bool]:
+def _check_rows(name: str, rows: np.ndarray) -> tuple[np.ndarray, bool]:
     """Validate probability rows (last axis), renormalizing tiny drift.
 
-    Rows whose sums deviate from 1 by more than ``tol`` raise ValueError;
-    rows within ``tol`` but beyond EXACT_TOL are renormalized so the stored
-    table satisfies the exact-sum invariant.  Rows already exact are kept
-    bit-for-bit.  Returns the rows and whether every entry is > 0, decided
-    by the one minimum that also rules out negative entries (renormalizing
-    by a sum within ``tol`` of 1 keeps a positive entry positive).
+    Rows whose sums deviate from 1 by more than ROW_SUM_TOL raise
+    ValueError; rows within ROW_SUM_TOL but beyond EXACT_TOL are
+    renormalized so the stored table satisfies the exact-sum invariant.
+    Rows already exact are kept bit-for-bit.  Returns the rows and whether
+    every entry is > 0, decided by the one minimum that also rules out
+    negative entries (renormalizing by a sum within ROW_SUM_TOL of 1 keeps a
+    positive entry positive).
     """
     # fmin skips NaN, which the row sums reject below
     low = np.fmin.reduce(rows, axis=None, initial=np.inf)
@@ -124,11 +123,11 @@ def _check_rows(
         raise ValueError(f"{name} has negative entry at index {idx}")
     sums = rows.sum(axis=-1)
     err = np.abs(sums - 1.0)
-    off = ~(err <= tol)  # a NaN entry makes its row's sum NaN: off too
+    off = ~(err <= ROW_SUM_TOL)  # a NaN entry makes its row's sum NaN: off too
     if np.any(off):
         idx = tuple(int(i) for i in np.argwhere(off)[0])
         raise ValueError(
-            f"{name} row {idx} sums to {float(sums[idx])!r}, off by more than {tol:g}"
+            f"{name} row {idx} sums to {float(sums[idx])!r}, off by more than {ROW_SUM_TOL:g}"
         )
     if np.any(err > EXACT_TOL):
         rows = rows / sums[..., None]
@@ -406,10 +405,6 @@ class StationaryStrategy:
         if r.ndim != 2:
             raise ValueError(f"rows must be a 2-d [state][action] table, got {r.shape}")
         object.__setattr__(self, "rows", _frozen(_check_rows("strategy", r)[0]))
-
-    @property
-    def n_states(self) -> int:
-        return self.rows.shape[0]
 
 
 def check_strategy(
@@ -771,7 +766,7 @@ def random_instance(
     carries it.  The drawn tables are frozen and handed over, not copied.
 
     Args:
-        seed: seed of the one generator every draw comes from.
+        seed: seed of the one generator every draw comes from, an integer >= 0.
         dims: (states, actions_a, actions_b), each an integer >= 1.
         min_prob: transition floor, a real, finite and > 0, with
             min_prob * states < 1.
@@ -783,7 +778,7 @@ def random_instance(
     if min_prob * nx >= 1.0:
         raise ValueError(f"min_prob {min_prob} infeasible: {min_prob} * {nx} >= 1")
     c_bar = _scalar("c_bar", c_bar, 0)
-    rng = default_rng(seed)
+    rng = default_rng(_scalar("seed", seed, 0, integer=True))
     if not arat_flag:
         dir_rows = rng.dirichlet(np.ones(nx), size=(nx, na, nb))
         transition = _frozen(min_prob + (1.0 - min_prob * nx) * dir_rows)

@@ -133,6 +133,7 @@ def _walk(
     n = _scalar("n", n, 1, integer=True)
     n_paths = _scalar("n_paths", n_paths, 1, integer=True)
     x0 = _scalar("x0", x0, 0, instance.n_states, integer=True)
+    seed = _scalar("seed", seed, 0, integer=True)
     draw_a = _drawer(check_strategy(instance, Phi, 1), n_paths)
     draw_b = _drawer(check_strategy(instance, Psi, 2), n_paths)
     draw_y = _drawer(instance.transition, n_paths)
@@ -170,7 +171,7 @@ def sample_path(
     Args:
         x0: start state, an integer in [0, n_states).
         n: number of steps, an integer >= 1.
-        seed: seed of the one generator every draw comes from.
+        seed: seed of the one generator every draw comes from, an integer >= 0.
     """
     steps = zip(*_walk(instance, Phi, Psi, x0, n, 1, seed))
     x, a, b, y = (np.concatenate(v) for v in steps)
@@ -206,7 +207,7 @@ def mc_cost_estimate(
         x: start state, an integer in [0, n_states).
         n: horizon, an integer >= 1.
         n_paths: number of paths, an integer >= 1.
-        seed: seed of the one generator every draw comes from.
+        seed: seed of the one generator every draw comes from, an integer >= 0.
     """
     # both cost tables as [player, flat (x, a, b)] columns: one take per step
     costs = np.stack([instance.cost1, instance.cost2]).reshape(2, -1)

@@ -5,10 +5,10 @@ e^{theta*c_i(x,a,b)} * P(y|x,a,b), mixed over the players' strategies, and
 with its normalization: the log-normalizer c^_i(x, phi, psi) (the log of
 the normalizing constant c~_i) and the normalized probability kernel P^_i.
 This module is the one place where theta * cost meets the transition law.
-:func:`log_twisted_tensor` builds the kernel, and the Bellman solver
-takes its opponent-mixed kernel from the same two route builders,
-:func:`_table_side` and, on an exact additive decomposition,
-:func:`_split_side`, without the log.  Every strategy is mixed in by one
+:func:`log_twisted_tensor` builds the kernel with both strategies mixed
+in, and the Bellman solver takes its opponent-mixed kernel from the same
+two route builders, :func:`_table_side` and, on an exact additive
+decomposition, :func:`_split_side`, without the log.  Every strategy is mixed in by one
 primitive, :func:`_mixed_side`: in log space, with the weights shifted by
 their maximum so large theta * cost never overflows, and with one matrix
 product over the mixed action axes, read straight from the transition
@@ -34,66 +34,61 @@ def _check_simplex(name: str, w: np.ndarray, size: int) -> np.ndarray:
     return w
 
 
-def log_twisted_tensor(
-    instance: GameInstance, player: int, phi=None, psi=None
-) -> np.ndarray:
-    """ln of the player's twisted kernel, with any given strategy rows mixed in.
+def log_twisted_tensor(instance: GameInstance, player: int, phi, psi) -> np.ndarray:
+    """ln Q: the player's twisted kernel with both strategies mixed in.
 
     phi [..., x, a] and psi [..., x, b] are strategy rows; leading batch axes
-    broadcast.  Each one given sums out its action axis:
+    broadcast.  The result, indexed [..., x, y], is
 
-        ln sum_{a,b} phi(a|x) psi(b|x) e^{theta*c_i(x,a,b)} P(y|x,a,b),
+        ln Q(x, y) = ln sum_{a,b} phi(a|x) psi(b|x) e^{theta*c_i(x,a,b)} P(y|x,a,b).
 
-    indexed [..., x, b, y] (phi only), [..., x, a, y] (psi only) or
-    [..., x, y] (both).  With neither, the result is the unmixed table
-    [x][a][b][y].  The log weights are shifted by their maximum over the
-    mixed actions, and the sum is taken as ln(sum e^{w - s} P) + s: no
-    e^{theta*c} is formed, and the 4-d log table is never built when a
-    strategy is given.  Entries are -inf where the (mixed) transition
-    vanishes.
-
-    With a strategy given, the kernel is mixed by one of two routes:
+    The log weights are shifted by their maximum over the actions, and the
+    sum is taken as ln(sum e^{w - s} P) + s: no e^{theta*c} is formed.
+    Entries are -inf where the mixed transition vanishes.  The kernel is
+    mixed by one of two routes:
 
     - the split route, when the instance's additive decomposition
       reproduces its tables bit for bit (decided once per instance):
-      P = p1 + p2 and c_i = c_i1 + c_i2 let each mixed player's side be
-      summed on its own, from p1 [x, a, y] or p2 [x, b, y], in
-      O(X*(A+B)*Y) instead of O(X*A*B*Y) (see :func:`_log_kernel`);
-    - otherwise the table route: one matrix product per state (and per
-      remaining action), in BLAS at memory speed, of the weights
-      w = theta*c + ln phi + ln psi, with the mixed action axis or axes
-      last, against P [x, a, b, y] (psi only), its transposed view
-      [x, b, a, y] (phi only, no copy) or its reshape [x, a*b, y] (both).
+      P = p1 + p2 and c_i = c_i1 + c_i2 let each player's side be summed on
+      its own, from p1 [x, a, y] and p2 [x, b, y], in O(X*(A+B)*Y) instead
+      of O(X*A*B*Y) (see :func:`_log_kernel`);
+    - otherwise the table route: one matrix product per state, in BLAS at
+      memory speed, of the weights w = theta*c + ln phi + ln psi against the
+      table's reshape P [x, a*b, y].
+
+    Raises:
+        TypeError: if phi or psi is missing; the one-player kernel with only
+            the opponent mixed in is the one a solve sweeps
+            (``SolveResult.kernel``).
     """
+    if phi is None or psi is None:
+        raise TypeError("log_twisted_tensor mixes in both strategies: give phi and psi")
     return _log_kernel(instance, player, slice(None), phi, psi)
 
 
 def _log_kernel(instance: GameInstance, player: int, rows: slice, phi, psi) -> np.ndarray:
     """:func:`log_twisted_tensor` on the states ``rows``, which phi and psi already cover.
 
-    On the split route, with (w_kept, p_kept, sigma, T, R) from
-    :func:`_split_side` and, when both strategies are given, (sigma_a, T_a,
-    R_a) of phi mixed into the kept side:
+    The table route is ln Q = ln R + sigma of :func:`_table_side`.  On the
+    split route, with (w_a, p1, sigma_b, T, R) from :func:`_split_side` (psi
+    mixed into player 2's side) and (sigma_a, T_a, R_a) of phi mixed into
+    player 1's,
 
-        one given: ln M = ln(T p_kept + R) + w_kept + sigma          [..., x, k, y]
-        both:      ln Q = ln(T R_a + T_a R) + sigma_a + sigma        [..., x, y]
+        ln Q = ln(T R_a + T_a R) + sigma_a + sigma_b                 [..., x, y].
 
     Every beta is at most 1, so nothing overflows; an entry is -inf exactly
     where the mixed transition vanishes.
     """
-    if phi is None and psi is None or instance._exact_arat is None:
-        return _log_twisted(instance, player, rows, phi, psi)
     with np.errstate(divide="ignore"):
-        w_kept, p_kept, sigma, t, r = _split_side(instance, player, rows, phi, psi)
-        if phi is not None and psi is not None:
-            sigma_a, t_a, r_a = _mixed_side(w_kept, p_kept, phi)
-            mixed = t[..., None] * r_a + t_a[..., None] * r
-            shift = (sigma_a + sigma)[..., None]
+        if instance._exact_arat is None:
+            sigma, _, mixed = _table_side(instance, player, rows, phi, psi)
         else:
-            mixed = t[..., None, None] * p_kept + r[..., None, :]
-            shift = (w_kept + sigma[..., None])[..., None]
+            w_a, p1, sigma_b, t, r = _split_side(instance, player, rows, phi, psi)
+            sigma_a, t_a, r_a = _mixed_side(w_a, p1, phi)
+            mixed = t[..., None] * r_a + t_a[..., None] * r
+            sigma = sigma_a + sigma_b
         np.log(mixed, out=mixed)
-    mixed += shift
+    mixed += sigma[..., None]
     return mixed
 
 
@@ -119,21 +114,6 @@ def _split_side(instance: GameInstance, player: int, rows: slice, phi=None, psi=
         instance.theta * c_mixed[rows], p_mixed[rows], phi if psi is None else psi
     )
     return instance.theta * c_kept[rows], p_kept[rows], sigma, t, r
-
-
-def _log_twisted(instance: GameInstance, player: int, rows: slice, phi, psi) -> np.ndarray:
-    """The table route of :func:`_log_kernel`: ln M = ln R + sigma of :func:`_table_side`.
-
-    With no strategy given it is the unmixed table theta*c + ln P.
-    """
-    with np.errstate(divide="ignore"):
-        if phi is None and psi is None:
-            w = instance.theta * instance.cost(player)[rows]
-            return w[..., None] + np.log(instance.transition[rows])
-        sigma, _, mixed = _table_side(instance, player, rows, phi, psi)
-        np.log(mixed, out=mixed)
-    mixed += sigma[..., None]
-    return mixed
 
 
 def _table_side(instance: GameInstance, player: int, rows: slice, phi=None, psi=None) -> tuple:

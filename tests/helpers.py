@@ -134,6 +134,32 @@ def einsum_log_twisted(instance: rs.GameInstance, player: int, phi=None, psi=Non
         return np.log(mixed) + shift.squeeze(axis=axes)[..., None]
 
 
+def solve_log_kernel(
+    instance: rs.GameInstance, player: int, opponent: rs.StationaryStrategy
+) -> np.ndarray:
+    """ln M [x, k, y]: the opponent-mixed kernel a solve of player sweeps, read off its sweep.
+
+    Swept at v = ln e_y (0 at y, -inf elsewhere), the kernel gives
+    ln sum_y' M(x, k, y') e^{v(y')} = ln M(x, k, y), one y per batch row.
+    """
+    kernel = rs.bellman._solve_kernel(instance, player, opponent)
+    with np.errstate(divide="ignore"):
+        return np.moveaxis(kernel.sweep(np.log(np.eye(instance.n_states))), 0, -1)
+
+
+def pure_pair_log_q(instance: rs.GameInstance, player: int) -> np.ndarray:
+    """ln Q of every pure pair (a, b) played in every state, as a table [x, a, b, y].
+
+    A pure row weighs one action by 1 and the rest by 0, so row x of the
+    pair's ln Q is theta*c_i(x, a, b) + ln P(.|x, a, b): the unmixed twisted
+    table, from one batched call of log_twisted_tensor.
+    """
+    nx, na, nb = instance.n_states, instance.n_actions_a, instance.n_actions_b
+    phi = np.broadcast_to(np.eye(na)[:, None, None, :], (na, 1, nx, na))
+    psi = np.broadcast_to(np.eye(nb)[None, :, None, :], (1, nb, nx, nb))
+    return rs.log_twisted_tensor(instance, player, phi, psi).transpose(2, 0, 1, 3)
+
+
 def all_rows_normalized_kernel(
     instance: rs.GameInstance, player: int, x: int, phi, psi
 ) -> tuple[float, np.ndarray]:

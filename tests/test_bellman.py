@@ -10,7 +10,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 import rsgame as rs
 from rsgame.bellman import TIE_TOL, TOL
 
-from helpers import assert_within_ulps, corpus_instance, lifted_arat_instance, random_pair
+from helpers import (
+    assert_within_ulps,
+    corpus_instance,
+    einsum_log_twisted,
+    lifted_arat_instance,
+    random_pair,
+)
 
 UNIFORM2 = np.array([0.5, 0.5])
 
@@ -254,7 +260,7 @@ class TestSolveOptimality:
                     # the swept kernel is the opponent-mixed kernel M: its sweep
                     # is ln sum_y e^{ln M(x, k, y) + v(y)}, on either route
                     mixed = {"psi": opponent.rows} if player == 1 else {"phi": opponent.rows}
-                    terms = rs.log_twisted_tensor(inst, player, **mixed) + res.v
+                    terms = einsum_log_twisted(inst, player, **mixed) + res.v
                     top = terms.max(axis=-1)
                     want = np.log(np.exp(terms - top[..., None]).sum(axis=-1)) + top
                     assert_allclose(res.kernel.sweep(res.v), want, rtol=1e-14)
@@ -489,3 +495,10 @@ class TestMeasuredContraction:
             with pytest.raises(ValueError) as raised:
                 rs.measured_contraction(g2, 2, phi, span_cap=span_cap)
             assert str(raised.value) == f"span_cap must be finite and > 0, got {shown}"
+        for seed, message in ((-1, "seed must be >= 0, got -1"),
+                              (0.0, "seed must be an integer, got 0.0")):
+            with pytest.raises(ValueError) as raised:
+                rs.measured_contraction(g2, 2, phi, seed=seed)
+            assert str(raised.value) == message
+        assert rs.measured_contraction(g2, 2, phi, n_pairs=50, seed=np.int64(3)) == (
+            rs.measured_contraction(g2, 2, phi, n_pairs=50, seed=3))

@@ -73,6 +73,11 @@ class TestGen:
         assert report is None
         assert err == f"error: {flag[2:].replace('-', '_')} must be >= 1, got {value}\n"
 
+    @pytest.mark.parametrize("arat", [[], ["--arat"]], ids=["table", "arat"])
+    def test_negative_seed_is_usage_error(self, capsys, arat):
+        code, report, err = run(["gen", "--seed", "-1", *arat], capsys)
+        assert (code, report, err) == (2, None, "error: seed must be >= 0, got -1\n")
+
     @pytest.mark.parametrize("value, shown", [("nan", "nan"), ("-0.1", "-0.1"), ("0", "0.0")])
     def test_nonpositive_min_prob_is_usage_error(self, capsys, value, shown):
         code, report, err = run(["gen", "--min-prob", value], capsys)
@@ -361,11 +366,14 @@ class TestEvalCommand:
         (["--x", "-1"], "x must be in [0, 2), got -1"),
         (["--paths", "0"], "n_paths must be >= 1, got 0"),
         (["--paths", "-3", "--horizon", "3"], "n_paths must be >= 1, got -3"),
-    ], ids=["x-99", "x-neg", "paths-0", "paths-neg-with-horizon"])
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--seed", "-1", "--horizon", "3", "--mc", "--paths", "10"],
+         "seed must be >= 0, got -1"),
+    ], ids=["x-99", "x-neg", "paths-0", "paths-neg-with-horizon", "seed-neg", "seed-neg-with-mc"])
     def test_start_state_and_paths_are_checked_when_unread(self, g2_path, capsys, flags,
                                                             message):
-        """No section reads --x without --horizon, nor --paths without --mc; the
-        report would still record them, so they are checked up front."""
+        """No section reads --x without --horizon, nor --paths and --seed without
+        --mc; the report would still record them, so they are checked up front."""
         code, report, err = run(
             ["eval", "--instance", g2_path, "--phi", "uniform", "--psi", "uniform", *flags],
             capsys,

@@ -602,22 +602,26 @@ class TestAssembledInstances:
     """Instances from assemble_from_arat hold p1 and p2 and build the table on its first read."""
 
     def test_solvers_build_no_table_and_table_readers_build_one(self, builds):
+        # validate and Monte Carlo are the only readers of the table
         inst = rs.random_instance(5, dims=(30, 4, 4), min_prob=1e-3, arat_flag=True)
         phi, psi = random_pair(inst, np.random.default_rng(5))
         rs.epsilon_gap(inst, phi, psi)
         rs.finite_horizon_growth(inst, 1, phi, psi, 0, 20)
         rs.solve_optimality(inst, 2, phi)
+        rs.solve_optimality(inst, 1, psi)
         for player in (1, 2):
             rs.log_twisted_tensor(inst, player, phi.rows, psi.rows)
-            rs.log_twisted_tensor(inst, player, psi=psi.rows)
-            rs.log_twisted_tensor(inst, player, phi=phi.rows)
+            rs.twisted_matrix(inst, player, phi, psi)
             rs.normalized_kernel(inst, player, 3, phi.rows[3], psi.rows[3])
+        small = rs.random_instance(5, dims=(2, 2, 2), min_prob=0.02, arat_flag=True)
+        assert len(rs.brute_force_nash(small, grid_step=0.25, eps=0.05)) >= 1
         rs.instance_digest(inst)
+        rs.instance_to_dict(inst)
         assert "built on first read" in repr(inst)
+        assert "built on first read" in repr(small)
         assert builds == []
         rs.validate(inst, min_prob=1e-3)
         rs.mc_cost_estimate(inst, phi, psi, 0, 5, 50, 0)
-        rs.instance_to_dict(inst)
         assert len(builds) == 1
         assert inst.transition is builds[0]  # kept: a second read builds none
         assert not inst.transition.flags.writeable
@@ -776,6 +780,19 @@ class TestRandomInstances:
         assert_array_equal(a.transition, b.transition)
         assert_array_equal(a.cost1, b.cost1)
         assert_array_equal(a.cost2, b.cost2)
+
+    @pytest.mark.parametrize("arat_flag", [False, True])
+    def test_seed_goes_through_the_scalar_gate(self, arat_flag):
+        for seed, message in (
+            (-1, "seed must be >= 0, got -1"),
+            (True, "seed must be an integer, got True"),
+            (2.5, "seed must be an integer, got 2.5"),
+        ):
+            with pytest.raises(ValueError) as raised:
+                rs.random_instance(seed, arat_flag=arat_flag)
+            assert str(raised.value) == message
+        assert rs.instance_digest(rs.random_instance(np.int64(7), arat_flag=arat_flag)) == (
+            rs.instance_digest(rs.random_instance(7, arat_flag=arat_flag)))
 
     def test_generated_instances_validate(self):
         for seed in range(8):

@@ -253,6 +253,24 @@ class TestMcCostEstimate:
                                                       **kwargs})
             assert str(raised.value) == message, kwargs
 
+    @pytest.mark.parametrize("entry", ["sample_path", "mc_cost_estimate"])
+    def test_seed_goes_through_the_scalar_gate(self, g2, g2_uniform, entry):
+        phi, psi = g2_uniform
+        walk = {
+            "sample_path": lambda seed: rs.sample_path(g2, phi, psi, x0=0, n=4, seed=seed),
+            "mc_cost_estimate": lambda seed: rs.mc_cost_estimate(
+                g2, phi, psi, x=0, n=4, n_paths=8, seed=seed),
+        }[entry]
+        for seed, message in (
+            (-1, "seed must be >= 0, got -1"),
+            (True, "seed must be an integer, got True"),
+            (2.5, "seed must be an integer, got 2.5"),
+        ):
+            with pytest.raises(ValueError) as raised:
+                walk(seed)
+            assert str(raised.value) == message
+        assert repr(walk(np.int64(3))) == repr(walk(3))
+
 
 def golden_game(name: str):
     """(instance, Phi, Psi) for the golden sampler tests."""

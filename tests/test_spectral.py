@@ -56,7 +56,7 @@ class TestTwistedMatrix:
         phi = rs.pure_strategy(g2, 1, [1, 0])
         psi = rs.pure_strategy(g2, 2, [0, 1])
         q = np.exp(rs.twisted_matrix(g2, 1, phi, psi))
-        table = np.exp(rs.log_twisted_tensor(g2, 1))
+        table = np.exp(g2.theta * g2.cost1)[..., None] * g2.transition
         assert_allclose(q[0], table[0, 1, 0], rtol=1e-15)
         assert_allclose(q[1], table[1, 0, 1], rtol=1e-15)
 

@@ -25,7 +25,9 @@ from helpers import (
     full_document,
     lifted_arat_instance,
     mix_transition,
+    pure_pair_log_q,
     random_pair,
+    solve_log_kernel,
 )
 
 
@@ -39,53 +41,67 @@ UNIFORM2 = np.array([0.5, 0.5])
 
 
 class TestTwist:
+    """ln Q of pure pairs is the unmixed twisted table; mixed pairs weigh its rows."""
+
     def test_zero_cost_leaves_transition_unchanged(self):
         inst = zero_cost_instance()
-        assert_array_equal(log_twisted_tensor(inst, 1), np.log(inst.transition))
+        assert_array_equal(pure_pair_log_q(inst, 1), np.log(inst.transition))
 
     def test_row_sums_equal_exp_cost(self, g2):
         for player in (1, 2):
-            table = np.exp(log_twisted_tensor(g2, player))
+            table = np.exp(pure_pair_log_q(g2, player))
             assert_allclose(table.sum(axis=-1), np.exp(g2.cost(player)), rtol=1e-14)
         # cost2(x=0, a=1, b=0) = 0.9, so that twisted row carries total e^0.9
-        assert np.exp(log_twisted_tensor(g2, 2))[0, 1, 0].sum() == pytest.approx(
+        assert np.exp(pure_pair_log_q(g2, 2))[0, 1, 0].sum() == pytest.approx(
             2.4596031111569499, abs=1e-14
         )
 
     def test_table_dominates_transition(self):
         inst = corpus_instance(4)
         for player in (1, 2):
-            assert np.all(log_twisted_tensor(inst, player) >= np.log(inst.transition))
+            assert np.all(pure_pair_log_q(inst, player) >= np.log(inst.transition))
 
     def test_log_tensor_matches_log_of_table(self, g2):
         table = np.exp(g2.cost(2))[..., None] * g2.transition
-        assert_allclose(log_twisted_tensor(g2, 2), np.log(table), atol=1e-13)
+        assert_allclose(pure_pair_log_q(g2, 2), np.log(table), atol=1e-13)
 
     def test_log_tensor_is_minus_inf_off_support(self):
         t = np.zeros((2, 1, 1, 2))
         t[0, 0, 0, 0] = 1.0
         t[1, 0, 0, 1] = 1.0
         inst = rs.GameInstance(t, np.ones((2, 1, 1)), np.ones((2, 1, 1)))
-        ln = log_twisted_tensor(inst, 1)
+        ln = pure_pair_log_q(inst, 1)
         assert ln[0, 0, 0, 1] == -np.inf
         assert ln[0, 0, 0, 0] == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("mixed", ["phi", "psi", "both"])
     def test_mixing_matches_weighted_sum_of_the_table(self, mixed):
+        # one strategy mixed in is the kernel a solve sweeps: psi for player
+        # 1's, phi for player 2's; both mixed in is ln Q
         inst = corpus_instance(7)
         rng = np.random.default_rng(7)
         phi, psi = random_pair(inst, rng)
-        table = np.exp(log_twisted_tensor(inst, 1))
+        player = 2 if mixed == "phi" else 1
+        table = np.exp(inst.theta * inst.cost(player))[..., None] * inst.transition
         if mixed == "phi":
-            got = log_twisted_tensor(inst, 1, phi=phi.rows)
+            got = solve_log_kernel(inst, 2, phi)
             want = np.einsum("xa,xaby->xby", phi.rows, table)
         elif mixed == "psi":
-            got = log_twisted_tensor(inst, 1, psi=psi.rows)
+            got = solve_log_kernel(inst, 1, psi)
             want = np.einsum("xb,xaby->xay", psi.rows, table)
         else:
             got = log_twisted_tensor(inst, 1, phi.rows, psi.rows)
             want = np.einsum("xa,xb,xaby->xy", phi.rows, psi.rows, table)
         assert_allclose(np.exp(got), want, rtol=1e-13)
+
+    def test_one_strategy_or_none_is_a_type_error(self, g2, g2_uniform):
+        phi, psi = (s.rows for s in g2_uniform)
+        table_only = rs.GameInstance(g2.transition, g2.cost1, g2.cost2, g2.theta)
+        for inst in (g2, table_only):
+            for args, kwargs in (((), {}), ((phi,), {}), ((), {"psi": psi}),
+                                 ((None, psi), {}), ((phi, None), {})):
+                with pytest.raises(TypeError):
+                    log_twisted_tensor(inst, 1, *args, **kwargs)
 
     def test_leading_batch_axes_mix_each_map(self):
         inst = corpus_instance(8)
@@ -131,8 +147,23 @@ def contraction_inputs(case: str):
     return inst, phi, psi
 
 
+def one_side_log_kernel(inst, player, phi=None, psi=None) -> np.ndarray:
+    """ln of the player's kernel with one strategy mixed in, [..., x, k, y], from solve kernels.
+
+    A solve of player 1 mixes psi into its kernel and one of player 2 phi.
+    The player the given strategy opposes solves, on a copy of the instance
+    where both players bear this player's cost, one batch member at a time.
+    """
+    solver, rows = (1, psi) if phi is None else (2, phi)
+    cost = inst.cost(player)
+    same_cost = rs.GameInstance(inst.transition, cost, cost, inst.theta)
+    kernels = [solve_log_kernel(same_cost, solver, rs.StationaryStrategy(3 - solver, rows[i]))
+               for i in np.ndindex(rows.shape[:-2])]
+    return np.reshape(kernels, rows.shape[:-2] + kernels[0].shape)
+
+
 class TestContraction:
-    """log_twisted_tensor's one matrix product against the einsum reference."""
+    """The one matrix product of ln Q and of the solve kernels against the einsum reference."""
 
     @pytest.mark.parametrize("case", ["batched", "zero_weights", "theta_c_1e6",
                                       "zero_transitions"])
@@ -141,7 +172,10 @@ class TestContraction:
     def test_matches_the_einsum_reference(self, case, mixed, player):
         inst, phi, psi = contraction_inputs(case)
         given = {"phi": {"phi": phi}, "psi": {"psi": psi}, "both": {"phi": phi, "psi": psi}}
-        got = log_twisted_tensor(inst, player, **given[mixed])
+        if mixed == "both":
+            got = log_twisted_tensor(inst, player, phi, psi)
+        else:
+            got = one_side_log_kernel(inst, player, **given[mixed])
         want = einsum_log_twisted(inst, player, **given[mixed])
         assert got.shape == want.shape
         assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -150,15 +184,20 @@ class TestContraction:
 
     @pytest.mark.parametrize("mixed", ["phi", "psi", "both"])
     def test_peak_memory_is_below_half_a_table(self, mixed):
-        # a copy of the transposed table (phi only) or of a reshape would alone
-        # be a whole table; the caller's table is Fortran-ordered on purpose
+        # a copy of the transposed table (phi only, in player 2's solve kernel)
+        # or of a reshape would alone be a whole table; the caller's table is
+        # Fortran-ordered on purpose
         base = rs.random_instance(0, dims=(100, 10, 10), min_prob=1e-3)
         inst = rs.GameInstance(np.asfortranarray(base.transition), base.cost1, base.cost2)
-        phi = rs.uniform_strategy(inst, 1).rows if mixed != "psi" else None
-        psi = rs.uniform_strategy(inst, 2).rows if mixed != "phi" else None
+        phi, psi = rs.uniform_strategy(inst, 1), rs.uniform_strategy(inst, 2)
+        build = {
+            "phi": lambda: rs.bellman._solve_kernel(inst, 2, phi),
+            "psi": lambda: rs.bellman._solve_kernel(inst, 1, psi),
+            "both": lambda: log_twisted_tensor(inst, 1, phi.rows, psi.rows),
+        }[mixed]
         tracemalloc.start()
         try:
-            log_twisted_tensor(inst, 1, phi, psi)
+            build()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -169,12 +208,14 @@ class TestContraction:
             "import hashlib, numpy as np, rsgame as rs\n"
             "inst = rs.random_instance(0, dims=(120, 12, 12), min_prob=1e-3)\n"
             "rng = np.random.default_rng(0)\n"
-            "phi = rng.dirichlet(np.ones(12), size=120)\n"
-            "psi = rng.dirichlet(np.ones(12), size=120)\n"
-            "for player in (1, 2):\n"
-            "    for given in ({'phi': phi}, {'psi': psi}, {'phi': phi, 'psi': psi}):\n"
-            "        kernel = rs.log_twisted_tensor(inst, player, **given)\n"
-            "        print(hashlib.sha256(kernel.tobytes()).hexdigest())\n"
+            "phi = rs.StationaryStrategy(1, rng.dirichlet(np.ones(12), size=120))\n"
+            "psi = rs.StationaryStrategy(2, rng.dirichlet(np.ones(12), size=120))\n"
+            "for player, opponent in ((1, psi), (2, phi)):\n"
+            "    kernel = rs.bellman._solve_kernel(inst, player, opponent)\n"
+            "    held = kernel.shift.tobytes() + kernel.p_t.tobytes()\n"
+            "    print(hashlib.sha256(held).hexdigest())\n"
+            "    log_q = rs.log_twisted_tensor(inst, player, phi.rows, psi.rows)\n"
+            "    print(hashlib.sha256(log_q.tobytes()).hexdigest())\n"
         )
         src = str(Path(rs.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -186,13 +227,15 @@ class TestContraction:
             )
             assert done.returncode == 0, done.stderr
             outputs.append(done.stdout)
-        assert len(outputs[0].split()) == 6
+        assert len(outputs[0].split()) == 4
         assert outputs[0] == outputs[1]
 
 
 def table_core(inst: rs.GameInstance, player: int, phi=None, psi=None) -> np.ndarray:
-    """The table route of log_twisted_tensor, whatever decomposition the instance carries."""
-    return transforms._log_twisted(inst, player, slice(None), phi, psi)
+    """The table route's kernel, whatever decomposition the instance carries: ln R + sigma."""
+    with np.errstate(divide="ignore"):
+        sigma, _, mixed = transforms._table_side(inst, player, slice(None), phi, psi)
+        return np.log(mixed) + sigma[..., None]
 
 
 def sparse_rows(rng: np.random.Generator, shape) -> np.ndarray:
@@ -216,8 +259,25 @@ def split_mixes(rng: np.random.Generator, inst: rs.GameInstance) -> list:
     ]
 
 
+def route_kernels(inst: rs.GameInstance, phi, psi):
+    """(kernel, table core) pairs of one mix from split_mixes.
+
+    With both strategies, ln Q of each player; with one, the kernel a solve
+    of the player it opposes sweeps, for each strategy of the batch.
+    """
+    if phi is not None and psi is not None:
+        for player in (1, 2):
+            yield log_twisted_tensor(inst, player, phi, psi), table_core(inst, player, phi, psi)
+        return
+    player, rows = (1, psi) if phi is None else (2, phi)
+    for one in rows.reshape(-1, *rows.shape[-2:]):
+        opponent = rs.StationaryStrategy(3 - player, one)
+        mixed = {"psi" if player == 1 else "phi": opponent.rows}
+        yield solve_log_kernel(inst, player, opponent), table_core(inst, player, **mixed)
+
+
 class TestSplitRoute:
-    """log_twisted_tensor through an exact additive decomposition, against the table core."""
+    """Kernels through an exact additive decomposition, against the table core."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -230,9 +290,8 @@ class TestSplitRoute:
         assert inst._exact_arat is not None
         rng = np.random.default_rng(seed)
         for phi, psi in split_mixes(rng, inst):
-            for player in (1, 2):
-                assert_within_ulps(log_twisted_tensor(inst, player, phi, psi),
-                                   table_core(inst, player, phi, psi), 8)
+            for got, want in route_kernels(inst, phi, psi):
+                assert_within_ulps(got, want, 8)
 
     def test_vanishing_transitions_are_minus_inf_where_the_table_has_them(self):
         rng = np.random.default_rng(21)
@@ -252,10 +311,9 @@ class TestSplitRoute:
         assert inst._exact_arat is not None
         assert not inst._positive
         for phi, psi in split_mixes(rng, inst):
-            for player in (1, 2):
-                got = log_twisted_tensor(inst, player, phi, psi)
+            for got, want in route_kernels(inst, phi, psi):
                 assert np.isneginf(got).any()
-                assert_within_ulps(got, table_core(inst, player, phi, psi), 8)
+                assert_within_ulps(got, want, 8)
 
     @pytest.mark.parametrize("decomposition", ["none", "p1 one ulp off", "c12 one ulp off"])
     def test_inexact_or_missing_decomposition_takes_the_table_route(self, decomposition):
@@ -273,9 +331,8 @@ class TestSplitRoute:
         inst = rs.GameInstance(inst.transition, inst.cost1, inst.cost2, inst.theta, 0, arat)
         assert inst._exact_arat is None
         for phi, psi in split_mixes(np.random.default_rng(3), inst):
-            for player in (1, 2):
-                assert_array_equal(log_twisted_tensor(inst, player, phi, psi),
-                                   table_core(inst, player, phi, psi))
+            for got, want in route_kernels(inst, phi, psi):
+                assert_array_equal(got, want)
 
     def test_exactness_is_decided_once_per_instance(self, decisions):
         # an assembled instance knows its decomposition exact from construction,
@@ -286,11 +343,9 @@ class TestSplitRoute:
         reassembled = rs.instance_from_dict(rs.instance_to_dict(assembled))
         phi, psi = random_pair(loaded, np.random.default_rng(4))
         for inst, decided in ((loaded, [loaded]), (assembled, []), (reassembled, [])):
-            log_twisted_tensor(inst, 1)  # the unmixed table needs no decision
-            assert decisions == []
-            for player in (1, 2):
+            for player, opponent in ((1, psi), (2, phi)):
                 log_twisted_tensor(inst, player, phi.rows, psi.rows)
-                log_twisted_tensor(inst, player, psi=psi.rows)
+                rs.bellman._solve_kernel(inst, player, opponent)
                 rs.normalized_kernel(inst, player, 0, phi.rows[0], psi.rows[0])
             rs.solve_optimality(inst, 1, psi)
             rs.epsilon_gap(inst, phi, psi)
@@ -298,14 +353,13 @@ class TestSplitRoute:
             decisions.clear()
         assert assembled._exact_arat is assembled.arat
         other = dataclasses.replace(loaded, theta=2.0)
-        log_twisted_tensor(other, 2, phi=phi.rows)
+        log_twisted_tensor(other, 2, phi.rows, psi.rows)
         assert decisions == [other]
 
     def test_solvers_run_without_the_table_core(self, g2, monkeypatch):
         def refused(*args):
             raise AssertionError("the table core was used on an exact-split instance")
 
-        monkeypatch.setattr(transforms, "_log_twisted", refused)
         monkeypatch.setattr(transforms, "_table_side", refused)
         monkeypatch.setattr(rs.bellman, "_table_side", refused)
         phi, psi = random_pair(g2, np.random.default_rng(5))

@@ -50,13 +50,15 @@ tv, tied = rs.apply_T(g2, 2, phi, res.v)
 print("fixed-point residual:", float(np.abs(tv - res.rho - res.v).max()))
 print("tied argmin sets per state:", [list(t) for t in tied])
 
-# a best reply bundles the solve with the argmin sets for membership tests
-br = rs.best_response(g2, 2, phi)
-print("\npure selector is a best response:", br.contains(br.response_strategy))
-print("uniform play is a best response:", br.contains(rs.uniform_strategy(g2, 2)))
+# the solve is the best-response set: every strategy supported on the tied
+# argmin sets, which res.contains tests
+response = rs.pure_strategy(g2, 2, res.selector)
+print("\npure selector is a best response:", res.contains(response))
+print("uniform play is a best response:", res.contains(rs.uniform_strategy(g2, 2)))
 
-# how contractive is T in practice?  sample pairs and measure
-ratio = rs.measured_contraction(g2, 2, phi, n_pairs=500, span_cap=5.0)
-print(f"\nmeasured contraction ratio over 500 sampled pairs: {ratio:.4f} < 1")
+# how contractive is T in practice?  measure it on a fixed sample of pairs
+ratio = rs.measured_contraction(g2, 2, phi)
+print(f"\nmeasured contraction ratio over {rs.bellman.N_PAIRS} pairs of span "
+      f"<= {rs.bellman.SPAN_CAP}: {ratio:.4f} < 1")
 print(f"span of v* = {rs.span(res.v):.4f} within the a priori bound "
       f"{rs.validate(g2).span_bound:.4f}")

@@ -43,10 +43,8 @@ from .game_model import (
     validate,
 )
 from .nash import (
-    BestResponse,
     BruteForceResult,
     NashCertificate,
-    best_response,
     best_response_dynamics,
     brute_force_nash,
     epsilon_gap,
@@ -68,13 +66,12 @@ from .transforms import (
 )
 
 __all__ = [
-    "AratStructure", "AssumptionCheck", "AssumptionError", "BestResponse",
-    "BruteForceResult", "GameInstance", "McEstimate", "ModelDiagnostics",
-    "NashCertificate", "SolveResult", "StationaryStrategy", "Trajectory",
-    "action_values", "apply_T", "assemble_from_arat", "best_response",
-    "best_response_dynamics", "brute_force_nash", "check_strategy",
-    "dual_value", "epsilon_gap", "ergodic_cost",
-    "finite_horizon_growth", "g2_instance", "horizon_log_mgf",
+    "AratStructure", "AssumptionCheck", "AssumptionError", "BruteForceResult",
+    "GameInstance", "McEstimate", "ModelDiagnostics", "NashCertificate",
+    "SolveResult", "StationaryStrategy", "Trajectory", "action_values",
+    "apply_T", "assemble_from_arat", "best_response_dynamics",
+    "brute_force_nash", "check_strategy", "dual_value", "epsilon_gap",
+    "ergodic_cost", "finite_horizon_growth", "g2_instance", "horizon_log_mgf",
     "instance_digest", "instance_from_dict", "instance_to_dict",
     "log_twisted_tensor", "mc_cost_estimate", "measured_contraction",
     "mixed_objective", "normalized_kernel", "perron_value", "pure_strategy",

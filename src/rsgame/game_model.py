@@ -829,7 +829,7 @@ def g2_instance() -> GameInstance:
 # file formats (decimal JSON, 17 significant digits) and digests
 # ---------------------------------------------------------------------------
 
-def _render(obj: Any, indent: int, level: int = 0) -> str:
+def _render(obj: Any, level: int = 0) -> str:
     # plain finite floats are most of every document: format them first
     if type(obj) is float and math.isfinite(obj):
         return format(obj, ".17g")
@@ -850,25 +850,25 @@ def _render(obj: Any, indent: int, level: int = 0) -> str:
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
-    pad, pad_in = " " * (indent * level), " " * (indent * (level + 1))
+    pad, pad_in = "  " * level, "  " * (level + 1)
     if isinstance(obj, (list, tuple)):
-        items = [pad_in + _render(v, indent, level + 1) for v in obj]
+        items = [pad_in + _render(v, level + 1) for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else "[]"
     if isinstance(obj, dict):
-        items = [f"{pad_in}{json.dumps(str(k))}: {_render(v, indent, level + 1)}"
+        items = [f"{pad_in}{json.dumps(str(k))}: {_render(v, level + 1)}"
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}" if items else "{}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps_decimal(obj: Any, indent: int = 2) -> str:
-    """Serialize to indented JSON with floats as 17-significant-digit decimals.
+def dumps_decimal(obj: Any) -> str:
+    """Serialize to JSON indented by two spaces, floats as 17-significant-digit decimals.
 
     17 significant digits round-trip IEEE doubles exactly.  Keys keep their
     insertion order; non-finite floats become the strings "inf", "-inf" and
     "nan".
     """
-    return _render(obj, indent)
+    return _render(obj)
 
 
 #: the tables of an instance document in its full form, in the order it lists them

@@ -1,4 +1,4 @@
-"""Best responses, deviation-gap certificates, and equilibrium search.
+"""Deviation-gap certificates and equilibrium search.
 
 A strategy pair is an eps-Nash point when neither player can lower their
 ergodic value by more than eps through any unilateral stationary deviation.
@@ -77,29 +77,6 @@ _CERTIFICATE_BLOCK = 1024
 
 
 @dataclass(frozen=True, eq=False)
-class BestResponse:
-    """One player's optimal reply to a fixed opponent strategy.
-
-    tied_actions[x] lists every pure action attaining the per-state minimum
-    within the solver tie tolerance; a stationary strategy is a best
-    response exactly when its per-state support lies inside these sets.
-    response_strategy is the pure representative at the solver's selector.
-    """
-
-    solve: SolveResult
-    tied_actions: list[np.ndarray]
-    response_strategy: StationaryStrategy
-
-    def contains(self, strategy: StationaryStrategy) -> bool:
-        """Support-containment membership test for the best-response set."""
-        for x in range(strategy.rows.shape[0]):
-            support = np.flatnonzero(strategy.rows[x] > 0.0)
-            if not np.isin(support, self.tied_actions[x]).all():
-                return False
-        return True
-
-
-@dataclass(frozen=True, eq=False)
 class NashCertificate:
     """Deviation-gap certificate for a stationary strategy pair.
 
@@ -127,22 +104,6 @@ class NashCertificate:
     @property
     def max_gap(self) -> float:
         return max(self.eps1, self.eps2)
-
-
-def best_response(
-    instance: GameInstance, player: int, opponent_strategy: StationaryStrategy
-) -> BestResponse:
-    """Solve the player's optimality equation and extract the argmin sets.
-
-    Args:
-        player: the integer 1 or 2.
-    """
-    result = solve_optimality(instance, player, opponent_strategy)
-    return BestResponse(
-        solve=result,
-        tied_actions=result.tied_actions(),
-        response_strategy=pure_strategy(instance, player, result.selector),
-    )
 
 
 def _certificate(

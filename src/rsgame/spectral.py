@@ -264,6 +264,7 @@ def ergodic_cost(
         ValueError: if the kernel was swept for the other player or does
             not fit the player's actions.
     """
+    player = _scalar("player", player, 1, 2, integer=True, ends="[]")
     if kernel is None:
         log_q = twisted_matrix(instance, player, Phi, Psi)
     else:

@@ -21,24 +21,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from .game_model import GameInstance
+from .game_model import ROW_SUM_TOL, GameInstance, _scalar
 
 
-def _check_simplex(name: str, w: np.ndarray, size: int) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if w.shape != (size,):
-        raise ValueError(f"{name} must have shape ({size},), got {w.shape}")
-    # written so a NaN sum fails too
-    if np.any(w < 0.0) or not abs(w.sum() - 1.0) <= 1e-9:
-        raise ValueError(f"{name} is not a probability vector: {w!r}")
-    return w
+def _probability_rows(name: str, rows, shape: tuple[int, ...]) -> np.ndarray:
+    """rows as floats, once they have exactly ``shape`` and every row (last
+    axis) is a probability vector: no negative or NaN entry, and a sum
+    within ROW_SUM_TOL of 1.  Rows are never renormalized.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {rows.shape}")
+    # minimum and maximum carry a NaN through, so a NaN entry fails too; the
+    # ufunc reductions skip np.min's wrapper, most of the cost on small rows
+    sums = np.add.reduce(rows, axis=-1)
+    if not (np.minimum.reduce(rows, axis=None) >= 0.0
+            and np.maximum.reduce(np.abs(sums - 1.0), axis=None) <= ROW_SUM_TOL):
+        raise ValueError(f"{name} is not a probability vector in every row: {rows!r}")
+    return rows
 
 
 def log_twisted_tensor(instance: GameInstance, player: int, phi, psi) -> np.ndarray:
     """ln Q: the player's twisted kernel with both strategies mixed in.
 
-    phi [..., x, a] and psi [..., x, b] are strategy rows; leading batch axes
-    broadcast.  The result, indexed [..., x, y], is
+    phi [..., x, a] and psi [..., x, b] are strategy rows over all X states;
+    leading batch axes broadcast.  The result, indexed [..., x, y], is
 
         ln Q(x, y) = ln sum_{a,b} phi(a|x) psi(b|x) e^{theta*c_i(x,a,b)} P(y|x,a,b).
 
@@ -56,13 +63,22 @@ def log_twisted_tensor(instance: GameInstance, player: int, phi, psi) -> np.ndar
       memory speed, of the weights w = theta*c + ln phi + ln psi against the
       table's reshape P [x, a*b, y].
 
+    Args:
+        player: the integer 1 or 2.
+
     Raises:
         TypeError: if phi or psi is missing; the one-player kernel with only
             the opponent mixed in is the one a solve sweeps
             (``SolveResult.kernel``).
+        ValueError: if a row of phi or psi is not a probability vector, or
+            their state or action axis does not fit the instance.
     """
     if phi is None or psi is None:
         raise TypeError("log_twisted_tensor mixes in both strategies: give phi and psi")
+    player = _scalar("player", player, 1, 2, integer=True, ends="[]")
+    n = instance.n_states
+    phi = _probability_rows("phi", phi, (*np.shape(phi)[:-2], n, instance.n_actions_a))
+    psi = _probability_rows("psi", psi, (*np.shape(psi)[:-2], n, instance.n_actions_b))
     return _log_kernel(instance, player, slice(None), phi, psi)
 
 
@@ -169,10 +185,16 @@ def normalized_kernel(
     Q(x, y) (the transition rows sum to one) and the normalized row p_hat =
     Q(x, .) / e^{c_hat}, formed from ln Q shifted by its maximum so neither
     overflows.  Only row x is mixed, by the same route as the whole kernel.
+
+    Args:
+        player: the integer 1 or 2.
+        x: the state, an integer in [0, n_states).
+        phi, psi: one probability vector over each player's actions.
     """
-    phi = _check_simplex("phi", phi, instance.n_actions_a)
-    psi = _check_simplex("psi", psi, instance.n_actions_b)
-    x = range(instance.n_states)[x]  # IndexError past either end
+    player = _scalar("player", player, 1, 2, integer=True, ends="[]")
+    x = _scalar("x", x, 0, instance.n_states, integer=True)
+    phi = _probability_rows("phi", phi, (instance.n_actions_a,))
+    psi = _probability_rows("psi", psi, (instance.n_actions_b,))
     log_q = _log_kernel(instance, player, slice(x, x + 1), phi[None], psi[None])[0]
     top = log_q.max()
     row = np.exp(log_q - top)

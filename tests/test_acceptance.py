@@ -76,9 +76,7 @@ def test_criterion_2_contraction_and_solver_convergence(capsys):
             phi, psi = random_pair(inst, rng)
             bound = rs.validate(inst, min_prob=0.02).span_bound
             for player, opp in ((1, psi), (2, phi)):
-                ratio = rs.measured_contraction(
-                    inst, player, opp, n_pairs=500, span_cap=5.0
-                )
+                ratio = rs.measured_contraction(inst, player, opp)
                 worst_ratio = max(worst_ratio, ratio)
                 res = rs.solve_optimality(inst, player, opp)
                 assert res.converged and res.iterations <= 100_000

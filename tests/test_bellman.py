@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import rsgame as rs
-from rsgame.bellman import TIE_TOL, TOL
+from rsgame.bellman import N_PAIRS, SPAN_CAP, TIE_TOL, TOL
 
 from helpers import (
     assert_within_ulps,
@@ -469,36 +469,33 @@ class TestMeasuredContraction:
         assert inst._exact_arat is not None and table._exact_arat is None
         phi, psi = random_pair(inst, np.random.default_rng(2))
         for player, opponent in ((1, psi), (2, phi)):
-            split = rs.measured_contraction(inst, player, opponent, n_pairs=200)
-            dense = rs.measured_contraction(table, player, opponent, n_pairs=200)
+            split = rs.measured_contraction(inst, player, opponent)
+            dense = rs.measured_contraction(table, player, opponent)
             assert split == pytest.approx(dense, abs=1e-12)
             assert 0.0 < split < 1.0
 
     def test_deterministic_in_seed(self, g2, g2_uniform):
+        """One fixed sample: N_PAIRS pairs from [0, SPAN_CAP]^X drawn with seed 0."""
         phi, _ = g2_uniform
-        a = rs.measured_contraction(g2, 2, phi, n_pairs=50, seed=3)
-        b = rs.measured_contraction(g2, 2, phi, n_pairs=50, seed=3)
-        assert a == b
+        ratio = rs.measured_contraction(g2, 2, phi)
+        assert ratio == rs.measured_contraction(g2, 2, phi)
+        rng = np.random.default_rng(0)
+        v1, v2 = (rng.uniform(0.0, SPAN_CAP, size=(N_PAIRS, g2.n_states)) for _ in range(2))
+        ratios = []
+        for a, b in zip(v1, v2):
+            tv1, _ = rs.apply_T(g2, 2, phi, a)
+            tv2, _ = rs.apply_T(g2, 2, phi, b)
+            ratios.append(rs.span(tv1 - tv2) / rs.span(a - b))
+        assert ratio == pytest.approx(max(ratios), abs=1e-12)
 
     def test_parameter_validation(self, g2, g2_uniform):
+        """The sample is fixed: its size, box and seed are not arguments."""
         phi, _ = g2_uniform
-        with pytest.raises(ValueError):
-            rs.measured_contraction(g2, 2, phi, n_pairs=0)
-        for n_pairs, message in ((0, "n_pairs must be >= 1, got 0"),
-                                 (2.5, "n_pairs must be an integer, got 2.5")):
+        for keyword, value in (("n_pairs", N_PAIRS), ("span_cap", SPAN_CAP), ("seed", 0)):
+            with pytest.raises(TypeError, match=keyword):
+                rs.measured_contraction(g2, 2, phi, **{keyword: value})
+        for player, message in ((3, "player must be in [1, 2], got 3"),
+                                (True, "player must be an integer, got True")):
             with pytest.raises(ValueError) as raised:
-                rs.measured_contraction(g2, 2, phi, n_pairs=n_pairs)
+                rs.measured_contraction(g2, player, phi)
             assert str(raised.value) == message
-        with pytest.raises(ValueError):
-            rs.measured_contraction(g2, 2, phi, span_cap=0.0)
-        for span_cap, shown in ((float("nan"), "nan"), (float("inf"), "inf"), (-1.0, "-1.0")):
-            with pytest.raises(ValueError) as raised:
-                rs.measured_contraction(g2, 2, phi, span_cap=span_cap)
-            assert str(raised.value) == f"span_cap must be finite and > 0, got {shown}"
-        for seed, message in ((-1, "seed must be >= 0, got -1"),
-                              (0.0, "seed must be an integer, got 0.0")):
-            with pytest.raises(ValueError) as raised:
-                rs.measured_contraction(g2, 2, phi, seed=seed)
-            assert str(raised.value) == message
-        assert rs.measured_contraction(g2, 2, phi, n_pairs=50, seed=np.int64(3)) == (
-            rs.measured_contraction(g2, 2, phi, n_pairs=50, seed=3))

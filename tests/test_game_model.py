@@ -966,7 +966,10 @@ class TestSerialization:
 
     def test_canonical_form_is_sorted_and_compact(self):
         # the one writer indents and keeps insertion order
-        assert dumps_decimal({"b": 1.0, "a": 2.0}, indent=2) == '{\n  "b": 1,\n  "a": 2\n}'
+        assert dumps_decimal({"b": 1.0, "a": 2.0}) == '{\n  "b": 1,\n  "a": 2\n}'
+        # two spaces is the one layout: there is no indent to choose
+        with pytest.raises(TypeError):
+            dumps_decimal({"b": 1.0}, indent=4)
 
     def test_mixed_document_canonical_text(self):
         doc = {
@@ -978,7 +981,7 @@ class TestSerialization:
             "h": [], "i": [0.25], "j": [0.5, np.float64(0.1), 2.0],
             "k": [[0.1, 0.2], [], [1e308, -1e-308]],
         }
-        assert dumps_decimal(doc, indent=2) == MIXED_DOCUMENT_TEXT
+        assert dumps_decimal(doc) == MIXED_DOCUMENT_TEXT
 
     @pytest.mark.parametrize("doc", [
         [], {}, {"a": [], "b": {}},
@@ -988,11 +991,11 @@ class TestSerialization:
         {"x": [1, 2, [3, "s"]], "y": {"z": None, "w": False}, "v": 0.5},
     ])
     def test_indented_text_matches_json_dumps(self, doc):
-        assert dumps_decimal(doc, indent=2) == json.dumps(doc, indent=2)
+        assert dumps_decimal(doc) == json.dumps(doc, indent=2)
 
     def test_empty_containers_in_canonical_text(self):
         doc = {"b": {}, "a": [[], {}, [{}]]}
-        assert dumps_decimal(doc, indent=2) == (
+        assert dumps_decimal(doc) == (
             '{\n  "b": {},\n  "a": [\n    [],\n    {},\n    [\n      {}\n    ]\n  ]\n}'
         )
 

@@ -55,15 +55,18 @@ def decoupled_instance():
 
 
 class TestBestResponse:
+    """A solve is the player's best-response set against the opponent."""
+
     def test_fixture_vs_uniform(self, g2, g2_uniform):
         phi, _ = g2_uniform
-        br = rs.best_response(g2, 2, phi)
-        assert br.solve.rho == pytest.approx(0.26999347135527801, abs=1e-12)
-        assert [list(t) for t in br.tied_actions] == [[1], [1]]
-        assert_allclose(br.response_strategy.rows, [[0.0, 1.0], [0.0, 1.0]])
-        assert br.contains(br.response_strategy)
-        assert not br.contains(rs.uniform_strategy(g2, 2))
-        assert not br.contains(rs.pure_strategy(g2, 2, [0, 1]))
+        solve = rs.solve_optimality(g2, 2, phi)
+        assert solve.rho == pytest.approx(0.26999347135527801, abs=1e-12)
+        assert [list(t) for t in solve.tied_actions()] == [[1], [1]]
+        response = rs.pure_strategy(g2, 2, solve.selector)
+        assert_allclose(response.rows, [[0.0, 1.0], [0.0, 1.0]])
+        assert solve.contains(response)
+        assert not solve.contains(rs.uniform_strategy(g2, 2))
+        assert not solve.contains(rs.pure_strategy(g2, 2, [0, 1]))
 
     def test_membership_allows_mixing_over_ties(self, g2):
         # duplicate player 2's optimal column so two pure actions tie exactly
@@ -71,26 +74,38 @@ class TestBestResponse:
         c1 = np.concatenate([g2.cost1, g2.cost1[:, :, 1:2]], axis=2)
         c2 = np.concatenate([g2.cost2, g2.cost2[:, :, 1:2]], axis=2)
         inst = rs.GameInstance(t, c1, c2)
-        br = rs.best_response(inst, 2, rs.uniform_strategy(inst, 1))
-        assert [list(ti) for ti in br.tied_actions] == [[1, 2], [1, 2]]
+        solve = rs.solve_optimality(inst, 2, rs.uniform_strategy(inst, 1))
+        assert [list(ti) for ti in solve.tied_actions()] == [[1, 2], [1, 2]]
         mixed = rs.StationaryStrategy(
             2, np.array([[0.0, 0.4, 0.6], [0.0, 0.7, 0.3]])
         )
-        assert br.contains(mixed)
+        assert solve.contains(mixed)
         # any strategy supported on a tied set attains the optimal value
         assert rs.ergodic_cost(
             inst, 2, rs.uniform_strategy(inst, 1), mixed
-        ) == pytest.approx(br.solve.rho, abs=1e-9)
+        ) == pytest.approx(solve.rho, abs=1e-9)
 
     def test_decoupled_reply_ignores_opponent(self):
         inst = decoupled_instance()
         rng = np.random.default_rng(3)
         phi_a, _ = random_pair(inst, rng)
         phi_b, _ = random_pair(inst, rng)
-        br_a = rs.best_response(inst, 2, phi_a)
-        br_b = rs.best_response(inst, 2, phi_b)
-        assert br_a.solve.rho == pytest.approx(br_b.solve.rho, abs=1e-11)
-        assert list(br_a.solve.selector) == list(br_b.solve.selector)
+        solve_a = rs.solve_optimality(inst, 2, phi_a)
+        solve_b = rs.solve_optimality(inst, 2, phi_b)
+        assert solve_a.rho == pytest.approx(solve_b.rho, abs=1e-11)
+        assert list(solve_a.selector) == list(solve_b.selector)
+
+    def test_membership_refuses_the_other_player_or_a_misfit(self, g2, g2_uniform):
+        phi, psi = g2_uniform
+        solve = rs.solve_optimality(g2, 2, phi)
+        with pytest.raises(ValueError, match="belongs to player 1, expected player 2"):
+            solve.contains(phi)
+        with pytest.raises(ValueError, match="do not match the instance"):
+            solve.contains(rs.StationaryStrategy(2, np.full((3, 2), 0.5)))
+        with pytest.raises(ValueError, match="do not match the instance"):
+            solve.contains(rs.StationaryStrategy(2, np.full((2, 3), 1 / 3)))
+        assert not hasattr(rs, "best_response") and not hasattr(rs, "BestResponse")
+        assert not hasattr(nash, "best_response") and not hasattr(nash, "BestResponse")
 
 
 class TestEpsilonGap:
@@ -202,11 +217,11 @@ class TestBestResponseDynamics:
         assert cert.max_gap <= 1e-9
         assert rs.verify_certificate(inst, cert, eps=1e-9)
         # the damped iterates home in on both players' independent optima
-        for strategy, br in ((cert.Phi, rs.best_response(inst, 1, cert.Psi)),
-                             (cert.Psi, rs.best_response(inst, 2, cert.Phi))):
+        for strategy, solve in ((cert.Phi, rs.solve_optimality(inst, 1, cert.Psi)),
+                                (cert.Psi, rs.solve_optimality(inst, 2, cert.Phi))):
             assert np.all(strategy.rows.max(axis=1) >= 1 - 1e-8)
             heaviest = rs.pure_strategy(inst, strategy.player, strategy.rows.argmax(axis=1))
-            assert br.contains(heaviest)
+            assert solve.contains(heaviest)
 
     def test_flat_costs_certify_immediately(self):
         base = corpus_instance(2)
@@ -321,7 +336,6 @@ class TestBestResponseDynamics:
         phi, psi = rs.uniform_strategy(g2, 1), rs.uniform_strategy(g2, 2)
         removed = [
             (rs.solve_optimality, (g2, 1, psi), "tol", 1e-12),
-            (rs.best_response, (g2, 1, psi), "tol", 1e-12),
             (rs.epsilon_gap, (g2, phi, psi), "tol", 1e-12),
             (rs.best_response_dynamics, (g2,), "tol", 1e-12),
             (rs.best_response_dynamics, (g2,), "beta", nash.BETA),

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rsgame as rs
+from rsgame.bellman import TIE_TOL, TOL
 
 from helpers import frozen_pair_instance, random_pair
 
@@ -150,3 +151,87 @@ def test_certificate_values_match_the_spectral_oracle(seed, dims, log_theta, ara
             assert j == oracle, (player, j, oracle)
         else:
             assert abs(j - oracle) <= 8 * np.spacing(max(1.0, abs(oracle))), (player, j, oracle)
+
+
+def duplicate_action(inst: rs.GameInstance, player: int, k: int) -> rs.GameInstance:
+    """The assembled game with the player's action k copied to a new last action."""
+    a = inst.arat
+
+    def dup(table):
+        return np.concatenate([table, table[:, k:k + 1]], axis=1)
+
+    if player == 1:
+        arat = rs.AratStructure(dup(a.p1), a.p2, dup(a.c11), dup(a.c21), a.c12, a.c22)
+    else:
+        arat = rs.AratStructure(a.p1, dup(a.p2), a.c11, a.c21, dup(a.c12), dup(a.c22))
+    return rs.assemble_from_arat(arat, theta=inst.theta, anchor_state=inst.anchor_state)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    dims=st.tuples(st.integers(2, 5), st.integers(1, 3), st.integers(1, 3)),
+    log_theta=st.floats(-2.0, 2.0),
+    player=st.integers(1, 2),
+    action=st.integers(0, 2),
+    weights=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+)
+def test_the_best_response_set_attains_the_solve_value(
+    seed, dims, log_theta, player, action, weights
+):
+    """A solve's best-response set holds what attains rho and nothing outside its ties.
+
+    With the player's action k copied to a new action k', the two copies
+    have the same kernel rows, so they are tied together or not at all.
+    The selector, and any strategy that splits the selector's weight
+    between k and k' where it plays one of them, lies in the set.  Its value
+    J is a Perron root bounded by Collatz-Wielandt: with T_s v(x) =
+    ln sum_k s(k|x) e^{vals(x, k)} for the final sweep's action values,
+    J lies in [min, max] of T_s v - v, and T v <= T_s v <= T v + TIE_TOL on
+    a strategy supported on the ties.  rho = (T v - v)(anchor) lies in
+    [min, max] of T v - v, so |J - rho| <= span(T v - v) + TIE_TOL.  The
+    stopping rule puts span(T v - v) below max(TOL, 4 eps scale), and the
+    root's own bracket is below the same; each sum carries rounding of a
+    few eps scale, scale = max(1, max|action value|).
+    """
+    base = rs.random_instance(
+        seed, dims=dims, min_prob=0.02, theta=10.0 ** log_theta, arat_flag=True
+    )
+    k = action % (dims[1] if player == 1 else dims[2])
+    split = duplicate_action(base, player, k)
+    table = rs.GameInstance(
+        split.transition, split.cost1, split.cost2, split.theta, split.anchor_state
+    )
+    assert split._exact_arat is not None and table._exact_arat is None
+    phi, psi = random_pair(split, np.random.default_rng(seed))
+    for inst in (split, table):
+        opponent = psi if player == 1 else phi
+        solve = rs.solve_optimality(inst, player, opponent)
+        assert solve.converged
+        tied = solve.tied_actions()
+        copy = solve.action_values.shape[1] - 1
+        assert all((k in t) == (copy in t) for t in tied)
+        scale = max(1.0, float(np.abs(solve.action_values).max()))
+        eps_scale = np.finfo(float).eps * scale
+        bound = TIE_TOL + 2 * max(TOL, 4 * eps_scale) + 16 * eps_scale
+
+        def value(rows):
+            own = rs.StationaryStrategy(player, rows)
+            assert solve.contains(own)
+            pair = (own, psi) if player == 1 else (phi, own)
+            return rs.ergodic_cost(inst, player, *pair)
+
+        selector = rs.pure_strategy(inst, player, solve.selector).rows
+        mixed = selector.copy()
+        for x, a in enumerate(solve.selector):
+            if a in (k, copy):
+                mixed[x, k], mixed[x, copy] = weights[x], 1.0 - weights[x]
+        for rows in (selector, mixed):
+            assert abs(value(rows) - solve.rho) <= bound
+        # weight on an action outside a singleton tied set leaves the set
+        for x, t in enumerate(tied):
+            if len(t) == 1:
+                outside = selector.copy()
+                outside[x] = 0.5 * outside[x]
+                outside[x, (t[0] + 1) % outside.shape[1]] = 0.5
+                assert not solve.contains(rs.StationaryStrategy(player, outside))

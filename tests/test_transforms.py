@@ -516,7 +516,7 @@ class TestNormalizedKernel:
         inst = rs.random_instance(4, dims=dims, min_prob=1e-3, theta=theta)
         rng = np.random.default_rng(4)
         phi, psi = random_pair(inst, rng)
-        for x in (0, dims[0] - 1, -1):
+        for x in (0, dims[0] - 1):
             for player in (1, 2):
                 c_hat, p_hat = rs.normalized_kernel(inst, player, x, phi.rows[x], psi.rows[x])
                 c_ref, p_ref = all_rows_normalized_kernel(
@@ -524,11 +524,18 @@ class TestNormalizedKernel:
                 assert abs(c_hat - c_ref) <= np.spacing(abs(c_ref))
                 assert np.all(np.abs(p_hat - p_ref) <= np.spacing(p_ref))
 
-    def test_state_out_of_range_is_an_index_error(self, g2):
-        with pytest.raises(IndexError):
-            rs.normalized_kernel(g2, 1, 2, UNIFORM2, UNIFORM2)
-        with pytest.raises(IndexError):
-            rs.normalized_kernel(g2, 1, -3, UNIFORM2, UNIFORM2)
+    def test_state_out_of_range_is_refused(self, g2):
+        """x goes through the scalar gate: no negative index, bool or float is a state."""
+        for x, message in ((2, "x must be in [0, 2), got 2"),
+                           (-3, "x must be in [0, 2), got -3"),
+                           (-1, "x must be in [0, 2), got -1"),
+                           (True, "x must be an integer, got True"),
+                           (1.0, "x must be an integer, got 1.0")):
+            with pytest.raises(ValueError) as raised:
+                rs.normalized_kernel(g2, 1, x, UNIFORM2, UNIFORM2)
+            assert str(raised.value) == message
+        assert rs.normalized_kernel(g2, 1, np.int64(1), UNIFORM2, UNIFORM2)[0] == (
+            rs.normalized_kernel(g2, 1, 1, UNIFORM2, UNIFORM2)[0])
 
     def test_nan_rows_are_refused(self, g2):
         nan = np.array([np.nan, np.nan])
@@ -547,6 +554,81 @@ class TestNormalizedKernel:
             rs.normalized_kernel(g2, 1, 0, np.array([1.5, -0.5]), UNIFORM2)
         with pytest.raises(ValueError):
             rs.normalized_kernel(g2, 1, 0, np.array([1.0]), UNIFORM2)
+
+
+@pytest.fixture(params=["split", "table"])
+def g2_route(request, g2):
+    """g2, whose exact decomposition takes the split route, and its table-only copy."""
+    if request.param == "split":
+        assert g2._exact_arat is not None
+        return g2
+    return rs.GameInstance(g2.transition, g2.cost1, g2.cost2, g2.theta)
+
+
+class TestScalarGate:
+    """player and x go through the scalar gate on both routes."""
+
+    PLAYERS = [(0, "player must be in [1, 2], got 0"),
+               (3, "player must be in [1, 2], got 3"),
+               (2.0, "player must be an integer, got 2.0"),
+               ("1", "player must be an integer, got '1'"),
+               (True, "player must be an integer, got True")]
+
+    @pytest.mark.parametrize("player, message", PLAYERS)
+    def test_log_twisted_tensor(self, g2_route, player, message):
+        rows = np.full((2, 2), 0.5)
+        with pytest.raises(ValueError) as raised:
+            log_twisted_tensor(g2_route, player, rows, rows)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("player, message", PLAYERS)
+    def test_ergodic_cost(self, g2_route, player, message):
+        phi, psi = rs.uniform_strategy(g2_route, 1), rs.uniform_strategy(g2_route, 2)
+        for kernel in (None, rs.solve_optimality(g2_route, 1, psi).kernel):
+            with pytest.raises(ValueError) as raised:
+                rs.ergodic_cost(g2_route, player, phi, psi, kernel=kernel)
+            assert str(raised.value) == message
+
+    @pytest.mark.parametrize("player, message", PLAYERS)
+    def test_normalized_kernel(self, g2_route, player, message):
+        with pytest.raises(ValueError) as raised:
+            rs.normalized_kernel(g2_route, player, 0, UNIFORM2, UNIFORM2)
+        assert str(raised.value) == message
+
+    def test_numpy_integers_are_players(self, g2_route):
+        rows = np.full((2, 2), 0.5)
+        for player in (1, 2):
+            assert_array_equal(log_twisted_tensor(g2_route, np.int64(player), rows, rows),
+                               log_twisted_tensor(g2_route, player, rows, rows))
+
+
+class TestStrategyRows:
+    """Strategy rows into log_twisted_tensor are probability rows over every state."""
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.full((2, 2), 5.0), "is not a probability vector"),
+        (np.array([[1.5, -0.5], [0.5, 0.5]]), "is not a probability vector"),
+        (np.array([[np.nan, 0.5], [0.5, 0.5]]), "is not a probability vector"),
+        (np.array([[0.5, 0.5 + 2e-9], [0.5, 0.5]]), "is not a probability vector"),
+        (np.array([[1.0, 0.0]]), r"must have shape \(2, 2\), got \(1, 2\)"),
+        (np.array([1.0, 0.0]), r"must have shape \(2, 2\), got \(2,\)"),
+        (np.full((3, 2, 3), 1 / 3), r"must have shape \(3, 2, 2\), got \(3, 2, 3\)"),
+    ], ids=["sum-10", "negative", "nan", "sum-off", "one-state", "vector", "actions"])
+    def test_bad_rows_are_refused(self, g2_route, bad, message):
+        good = np.full((2, 2), 0.5)
+        with pytest.raises(ValueError, match="phi " + message):
+            log_twisted_tensor(g2_route, 1, bad, good)
+        with pytest.raises(ValueError, match="psi " + message):
+            log_twisted_tensor(g2_route, 2, good, bad)
+
+    def test_rows_within_the_tolerance_are_kept_as_given(self, g2_route):
+        """No renormalization: a row summing to 1 + 5e-10 mixes in as it is."""
+        rows = np.full((2, 2), 0.5)
+        drift = rows.copy()
+        drift[0] += 2.5e-10
+        scaled = log_twisted_tensor(g2_route, 1, drift, rows)
+        assert_allclose(scaled[0] - log_twisted_tensor(g2_route, 1, rows, rows)[0],
+                        np.log1p(5e-10), rtol=1e-6)
 
 
 class TestTwistedMeasure:

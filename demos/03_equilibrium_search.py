@@ -5,9 +5,11 @@ their ergodic value by more than eps through a unilateral stationary
 deviation.  The deviation gaps eps_i = J_i - rho_i* are computable exactly:
 J_i by a spectral radius, rho_i* by value iteration.  Two search routines:
 
-* best_response_dynamics -- damped alternating replies with annealed logit
-  smoothing; fast when it converges, but convergence is not guaranteed for
-  nonzero-sum games, so every run ends with an independent certificate.
+* best_response_dynamics -- pure alternating best replies first, which stop
+  at a fixed point of the best-response map; when they cycle, damped
+  alternating replies with annealed logit smoothing.  Convergence is not
+  guaranteed for nonzero-sum games, so every run ends with an independent
+  certificate, whose stage names the search that found the pair.
 * brute_force_nash -- exhaustive simplex-grid enumeration; existence-aware,
   and the backstop when dynamics cycle.
 """
@@ -28,10 +30,10 @@ print(f"  gaps: eps1 = {cert.eps1:.6f}, eps2 = {cert.eps2:.6f}"
       f"  -> not an equilibrium")
 
 # ---------------------------------------------------------------------------
-# damped best-response dynamics
+# best-response dynamics
 # ---------------------------------------------------------------------------
 found = rs.best_response_dynamics(g2)
-print(f"\ndynamics converged = {found.converged} after {found.rounds} rounds")
+print(f"\ndynamics converged = {found.converged} after {found.rounds} {found.stage} rounds")
 print(f"  certified max gap {found.max_gap:.2e}")
 print("  Phi ->", found.Phi.rows.round(6).tolist())
 print("  Psi ->", found.Psi.rows.round(6).tolist())

@@ -3,7 +3,7 @@
 Subcommands: ``validate`` (assumption diagnostics), ``solve`` (one player's
 optimality equation against a fixed opponent file), ``eval`` (spectral,
 finite-horizon, and Monte Carlo values of a strategy pair), ``nash``
-(best-response dynamics with certification), ``brute`` (grid enumeration),
+(best-response search with certification), ``brute`` (grid enumeration),
 and ``gen`` (instance generation).  Strategy arguments accept either a file
 path or the literal ``uniform``.
 
@@ -101,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", type=int, default=None,
                     help="start state for horizon/MC sections (default: anchor)")
 
-    sp = sub.add_parser("nash", help="search for an equilibrium by damped dynamics")
+    sp = sub.add_parser(
+        "nash", help="search for an equilibrium by pure best responses, then damped dynamics")
     common(sp)
     sp.add_argument("--eps", type=float, default=DEFAULT_EPS_TARGET,
                     help="certification target for max(eps1, eps2)")
@@ -253,7 +254,7 @@ def _nash(args, instance) -> tuple[int, dict]:
             file=sys.stderr,
         )
     payload = {**certificate_to_dict(cert), "max_gap": cert.max_gap, "verified": verified,
-               "stage": "snap" if cert.snapped else "dynamics"}
+               "stage": cert.stage}
     return (0 if cert.converged and verified else 1), payload
 
 

@@ -14,9 +14,14 @@ Certificates are sound regardless of how a candidate pair was produced,
 and verify_certificate recomputes every value independently, from doubly
 mixed kernels of its own.
 
-Candidates come from two searchers.  best_response_dynamics runs damped
-alternating best responses, smoothed through an annealed logit map to avoid
-the discontinuous jumps of exact argmins; convergence is not guaranteed
+Candidates come from two searchers.  best_response_dynamics first iterates
+the paper's best-response map over pure selectors: each player in turn
+takes its solve's selector against the other's pure strategy, and a pair
+that maps to itself is a fixed point of the map, certified from the two
+solves that found it.  When no pure fixed point certifies (the selectors
+cycle, or the rounds run out), it runs damped alternating best responses
+from the same start, smoothed through an annealed logit map to avoid the
+discontinuous jumps of exact argmins; convergence is not guaranteed
 (cycling is a reportable outcome, not a bug), so the best certificate seen
 is always returned, with a cycle report on failure; when the rounds run
 out, the argmax pure pair of that certificate is certified once more.
@@ -83,9 +88,12 @@ class NashCertificate:
     eps_i = J_i - rho_i_star measures how much player i could gain by the
     best unilateral deviation; both are nonnegative up to solver noise
     (~1e-9).  The pair is an eps-Nash point iff max_gap <= eps.  cycle, when
-    present, is the dynamics' repeating-fingerprint report, and snapped is
-    True when the dynamics certified the argmax pure pair of their best
-    certificate rather than a pair they played.
+    present, is the dynamics' repeating-fingerprint report.  stage names the
+    stage of best_response_dynamics that produced the pair (see its
+    docstring for what rounds counts in each): "pure" for a fixed point of
+    the pure best responses, "snap" for the argmax pure pair of the logit
+    dynamics' best certificate, and "dynamics" for a pair the logit
+    dynamics played, the entry pair and every certificate made elsewhere.
     """
 
     Phi: StationaryStrategy
@@ -99,7 +107,7 @@ class NashCertificate:
     rounds: int = 0
     converged: bool = True
     cycle: dict | None = None
-    snapped: bool = False
+    stage: str = "dynamics"
 
     @property
     def max_gap(self) -> float:
@@ -113,6 +121,7 @@ def _certificate(
     solve1: SolveResult,
     solve2: SolveResult,
     rounds: int = 0,
+    stage: str = "dynamics",
 ) -> NashCertificate:
     """The pair's certificate from each player's solve against the other's strategy.
 
@@ -125,7 +134,7 @@ def _certificate(
         Phi=Phi, Psi=Psi, J1=j1, J2=j2,
         rho1_star=solve1.rho, rho2_star=solve2.rho,
         eps1=j1 - solve1.rho, eps2=j2 - solve2.rho,
-        rounds=rounds,
+        rounds=rounds, stage=stage,
     )
 
 
@@ -190,15 +199,59 @@ def _fingerprint(phi_rows: np.ndarray, psi_rows: np.ndarray) -> int:
     return hash((np.round(phi_rows, 9).tobytes(), np.round(psi_rows, 9).tobytes()))
 
 
+def _pure_fixed_point(
+    instance: GameInstance, solve1: SolveResult, max_rounds: int, eps_target: float
+) -> NashCertificate | None:
+    """Pure alternating best responses from solve1, player 1's solve against the start.
+
+    f starts as solve1's selector.  A round takes g, player 2's selector
+    against pure f, then f', player 1's selector against pure g.  When f' is
+    f, the pure pair (f, g) is a fixed point of the best-response map,
+    certified from the round's two solves; that certificate is returned,
+    with rounds the number of rounds played, if it meets eps_target.  None
+    when it misses, when f' was an earlier f (so the (f, g) pairs cycle) or
+    after max_rounds rounds.
+    """
+    f = solve1.selector
+    seen = {f.tobytes()}
+    for rounds in range(1, max_rounds + 1):
+        Phi = pure_strategy(instance, 1, f)
+        solve2 = solve_optimality(instance, 2, Phi)
+        Psi = pure_strategy(instance, 2, solve2.selector)
+        solve1 = solve_optimality(instance, 1, Psi)
+        if np.array_equal(solve1.selector, f):
+            cert = _certificate(instance, Phi, Psi, solve1, solve2, rounds, "pure")
+            return cert if cert.max_gap <= eps_target else None
+        f = solve1.selector
+        if f.tobytes() in seen:
+            return None
+        seen.add(f.tobytes())
+    return None
+
+
 def best_response_dynamics(
     instance: GameInstance,
     init_pair: tuple[StationaryStrategy, StationaryStrategy] | None = None,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     eps_target: float = DEFAULT_EPS_TARGET,
 ) -> NashCertificate:
-    """Damped alternating best responses with annealed logit smoothing.
+    """Pure best responses, then damped alternating best responses with annealed logit smoothing.
 
-    Each round updates player 1 against the current Psi, then player 2
+    The starting pair is certified first and returned if it meets
+    eps_target (rounds 0, stage "dynamics").  Otherwise stage 1 iterates
+    the best-response map over pure strategies: from player 1's selector
+    against the starting Psi, each player in turn plays its solve's
+    selector (the lowest action among ties) against the other's pure
+    strategy.  A pure pair that maps to itself is certified from the two
+    solves of its round, at no extra solve, and returned with stage "pure"
+    and rounds the number of pure rounds if it meets eps_target.  On an
+    additive (ARAT) instance this usually takes about two rounds.  When the
+    selectors cycle, the fixed point misses eps_target or max_rounds pure
+    rounds pass, the logit dynamics below run from the same starting pair
+    and their result is returned as it is: stage 1 adds solves but changes
+    nothing they return.
+
+    Each logit round updates player 1 against the current Psi, then player 2
     against the already-updated Phi:
 
         Phi <- (1 - BETA) Phi + BETA * logit_tau(player-1 action values)
@@ -208,22 +261,23 @@ def best_response_dynamics(
     TAU0 = 0.1 by a factor TAU_DECAY = 0.85 a round down to TAU_MIN = 1e-4.
     These are constants of the search, not of the game: a certificate is
     sound however its pair was found.  After each round the current pair
-    is certified; the run stops as soon as max(eps1, eps2) <= eps_target.
+    is certified; the run stops as soon as max(eps1, eps2) <= eps_target,
+    with stage "dynamics" and rounds the number of logit rounds.
     On exhausting max_rounds the argmax pure pair of the best certificate
     seen (per state, each player's heaviest action, the lowest among ties)
-    is certified once, and returned with snapped=True if it meets
-    eps_target: dynamics that settle next to a pure equilibrium at the
-    temperature floor approach it without reaching it.  Otherwise the best
-    certificate seen is returned with converged=False, and in either case
-    with a cycle report when the recent strategy-pair fingerprint window
-    contained a repeat.
+    is certified once, and returned with stage "snap" and rounds max_rounds
+    if it meets eps_target: dynamics that settle next to a pure equilibrium
+    at the temperature floor approach it without reaching it.  Otherwise
+    the best certificate seen is returned with converged=False and rounds
+    max_rounds, and in either case with a cycle report when the recent
+    strategy-pair fingerprint window contained a repeat.
     Non-convergence is a legitimate outcome of this class of dynamics and
     must be handled by the caller.
 
     Args:
         init_pair: starting (Phi, Psi); uniform randomization by default.
-        max_rounds: round cap, an integer >= 0 (0 certifies the starting
-            pair and its argmax pure pair alone).
+        max_rounds: round cap of each stage, an integer >= 0 (0 certifies
+            the starting pair and its argmax pure pair alone).
         eps_target: certification target for max(eps1, eps2), a real,
             finite and > 0.
     """
@@ -239,9 +293,12 @@ def best_response_dynamics(
     best: NashCertificate = epsilon_gap(instance, Phi, Psi)
     if best.max_gap <= eps_target:
         return best
+    solve1 = solve_optimality(instance, 1, Psi)
+    pure = _pure_fixed_point(instance, solve1, max_rounds, eps_target)
+    if pure is not None:
+        return pure
     seen: deque[int] = deque(maxlen=CYCLE_WINDOW)
     cycle: dict | None = None
-    solve1 = solve_optimality(instance, 1, Psi)
     tau = TAU0
     for rounds in range(1, max_rounds + 1):
         Phi = _response(Phi, solve1, tau)
@@ -267,7 +324,7 @@ def best_response_dynamics(
         pure_strategy(instance, s.player, s.rows.argmax(axis=1)) for s in (best.Phi, best.Psi)
     ))
     if snap.max_gap <= eps_target:
-        return replace(snap, rounds=max_rounds, cycle=cycle, snapped=True)
+        return replace(snap, rounds=max_rounds, cycle=cycle, stage="snap")
     return replace(best, rounds=max_rounds, converged=False, cycle=cycle)
 
 

@@ -10,7 +10,8 @@ many steps are held at once, and a single path (sample_path) sees the
 stream a one-path Monte Carlo run sees.  Each index is drawn by inverse-CDF
 sampling, as the first whose cumulative probability exceeds its uniform,
 found by a vectorised binary search over the cumulative row (_drawer), so a
-draw costs log2 of the row width in one-element gathers per path.
+draw costs log2 of the row width in one-element gathers per path; a pure
+strategy's actions are looked up instead, one gather per path.
 
 mc_cost_estimate targets the n-th increment of the log moment generating
 function, ln E_x[e^{theta S_n}] - ln E_x[e^{theta S_{n-1}}] — the exact
@@ -76,10 +77,19 @@ def _drawer(probs: np.ndarray, n_paths: int):
     path: at half-width s it probes entry pos + s - 1 and moves pos up by s
     when that entry is <= u.  Its scratch is five O(n_paths) buffers, reused
     from step to step.
+
+    A table whose every row has exactly one positive entry, a pure
+    strategy's, is drawn by one lookup of that entry's index instead: its
+    cumulative row is 0 before the entry and +inf from it on, so the search
+    picks that index for every u in [0, 1).
     """
     width = probs.shape[-1]
-    span = 1 << (width - 1).bit_length()  # the least power of two >= width
     rows = probs.reshape(-1, width)
+    positive = rows > 0.0
+    if np.all(positive.sum(axis=1) == 1):
+        picks = positive.argmax(axis=1)
+        return lambda r, u: picks.take(r)
+    span = 1 << (width - 1).bit_length()  # the least power of two >= width
     table = np.full((rows.shape[0], span), np.inf)
     np.cumsum(rows, axis=1, out=table[:, :width])
     # column k is +inf in the rows whose entries after k are all zero; the

@@ -413,7 +413,7 @@ class TestNashCommand:
         assert code == 0
         assert report["converged"] is True
         assert report["verified"] is True
-        assert report["stage"] == "dynamics"
+        assert report["stage"] == "pure"
         assert report["max_gap"] <= 1e-6
         assert report["rounds"] <= 30
         phi_rows = np.array(report["phi"]["rows"])

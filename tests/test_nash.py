@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import tracemalloc
 
@@ -18,6 +19,28 @@ RESULT_COLUMNS = ("phi_index", "psi_index", "J1", "J2", "rho1_star", "rho2_star"
                   "eps1", "eps2")
 CERTIFICATE_FIELDS = ("J1", "J2", "rho1_star", "rho2_star", "eps1", "eps2",
                       "rounds", "converged", "cycle")
+
+#: best_response_dynamics on random_instance(seed, (50, 4, 4), 0.002, arat_flag=True)
+#: for five seeds whose pure best responses cycle, recorded before the pure stage
+#: existed: rounds, converged, the float.hex of J1, J2, rho1_star, rho2_star, eps1
+#: and eps2, and rows_digest of the pair
+CYCLERS = {
+    3014952562: (41, True, "0x1.78517cefcd8c8p-2 0x1.7bd5beb02f568p-2 0x1.785175cd7d905p-2 "
+                 "0x1.7bd587c49afe3p-2 0x1.c893ff0c00000p-24 0x1.b75ca2c280000p-21",
+                 "cb755dffabb17bf9"),
+    392971717: (40, True, "0x1.40f5f26cc1960p-2 0x1.668f2dde9fc0cp-2 0x1.40f5ce4ed4130p-2 "
+                "0x1.668ef26164fd7p-2 0x1.20ef6c1800000p-21 0x1.dbe9d61a80000p-21",
+                "89cd3e9597a22f5b"),
+    4275914066: (42, True, "0x1.63ef7114d1e68p-2 0x1.8c76034cc2448p-2 0x1.63ef66dc3cbd5p-2 "
+                 "0x1.8c75cc5a908a3p-2 0x1.4712a52600000p-23 0x1.b7918dd280000p-21",
+                 "10e0793fd22db5bc"),
+    2607653292: (500, False, "0x1.5b29098eb3300p-2 0x1.3b618a6230980p-2 0x1.5b28b231cb09ap-2 "
+                 "0x1.3b61119e4680dp-2 0x1.5d73a09980000p-20 0x1.e30fa85cc0000p-20",
+                 "f42d5a51bea75626"),
+    2499358252: (500, False, "0x1.4ce565c70510cp-2 0x1.81144868a1e30p-2 0x1.4ce4e416209a2p-2 "
+                 "0x1.8113aac991e5ep-2 0x1.0361c8ed40000p-19 0x1.3b3e1ffa40000p-19",
+                 "5614c1dfd3f419a5"),
+}
 
 # Deviation gaps of the uniform pair on the bundled fixture, frozen from a
 # converged high-precision run.
@@ -40,6 +63,11 @@ def count_kernel_builds(monkeypatch) -> list:
         monkeypatch.setattr(module, "log_twisted_tensor", counted(rs.log_twisted_tensor))
     monkeypatch.setattr(rs.bellman, "_table_side", counted(rs.bellman._table_side))
     return calls
+
+
+def rows_digest(cert) -> str:
+    """The first 16 hex digits of the sha256 of Phi's then Psi's float64 rows."""
+    return hashlib.sha256(cert.Phi.rows.tobytes() + cert.Psi.rows.tobytes()).hexdigest()[:16]
 
 
 def decoupled_instance():
@@ -212,11 +240,11 @@ class TestBestResponseDynamics:
     def test_decoupled_game_converges_to_the_independent_optima(self):
         inst = decoupled_instance()
         cert = rs.best_response_dynamics(inst, eps_target=1e-9)
-        assert cert.converged and not cert.snapped
+        assert cert.converged and cert.stage == "pure"
         assert cert.rounds <= 30
         assert cert.max_gap <= 1e-9
         assert rs.verify_certificate(inst, cert, eps=1e-9)
-        # the damped iterates home in on both players' independent optima
+        # the pure responses reach both players' independent optima
         for strategy, solve in ((cert.Phi, rs.solve_optimality(inst, 1, cert.Psi)),
                                 (cert.Psi, rs.solve_optimality(inst, 2, cert.Phi))):
             assert np.all(strategy.rows.max(axis=1) >= 1 - 1e-8)
@@ -242,23 +270,51 @@ class TestBestResponseDynamics:
         assert cert.cycle["period"] == 1  # stationary repeat at the fixed point
         assert cert.cycle["round"] <= 120
 
-    def test_snapped_pure_pair_certifies_when_the_rounds_run_out(self):
-        # the logit dynamics settle next to a pure equilibrium at tau_min
-        # (a period-1 cycle) with a gap of ~1.2e-6, just above the target
+    def test_snapped_pure_pair_certifies_when_the_rounds_run_out(self, g2):
+        # with no rounds neither stage plays: the mixed starting pair misses
+        # the target, and its argmax pure pair, g2's equilibrium, is the snap
+        phi = rs.StationaryStrategy(1, [[0.9, 0.1], [0.6, 0.4]])
+        psi = rs.StationaryStrategy(2, [[0.2, 0.8], [0.3, 0.7]])
+        assert rs.epsilon_gap(g2, phi, psi).max_gap > nash.DEFAULT_EPS_TARGET
+        cert = rs.best_response_dynamics(g2, init_pair=(phi, psi), max_rounds=0)
+        assert cert.converged and cert.stage == "snap"
+        assert cert.rounds == 0 and cert.cycle is None
+        assert cert.max_gap <= nash.DEFAULT_EPS_TARGET
+        assert cert.Phi.rows.tolist() == [[1.0, 0.0], [1.0, 0.0]]
+        assert cert.Psi.rows.tolist() == [[0.0, 1.0], [0.0, 1.0]]
+        assert rs.verify_certificate(g2, cert, nash.DEFAULT_EPS_TARGET)
+
+    def test_the_former_snap_instance_certifies_in_the_pure_stage(self):
+        # the logit dynamics reach this instance's pure equilibrium only by
+        # the snap after 500 rounds; pure best responses reach the same pair
+        # in 2, with the snapped certificate's values
         inst = rs.random_instance(2323222959, dims=(50, 4, 4), min_prob=0.002, arat_flag=True)
         cert = rs.best_response_dynamics(inst)
-        assert cert.converged and cert.snapped
-        assert cert.rounds == nash.DEFAULT_MAX_ROUNDS
-        assert cert.cycle == {"round": nash.DEFAULT_MAX_ROUNDS, "period": 1}
-        assert cert.max_gap <= nash.DEFAULT_EPS_TARGET
-        for strategy in (cert.Phi, cert.Psi):
-            assert np.all(strategy.rows.max(axis=1) == 1.0)
+        assert cert.converged and cert.stage == "pure"
+        assert cert.rounds == 2
+        assert cert.cycle is None
+        snapped = ("0x1.691e9c8f75210p-2", "0x1.6599ddb603240p-2", "0x1.691e9c8f75215p-2",
+                   "0x1.6599ddb60323cp-2", "-0x1.4000000000000p-52", "0x1.0000000000000p-52")
+        assert tuple(float(getattr(cert, name)).hex()
+                     for name in CERTIFICATE_FIELDS[:6]) == snapped
+        assert rows_digest(cert) == "cc22053bc669b224"
         assert rs.verify_certificate(inst, cert, nash.DEFAULT_EPS_TARGET)
+
+    @pytest.mark.parametrize("seed", sorted(CYCLERS))
+    def test_a_cycle_of_pure_responses_falls_back_to_the_logit_dynamics(self, seed):
+        inst = rs.random_instance(seed, dims=(50, 4, 4), min_prob=0.002, arat_flag=True)
+        cert = rs.best_response_dynamics(inst)
+        rounds, converged, values, digest = CYCLERS[seed]
+        assert cert.stage == "dynamics" and cert.cycle is None
+        assert (cert.rounds, cert.converged) == (rounds, converged)
+        assert " ".join(float(getattr(cert, name)).hex()
+                        for name in CERTIFICATE_FIELDS[:6]) == values
+        assert rows_digest(cert) == digest
 
     def test_a_snap_that_misses_the_target_keeps_the_best_pair(self):
         inst = rs.random_instance(2607653292, dims=(50, 4, 4), min_prob=0.002, arat_flag=True)
         cert = rs.best_response_dynamics(inst)
-        assert not cert.converged and not cert.snapped
+        assert not cert.converged and cert.stage == "dynamics"
         assert cert.cycle is None
         # the best pair the dynamics played, mixed, and its own certificate
         assert cert.max_gap == pytest.approx(1.7995430631745357e-06, rel=1e-9)
@@ -279,14 +335,16 @@ class TestBestResponseDynamics:
         inst = corpus_instance(3, dims=(4, 3, 3))
         calls = count_kernel_builds(monkeypatch)
         counts = []
-        for rounds in (1, 2, 3):
+        for rounds in (1, 3, 6):
             calls.clear()
             cert = rs.best_response_dynamics(inst, eps_target=1e-15, max_rounds=rounds)
             assert not cert.converged and cert.rounds == rounds
             counts.append(len(calls))
         # entry certificate (2) and player 1's first response (1), then 2 a
-        # round, and the snapped pair's certificate (2) once the rounds run out
-        assert counts == [7, 9, 11]
+        # pure round, 2 a logit round, and the snapped pair's certificate (2)
+        # once the rounds run out; the pure rounds stop at the cap, or at
+        # round 4, where player 1's selector repeats
+        assert counts == [2 + 1 + 2 + 2 + 2, 2 + 1 + 6 + 6 + 2, 2 + 1 + 8 + 12 + 2]
 
     def test_round_values_match_the_independent_oracles(self):
         inst = corpus_instance(3, dims=(4, 3, 3))

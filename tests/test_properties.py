@@ -235,3 +235,31 @@ def test_the_best_response_set_attains_the_solve_value(
                 outside[x] = 0.5 * outside[x]
                 outside[x, (t[0] + 1) % outside.shape[1]] = 0.5
                 assert not solve.contains(rs.StationaryStrategy(player, outside))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_states=st.sampled_from([2, 3, 6]),
+    actions=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    arat_flag=st.booleans(),
+)
+def test_a_pure_stage_pair_is_a_fixed_point_of_the_best_response_map(
+    seed, n_states, actions, arat_flag
+):
+    """A pair the pure stage returns is pure, and each strategy lies in the
+    best-response set against the other, so the pair is a fixed point of the
+    paper's best-response map; its certificate verifies from scratch."""
+    inst = rs.random_instance(
+        seed, dims=(n_states, *actions), min_prob=0.02, arat_flag=arat_flag
+    )
+    cert = rs.best_response_dynamics(inst)
+    if cert.stage != "pure":
+        return
+    assert cert.converged and cert.rounds >= 1 and cert.cycle is None
+    for strategy in (cert.Phi, cert.Psi):
+        assert np.all(np.isin(strategy.rows, (0.0, 1.0)))
+        assert np.all(strategy.rows.sum(axis=1) == 1.0)
+    assert rs.solve_optimality(inst, 1, cert.Psi).contains(cert.Phi)
+    assert rs.solve_optimality(inst, 2, cert.Phi).contains(cert.Psi)
+    assert rs.verify_certificate(inst, cert, rs.nash.DEFAULT_EPS_TARGET)

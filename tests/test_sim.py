@@ -125,6 +125,30 @@ class TestDrawRule:
             1, 1, 3, 3, 3,
         ]
 
+    def test_pure_rows_draw_their_one_action_for_every_u(self):
+        rows = np.eye(5)[[3, 0, 4, 4, 1, 2]]
+        u = np.array([0.0, 0.2, 0.5, 0.7, 0.9, np.nextafter(1.0, 0.0)])
+        draw = sim._drawer(rows, len(u))
+        for r in range(len(rows)):
+            got = draw(np.full(len(u), r), u)
+            assert_array_equal(got, count_rule(rows[[r] * len(u)], u))
+            assert got.tolist() == [[3, 0, 4, 4, 1, 2][r]] * len(u)
+
+    def test_a_mixed_row_keeps_the_table_on_the_search(self):
+        pure = np.eye(4)[[2, 0, 3]]
+        table = np.vstack([pure, [0.25, 0.25, 0.0, 0.5]])
+        u = np.array([0.0, 0.3, 0.6, np.nextafter(1.0, 0.0)])
+        draw = sim._drawer(table, len(u))
+        # the mixed row draws by its cumulative sums, so its picks vary with u
+        mixed = draw(np.full(len(u), 3), u)
+        assert mixed.tolist() == [0, 1, 3, 3]
+        assert_array_equal(mixed, count_rule(table[[3] * len(u)], u))
+        # and the pure rows draw on the search what the lookup draws
+        lookup = sim._drawer(pure, len(u))
+        for r in range(len(pure)):
+            rows = np.full(len(u), r)
+            assert_array_equal(draw(rows, u), lookup(rows, u))
+
     # widths on both sides of a power of two cover the +inf padding; one
     # path per call reuses the scratch buffers across 300 calls
     @pytest.mark.parametrize("n_paths", [1, 300])

@@ -20,6 +20,7 @@ unwritable output file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -58,7 +59,13 @@ from .sim import mc_cost_estimate
 from .spectral import ergodic_cost, finite_horizon_growth
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    ``parse_args`` returns a new namespace on every call, so the one parser
+    serves every :func:`main` call.
+    """
     p = argparse.ArgumentParser(
         prog="rsgame",
         description="Solvers for two-player stochastic games under the "

@@ -8,10 +8,18 @@ streamed one (variable, path) block per step, so they are consumed in a
 fixed (step, variable, path) order: path i uses the same uniforms however
 many steps are held at once, and a single path (sample_path) sees the
 stream a one-path Monte Carlo run sees.  Each index is drawn by inverse-CDF
-sampling, as the first whose cumulative probability exceeds its uniform,
-found by a vectorised binary search over the cumulative row (_drawer), so a
-draw costs log2 of the row width in one-element gathers per path; a pure
-strategy's actions are looked up instead, one gather per path.
+sampling, as the first whose cumulative probability exceeds its uniform
+(_drawer).  A draw reads its pick from an exact bucket table, one gather
+per path: each row's [0, 1) is cut into a power of two of buckets, as many
+as the table's shape leaves within BUCKET_BYTES, and a bucket holds the
+pick of every uniform in it unless a cumulative entry falls inside it.  The
+paths that land on such a bucket fall back to a vectorised binary search
+over the cumulative row, log2 of the row width in gathers per path, which
+every path takes when the budget leaves fewer buckets than the row is
+wide.  A pure strategy's actions are looked up, one gather per path.  When
+both strategies are pure, next states are drawn from the X rows the pair
+can reach, (x, f(x), g(x)), which an assembled instance forms from its
+decomposition without building the transition table.
 
 mc_cost_estimate targets the n-th increment of the log moment generating
 function, ln E_x[e^{theta S_n}] - ln E_x[e^{theta S_{n-1}}] — the exact
@@ -59,6 +67,54 @@ class McEstimate:
     seed: int
 
 
+#: bytes a drawer's bucket table may take: at one byte a bucket (rows up to
+#: 128 wide), small enough that the table stays in a core's L2 cache
+BUCKET_BYTES = 256 * 2**10
+
+
+def _pure_picks(rows: np.ndarray) -> np.ndarray | None:
+    """Each row's one positive index, if every row has exactly one; else None."""
+    positive = rows > 0.0
+    if np.all(positive.sum(axis=1) == 1):
+        return positive.argmax(axis=1)
+    return None
+
+
+def _buckets(table: np.ndarray, width: int) -> np.ndarray | None:
+    """[row, bucket] picks of a padded cumulative table, -1 where a draw must search.
+
+    Each row has m buckets, m the largest power of two that keeps the table
+    within BUCKET_BYTES, in the smallest signed type that holds the width;
+    None when that leaves fewer buckets than the padded width.  Bucket b
+    covers u in [b/m, (b+1)/m).  Its pick is the count of cumulative entries
+    c <= b/m, that is of ceil(c*m) <= b; it is -1 when a finite entry lies
+    strictly inside the bucket, where floor(c*m) = b < ceil(c*m).  m is a
+    power of two, so c*m and its floor and ceiling are exact: the table is
+    built from integer counts, with no float tolerance.  The rows go a block
+    at a time, with scratch no larger than the table.
+    """
+    n_rows, span = table.shape
+    dtype = np.min_scalar_type(-width)
+    fit = BUCKET_BYTES // (n_rows * dtype.itemsize)
+    if fit < span:
+        return None
+    m = 1 << (fit.bit_length() - 1)
+    picks = np.empty((n_rows, m), dtype=dtype)
+    values = np.arange(width + 1, dtype=picks.dtype)
+    step = max(1, picks.nbytes // (64 * (width + 1) + picks[0].nbytes))
+    for i in range(0, n_rows, step):
+        scaled = table[i:i + step, :width] * m  # the +inf tail stays +inf
+        up = np.minimum(np.ceil(scaled), m)
+        # pick j fills the buckets from ceil(c_{j-1} m) up to ceil(c_j m)
+        counts = np.diff(up, axis=1, prepend=0.0, append=float(m)).astype(np.intp)
+        block = picks[i:i + step]
+        block.reshape(-1)[:] = np.repeat(np.tile(values, len(block)), counts.ravel())
+        down = np.floor(scaled)
+        rr, kk = np.nonzero(down < up)  # an entry strictly inside bucket floor(c*m)
+        block[rr, down[rr, kk].astype(np.intp)] = -1
+    return picks
+
+
 def _drawer(probs: np.ndarray, n_paths: int):
     """Draw function over the rows of a probability table.
 
@@ -71,23 +127,35 @@ def _drawer(probs: np.ndarray, n_paths: int):
     cumulative sum never decrease in floating point, so the pick equals the
     count of entries <= u, clamped to the last positive index.
 
-    The count is found by binary search (inverse-CDF sampling by bisection,
+    The count is read from a bucket table where it can be (inverse-CDF
+    sampling by guide tables, Chen and Asau 1974).  Each row has m buckets,
+    m the largest power of two that keeps the table within BUCKET_BYTES;
+    bucket b covers u in [b/m, (b+1)/m) and holds the pick of every u in it,
+    or -1 when a cumulative entry falls strictly inside it (see _buckets).
+    A draw reads bucket r*m + floor(u*m), one gather per path, and only the
+    paths that land on a -1, or whose u lies outside [0, 1), search.  With
+    at most width - 1 finite entries per row, at most (width - 1)/m of the
+    buckets are -1.  Where the budget leaves fewer buckets than the padded
+    row width (a mixed pair at 300x20x20), every path searches.
+
+    The search is a binary search (inverse-CDF sampling by bisection,
     Devroye 1986, §III.2).  Each cumulative row is padded with +inf to a
     power-of-two width 2^k, and the search takes k one-element gathers per
     path: at half-width s it probes entry pos + s - 1 and moves pos up by s
     when that entry is <= u.  Its scratch is five O(n_paths) buffers, reused
-    from step to step.
+    from step to step; the bucket read shares them and adds a sixth.
 
     A table whose every row has exactly one positive entry, a pure
-    strategy's, is drawn by one lookup of that entry's index instead: its
-    cumulative row is 0 before the entry and +inf from it on, so the search
-    picks that index for every u in [0, 1).
+    strategy's, is drawn by one lookup of that entry's index instead: the
+    bucket table with m = 1, since its cumulative row is 0 before the entry
+    and +inf from it on, so no entry lies inside [0, 1).  For a pure pair,
+    _walk passes the X rows (x, f(x), g(x)) the pair can reach in place of
+    the whole transition table, so those rows get the buckets.
     """
     width = probs.shape[-1]
     rows = probs.reshape(-1, width)
-    positive = rows > 0.0
-    if np.all(positive.sum(axis=1) == 1):
-        picks = positive.argmax(axis=1)
+    picks = _pure_picks(rows)
+    if picks is not None:
         return lambda r, u: picks.take(r)
     span = 1 << (width - 1).bit_length()  # the least power of two >= width
     table = np.full((rows.shape[0], span), np.inf)
@@ -103,23 +171,53 @@ def _drawer(probs: np.ndarray, n_paths: int):
             break
     flat = table.ravel()
     halves = [span >> k for k in range(1, span.bit_length())]
+    # the bucket table is built before the buffers, so its scratch is freed first
+    buckets = _buckets(table, width)
     base = np.empty(n_paths, dtype=np.intp)
     pos = np.empty(n_paths, dtype=np.intp)
     probe = np.empty(n_paths, dtype=np.intp)
     vals = np.empty(n_paths)
     below = np.empty(n_paths, dtype=bool)
 
-    def draw(r: np.ndarray, u: np.ndarray) -> np.ndarray:
-        np.multiply(r, span, out=base)
-        np.copyto(pos, base)
+    def search(r: np.ndarray, u: np.ndarray) -> np.ndarray:
+        n = len(r)
+        np.multiply(r, span, out=base[:n])
+        np.copyto(pos[:n], base[:n])
         for s in halves:
-            np.add(pos, s - 1, out=probe)
+            np.add(pos[:n], s - 1, out=probe[:n])
             # every probe is in range: 'clip' only skips the buffered bounds check
-            flat.take(probe, out=vals, mode="clip")
-            np.less_equal(vals, u, out=below)
-            np.multiply(below, s, out=probe)
-            np.add(pos, probe, out=pos)
-        return pos - base
+            flat.take(probe[:n], out=vals[:n], mode="clip")
+            np.less_equal(vals[:n], u, out=below[:n])
+            np.multiply(below[:n], s, out=probe[:n])
+            np.add(pos[:n], probe[:n], out=pos[:n])
+        return pos[:n] - base[:n]
+
+    if buckets is None:
+        return search
+    m = buckets.shape[1]
+    buckets = buckets.ravel()
+    outside = np.empty(n_paths, dtype=bool)
+    top = np.float64(m).view(np.uint64)
+
+    def draw(r: np.ndarray, u: np.ndarray) -> np.ndarray:
+        # u*m is exact.  Read as unsigned integers, the bits of a float are
+        # in its order when it is >= 0 and above every such float when its
+        # sign is set, so the bits are below m's exactly for u in [0, 1),
+        # where truncation is the floor; any other u reads a clipped bucket
+        # and searches
+        np.multiply(u, m, out=vals)
+        np.greater_equal(vals.view(np.uint64), top, out=outside)
+        np.copyto(probe, vals, casting="unsafe")
+        np.multiply(r, m, out=base)
+        np.add(probe, base, out=probe)
+        got = buckets.take(probe, mode="clip")
+        np.less(got, 0, out=below)
+        np.logical_or(below, outside, out=below)
+        out = got.astype(np.intp)
+        miss = np.flatnonzero(below)
+        if miss.size:
+            out[miss] = search(r[miss], u[miss])
+        return out
 
     return draw
 
@@ -136,28 +234,52 @@ def _walk(
     """Check the inputs, then return a generator of n steps of n_paths paths.
 
     Each step is (x, a, b, y): int arrays over paths holding the state, both
-    actions and the next state.  A step draws one (3, n_paths) block of
-    uniforms u and picks each index as the first whose cumulative
-    probability exceeds u (see _drawer).
+    actions and the next state.  A step fills one (3, n_paths) block of
+    uniforms u, reused from step to step, and picks each index as the first
+    whose cumulative probability exceeds u (see _drawer).
+
+    When both strategies are pure, f and g, a path at x only ever reaches
+    row (x, f(x), g(x)) of the transition table, so next states are drawn
+    from those X rows, indexed by x.  On an assembled instance they are
+    formed as p1[x, f(x)] + p2[x, g(x)], the addition that builds the table,
+    so the table is never built; otherwise they are read from it.
     """
     n = _scalar("n", n, 1, integer=True)
     n_paths = _scalar("n_paths", n_paths, 1, integer=True)
     x0 = _scalar("x0", x0, 0, instance.n_states, integer=True)
     seed = _scalar("seed", seed, 0, integer=True)
-    draw_a = _drawer(check_strategy(instance, Phi, 1), n_paths)
-    draw_b = _drawer(check_strategy(instance, Psi, 2), n_paths)
-    draw_y = _drawer(instance.transition, n_paths)
-    na, nb = instance.n_actions_a, instance.n_actions_b
+    phi = check_strategy(instance, Phi, 1)
+    psi = check_strategy(instance, Psi, 2)
+    draw_a = _drawer(phi, n_paths)
+    draw_b = _drawer(psi, n_paths)
+    f, g = _pure_picks(phi), _pure_picks(psi)
+    if f is None or g is None:
+        draw_y = _drawer(instance.transition, n_paths)
+        na, nb = instance.n_actions_a, instance.n_actions_b
+
+        def row(x, a, b):
+            return (x * na + a) * nb + b
+    else:
+        xs = np.arange(instance.n_states)
+        if instance._assembled:
+            reach = instance.arat.p1[xs, f] + instance.arat.p2[xs, g]
+        else:
+            reach = instance.transition[xs, f, g]
+        draw_y = _drawer(reach, n_paths)
+
+        def row(x, a, b):
+            return x
 
     def steps():
         rng = np.random.default_rng(seed)
+        u = np.empty((3, n_paths))
         y = np.full(n_paths, x0)
         for _ in range(n):
             x = y
-            u = rng.random((3, n_paths))
+            rng.random(out=u)
             a = draw_a(x, u[0])
             b = draw_b(x, u[1])
-            y = draw_y((x * na + a) * nb + b, u[2])
+            y = draw_y(row(x, a, b), u[2])
             yield x, a, b, y
 
     return steps()

@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import rsgame as rs
-from rsgame.cli import main
+from rsgame.cli import build_parser, main
 
 from helpers import full_document, read_instance, write_document
 
@@ -677,6 +677,24 @@ class TestReportDeterminism:
         assert flags["opponent"] == "uniform"
         assert flags["max_iter"] == 100000
         assert "command" not in flags
+
+    def test_the_one_parser_gives_each_call_its_own_flags(self, g2_path, tmp_path):
+        # main parses with one parser per process; two calls with different
+        # flags write reports whose flags differ exactly where the flags do
+        assert build_parser() is build_parser()
+        outs = [tmp_path / "first.json", tmp_path / "second.json"]
+        assert main(["eval", "--instance", g2_path, "--phi", "uniform", "--psi", "uniform",
+                     "--horizon", "5", "--mc", "--paths", "40", "--seed", "3",
+                     "-o", str(outs[0])]) == 0
+        assert main(["eval", "--instance", g2_path, "--phi", "uniform", "--psi", "uniform",
+                     "--theta", "0.5", "-o", str(outs[1])]) == 0
+        first, second = (json.loads(out.read_text())["flags"] for out in outs)
+        changed = {k for k in first.keys() | second.keys() if first.get(k) != second.get(k)}
+        assert changed == {"horizon", "mc", "paths", "seed", "theta", "output"}
+        assert (first["horizon"], first["mc"], first["paths"], first["seed"]) == (5, True, 40, 3)
+        assert (second["horizon"], second["mc"], second["paths"], second["seed"]) == (
+            None, False, 10_000, 0)
+        assert (first["theta"], second["theta"]) == (None, 0.5)
 
     def test_reports_roundtrip_seventeen_digit_floats(self, g2_path, capsys):
         code, report, err = run(

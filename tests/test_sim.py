@@ -4,13 +4,16 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 import rsgame as rs
-from rsgame import sim
+from rsgame import game_model, sim
 
 from helpers import corpus_instance, mix_transition, random_pair
 
@@ -170,6 +173,113 @@ class TestDrawRule:
                     for k in range(0, len(rows), n_paths)
                 ])
                 assert_array_equal(got, count_rule(rows, u))
+
+
+    # every power-of-two edge of the padded width, up to 66 entries a row
+    @pytest.mark.parametrize("n_paths", [1, 300])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63,
+                                       64, 65, 66])
+    @settings(max_examples=6, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(1, 5),
+        zero_share=st.sampled_from([0.0, 0.3, 0.8]),
+        dyadic=st.booleans(),
+        budget=st.integers(0, 2 * sim.BUCKET_BYTES),
+    )
+    def test_matches_the_count_rule_on_random_tables(
+        self, width, n_paths, seed, n_rows, zero_share, dyadic, budget
+    ):
+        # dyadic rows put cumulative entries on bucket edges; a budget that
+        # leaves fewer buckets than the padded width keeps the search alone,
+        # and the others give every power of two of buckets up to 2^19 a row
+        rng = np.random.default_rng(seed)
+        if dyadic:
+            rows = rng.multinomial(16, np.full(width, 1.0 / width), size=n_rows) / 16.0
+        else:
+            rows = rng.dirichlet(np.ones(width), size=n_rows)
+        rows[rng.random(rows.shape) < zero_share] = 0.0
+        rows[:, 0] += rows.sum(axis=1) == 0.0
+        rows /= rows.sum(axis=1, keepdims=True)
+        top = np.nextafter(1.0, 0.0)
+        ties = np.minimum(np.cumsum(rows, axis=1), top)
+        # on and just below every cumulative entry, 0, below 0 and the top
+        ends = np.tile([0.0, -0.0, -5e-324, -0.5, top], (n_rows, 1))
+        u = np.concatenate([ties, np.nextafter(ties, -1.0), ends], axis=1)
+        r = np.repeat(np.arange(n_rows), u.shape[1])
+        u = u.ravel()
+        want = count_rule(rows[r], u)
+        with mock.patch.object(sim, "BUCKET_BYTES", budget):
+            draw = sim._drawer(rows, n_paths)
+        if sim._pure_picks(rows) is not None:
+            # a pure table is looked up: the count rule's pick for every u in [0, 1)
+            keep = u >= 0.0
+            r, u, want = r[keep], u[keep], want[keep]
+        pad = -len(r) % n_paths
+        r, u = np.append(r, np.zeros(pad, dtype=r.dtype)), np.append(u, np.zeros(pad))
+        got = np.concatenate([
+            draw(r[k:k + n_paths], u[k:k + n_paths]) for k in range(0, len(r), n_paths)
+        ])
+        assert_array_equal(got[:len(want)], want)
+
+    def test_the_build_peak_stays_near_the_search_tables(self):
+        # the search's cumulative table and buffers took 1.09 MB here before
+        # the bucket table; its build's scratch is held below the table's size
+        table = rs.random_instance(11, dims=(50, 4, 4), min_prob=0.002).transition
+        tracemalloc.start()
+        try:
+            sim._drawer(table, 20_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2**20
+
+
+class TestReachableRows:
+    """A pure pair's walk draws next states from the X rows (x, f(x), g(x))."""
+
+    @staticmethod
+    def pure_pair(inst, rng):
+        rows_a = np.eye(inst.n_actions_a)[rng.integers(inst.n_actions_a, size=inst.n_states)]
+        rows_b = np.eye(inst.n_actions_b)[rng.integers(inst.n_actions_b, size=inst.n_states)]
+        return rs.StationaryStrategy(1, rows_a), rs.StationaryStrategy(2, rows_b)
+
+    def test_an_assembled_instance_builds_no_table(self, monkeypatch):
+        inst = rs.random_instance(11, dims=(50, 4, 4), min_prob=0.002, arat_flag=True)
+        held = rs.GameInstance(inst.transition, inst.cost1, inst.cost2)  # built here, then dropped
+        inst = rs.random_instance(11, dims=(50, 4, 4), min_prob=0.002, arat_flag=True)
+        phi, psi = self.pure_pair(inst, np.random.default_rng(2))
+
+        def refused(arat):
+            raise AssertionError("the walk built the transition table")
+
+        monkeypatch.setattr(game_model, "_sum_table", refused)
+        est = rs.mc_cost_estimate(inst, phi, psi, x=1, n=30, n_paths=400, seed=5)
+        traj = rs.sample_path(inst, phi, psi, x0=1, n=25, seed=9)
+        assert "transition" not in inst.__dict__
+        # the rows p1[x, f(x)] + p2[x, g(x)] draw what the held table's rows draw
+        held_est = rs.mc_cost_estimate(held, phi, psi, x=1, n=30, n_paths=400, seed=5)
+        assert [(e.value, e.std_error) for e in est] == [
+            (e.value, e.std_error) for e in held_est]
+        held_traj = rs.sample_path(held, phi, psi, x0=1, n=25, seed=9)
+        for name in ("states", "actions_a", "actions_b", "cost_sums"):
+            assert_array_equal(getattr(traj, name), getattr(held_traj, name))
+
+    def test_a_mixed_pair_draws_from_the_whole_table(self, monkeypatch):
+        inst = rs.random_instance(11, dims=(6, 2, 3), min_prob=0.002, arat_flag=True)
+        phi, psi = self.pure_pair(inst, np.random.default_rng(2))
+        mixed = rs.uniform_strategy(inst, 2)
+        built, build = [], game_model._sum_table
+
+        def counted(arat):
+            built.append(arat)
+            return build(arat)
+
+        monkeypatch.setattr(game_model, "_sum_table", counted)
+        rs.mc_cost_estimate(inst, phi, psi, x=0, n=5, n_paths=10, seed=0)
+        assert built == []
+        rs.mc_cost_estimate(inst, phi, mixed, x=0, n=5, n_paths=10, seed=0)
+        assert len(built) == 1 and built[0] is inst.arat
 
 
 class TestMcCostEstimate:

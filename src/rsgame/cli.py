@@ -24,7 +24,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from typing import Any
 
 from . import __version__
@@ -35,7 +35,7 @@ from .game_model import (
     GameInstance,
     StationaryStrategy,
     _scalar,
-    assemble_from_arat,
+    _with_theta,
     check_strategy,
     dumps_decimal,
     g2_instance,
@@ -165,19 +165,9 @@ def _read(path: str, parse):
 
 
 def _load_instance(args) -> GameInstance:
-    """The --instance document's instance, with --theta in place of its theta when given.
-
-    An instance assembled from its decomposition is assembled again with
-    the new theta, so its table stays unbuilt; ``replace`` would read, and
-    so build, it.  An instance holding a given table is copied by
-    ``replace`` and shares its tables.
-    """
+    """The --instance document's instance, with --theta in place of its theta when given."""
     instance = _read(args.instance, instance_from_dict)
-    if args.theta is None:
-        return instance
-    if instance._assembled:
-        return assemble_from_arat(instance.arat, args.theta, instance.anchor_state)
-    return replace(instance, theta=args.theta)
+    return instance if args.theta is None else _with_theta(instance, args.theta)
 
 
 def _strategy(spec: str | None, instance: GameInstance, player: int) -> StationaryStrategy:

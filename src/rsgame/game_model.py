@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Any, Iterable, Sequence
 
@@ -330,6 +330,16 @@ class GameInstance:
             return (self.transition,)
         a = self.arat
         return (row + p2 for p1, p2 in zip(a.p1, a.p2) for row in p1[:, None])
+
+    def _transition_rows(self, x, a, b) -> np.ndarray:
+        """The rows ``transition[x, a, b]``, without building the table.
+
+        An unbuilt table's rows are ``p1[x, a] + p2[x, b]``, the addition
+        that builds it, so they have the built rows' bits.
+        """
+        if "transition" in self.__dict__:
+            return self.transition[x, a, b]
+        return self.arat.p1[x, a] + self.arat.p2[x, b]
 
     @property
     def n_states(self) -> int:
@@ -747,6 +757,19 @@ def assemble_from_arat(
     cost1 = _frozen(arat.c11[:, :, None] + arat.c12[:, None, :])
     cost2 = _frozen(arat.c21[:, :, None] + arat.c22[:, None, :])
     return GameInstance(_UNBUILT, cost1, cost2, theta, anchor_state, arat)
+
+
+def _with_theta(instance: GameInstance, theta: float) -> GameInstance:
+    """The instance with theta in place of its own.
+
+    An assembled instance is assembled again with the new theta, so its
+    table stays unbuilt; ``replace`` would read, and so build, it.  An
+    instance holding a given table is copied by ``replace`` and shares its
+    tables.
+    """
+    if instance._assembled:
+        return assemble_from_arat(instance.arat, theta, instance.anchor_state)
+    return replace(instance, theta=theta)
 
 
 def random_instance(

@@ -16,10 +16,12 @@ pick of every uniform in it unless a cumulative entry falls inside it.  The
 paths that land on such a bucket fall back to a vectorised binary search
 over the cumulative row, log2 of the row width in gathers per path, which
 every path takes when the budget leaves fewer buckets than the row is
-wide.  A pure strategy's actions are looked up, one gather per path.  When
-both strategies are pure, next states are drawn from the X rows the pair
-can reach, (x, f(x), g(x)), which an assembled instance forms from its
-decomposition without building the transition table.
+wide.  The walk (_walk) decides once what each draw reads: a pure
+strategy's action is looked up, one gather per path, and when both
+strategies are pure, next states are drawn from the X rows the pair can
+reach, (x, f(x), g(x)), which an instance with an unbuilt table forms from
+its decomposition.  Costs are taken by the row each next state is drawn
+from.
 
 mc_cost_estimate targets the n-th increment of the log moment generating
 function, ln E_x[e^{theta S_n}] - ln E_x[e^{theta S_{n-1}}] — the exact
@@ -136,7 +138,9 @@ def _drawer(probs: np.ndarray, n_paths: int):
     paths that land on a -1, or whose u lies outside [0, 1), search.  With
     at most width - 1 finite entries per row, at most (width - 1)/m of the
     buckets are -1.  Where the budget leaves fewer buckets than the padded
-    row width (a mixed pair at 300x20x20), every path searches.
+    row width (a mixed pair at 300x20x20), every path searches.  A pure
+    row's cumulative entries are 0 before its one entry and +inf from it
+    on, so none lies inside [0, 1) and none of its buckets is -1.
 
     The search is a binary search (inverse-CDF sampling by bisection,
     Devroye 1986, §III.2).  Each cumulative row is padded with +inf to a
@@ -144,19 +148,9 @@ def _drawer(probs: np.ndarray, n_paths: int):
     path: at half-width s it probes entry pos + s - 1 and moves pos up by s
     when that entry is <= u.  Its scratch is five O(n_paths) buffers, reused
     from step to step; the bucket read shares them and adds a sixth.
-
-    A table whose every row has exactly one positive entry, a pure
-    strategy's, is drawn by one lookup of that entry's index instead: the
-    bucket table with m = 1, since its cumulative row is 0 before the entry
-    and +inf from it on, so no entry lies inside [0, 1).  For a pure pair,
-    _walk passes the X rows (x, f(x), g(x)) the pair can reach in place of
-    the whole transition table, so those rows get the buckets.
     """
     width = probs.shape[-1]
     rows = probs.reshape(-1, width)
-    picks = _pure_picks(rows)
-    if picks is not None:
-        return lambda r, u: picks.take(r)
     span = 1 << (width - 1).bit_length()  # the least power of two >= width
     table = np.full((rows.shape[0], span), np.inf)
     np.cumsum(rows, axis=1, out=table[:, :width])
@@ -231,18 +225,22 @@ def _walk(
     n_paths: int,
     seed: int,
 ):
-    """Check the inputs, then return a generator of n steps of n_paths paths.
+    """Check the inputs, then return the cost columns and a generator of n steps.
 
-    Each step is (x, a, b, y): int arrays over paths holding the state, both
-    actions and the next state.  A step fills one (3, n_paths) block of
+    Each step is (x, a, b, r, y): int arrays over n_paths paths holding the
+    state, both actions, the row r that y is drawn from and the next state.
+    The costs are a [player, row] table, so both players' costs of a step
+    are costs.take(r, axis=1).  A step fills one (3, n_paths) block of
     uniforms u, reused from step to step, and picks each index as the first
     whose cumulative probability exceeds u (see _drawer).
 
-    When both strategies are pure, f and g, a path at x only ever reaches
-    row (x, f(x), g(x)) of the transition table, so next states are drawn
-    from those X rows, indexed by x.  On an assembled instance they are
-    formed as p1[x, f(x)] + p2[x, g(x)], the addition that builds the table,
-    so the table is never built; otherwise they are read from it.
+    Purity is decided here, once per strategy.  A pure strategy f's action
+    at x is f(x), looked up whatever the other strategy is.  When both are
+    pure, f and g, a path at x only ever reaches row (x, f(x), g(x)) of the
+    transition table, so r = x over those X rows, formed from the
+    decomposition while the table is unbuilt, and the costs are the X
+    columns c_i[x, f(x), g(x)].  Otherwise r = (x*A + a)*B + b over the
+    whole table and its flat cost columns.
     """
     n = _scalar("n", n, 1, integer=True)
     n_paths = _scalar("n_paths", n_paths, 1, integer=True)
@@ -250,25 +248,18 @@ def _walk(
     seed = _scalar("seed", seed, 0, integer=True)
     phi = check_strategy(instance, Phi, 1)
     psi = check_strategy(instance, Psi, 2)
-    draw_a = _drawer(phi, n_paths)
-    draw_b = _drawer(psi, n_paths)
     f, g = _pure_picks(phi), _pure_picks(psi)
-    if f is None or g is None:
-        draw_y = _drawer(instance.transition, n_paths)
-        na, nb = instance.n_actions_a, instance.n_actions_b
-
-        def row(x, a, b):
-            return (x * na + a) * nb + b
-    else:
+    draw_a = _drawer(phi, n_paths) if f is None else lambda x, u: f.take(x)
+    draw_b = _drawer(psi, n_paths) if g is None else lambda x, u: g.take(x)
+    pure = f is not None and g is not None
+    if pure:
         xs = np.arange(instance.n_states)
-        if instance._assembled:
-            reach = instance.arat.p1[xs, f] + instance.arat.p2[xs, g]
-        else:
-            reach = instance.transition[xs, f, g]
-        draw_y = _drawer(reach, n_paths)
-
-        def row(x, a, b):
-            return x
+        draw_y = _drawer(instance._transition_rows(xs, f, g), n_paths)
+        costs = np.stack([instance.cost1[xs, f, g], instance.cost2[xs, f, g]])
+    else:
+        draw_y = _drawer(instance.transition, n_paths)
+        costs = np.stack([instance.cost1, instance.cost2]).reshape(2, -1)
+    na, nb = instance.n_actions_a, instance.n_actions_b
 
     def steps():
         rng = np.random.default_rng(seed)
@@ -279,10 +270,11 @@ def _walk(
             rng.random(out=u)
             a = draw_a(x, u[0])
             b = draw_b(x, u[1])
-            y = draw_y(row(x, a, b), u[2])
-            yield x, a, b, y
+            r = x if pure else (x * na + a) * nb + b
+            y = draw_y(r, u[2])
+            yield x, a, b, r, y
 
-    return steps()
+    return costs, steps()
 
 
 def sample_path(
@@ -305,10 +297,10 @@ def sample_path(
         n: number of steps, an integer >= 1.
         seed: seed of the one generator every draw comes from, an integer >= 0.
     """
-    steps = zip(*_walk(instance, Phi, Psi, x0, n, 1, seed))
-    x, a, b, y = (np.concatenate(v) for v in steps)
-    costs = np.stack([instance.cost1[x, a, b], instance.cost2[x, a, b]])
-    cost_sums = np.concatenate([np.zeros((2, 1)), np.cumsum(costs, axis=1)], axis=1)
+    costs, steps = _walk(instance, Phi, Psi, x0, n, 1, seed)
+    x, a, b, r, y = (np.concatenate(v) for v in zip(*steps))
+    cost_sums = np.cumsum(costs.take(r, axis=1), axis=1)
+    cost_sums = np.concatenate([np.zeros((2, 1)), cost_sums], axis=1)
     return Trajectory(np.append(x, y[-1]), a, b, cost_sums)
 
 
@@ -341,13 +333,10 @@ def mc_cost_estimate(
         n_paths: number of paths, an integer >= 1.
         seed: seed of the one generator every draw comes from, an integer >= 0.
     """
-    # both cost tables as [player, flat (x, a, b)] columns: one take per step
-    costs = np.stack([instance.cost1, instance.cost2]).reshape(2, -1)
-    na, nb = instance.n_actions_a, instance.n_actions_b
-    steps = _walk(instance, Phi, Psi, x, n, n_paths, seed)
+    costs, steps = _walk(instance, Phi, Psi, x, n, n_paths, seed)
     total = prev_total = np.zeros((2, n_paths))
-    for xs, a, b, _ in steps:
-        prev_total, total = total, total + costs.take((xs * na + a) * nb + b, axis=1)
+    for *_, r, _ in steps:
+        prev_total, total = total, total + costs.take(r, axis=1)
     return tuple(
         _estimate(instance.theta * s_n, instance.theta * s_m, n, seed)
         for s_n, s_m in zip(total, prev_total)

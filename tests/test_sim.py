@@ -129,13 +129,21 @@ class TestDrawRule:
         ]
 
     def test_pure_rows_draw_their_one_action_for_every_u(self):
+        # a pure table has no rule of its own: on [0, 1) the count rule
+        # picks each row's one positive index
         rows = np.eye(5)[[3, 0, 4, 4, 1, 2]]
         u = np.array([0.0, 0.2, 0.5, 0.7, 0.9, np.nextafter(1.0, 0.0)])
         draw = sim._drawer(rows, len(u))
         for r in range(len(rows)):
-            got = draw(np.full(len(u), r), u)
-            assert_array_equal(got, count_rule(rows[[r] * len(u)], u))
-            assert got.tolist() == [[3, 0, 4, 4, 1, 2][r]] * len(u)
+            want = count_rule(rows[[r] * len(u)], u)
+            assert_array_equal(draw(np.full(len(u), r), u), want)
+            assert want.tolist() == [[3, 0, 4, 4, 1, 2][r]] * len(u)
+
+    def test_a_pure_table_follows_the_count_rule_below_zero(self):
+        # no entry of either row is <= -0.5, so the count rule picks index 0,
+        # not the row's one positive index
+        draw = sim._drawer(np.eye(3)[[2, 1]], 2)
+        assert draw(np.arange(2), np.full(2, -0.5)).tolist() == [0, 0]
 
     def test_a_mixed_row_keeps_the_table_on_the_search(self):
         pure = np.eye(4)[[2, 0, 3]]
@@ -146,11 +154,8 @@ class TestDrawRule:
         mixed = draw(np.full(len(u), 3), u)
         assert mixed.tolist() == [0, 1, 3, 3]
         assert_array_equal(mixed, count_rule(table[[3] * len(u)], u))
-        # and the pure rows draw on the search what the lookup draws
-        lookup = sim._drawer(pure, len(u))
         for r in range(len(pure)):
-            rows = np.full(len(u), r)
-            assert_array_equal(draw(rows, u), lookup(rows, u))
+            assert_array_equal(draw(np.full(len(u), r), u), count_rule(table[[r] * len(u)], u))
 
     # widths on both sides of a power of two cover the +inf padding; one
     # path per call reuses the scratch buffers across 300 calls
@@ -211,10 +216,6 @@ class TestDrawRule:
         want = count_rule(rows[r], u)
         with mock.patch.object(sim, "BUCKET_BYTES", budget):
             draw = sim._drawer(rows, n_paths)
-        if sim._pure_picks(rows) is not None:
-            # a pure table is looked up: the count rule's pick for every u in [0, 1)
-            keep = u >= 0.0
-            r, u, want = r[keep], u[keep], want[keep]
         pad = -len(r) % n_paths
         r, u = np.append(r, np.zeros(pad, dtype=r.dtype)), np.append(u, np.zeros(pad))
         got = np.concatenate([
@@ -280,6 +281,34 @@ class TestReachableRows:
         assert built == []
         rs.mc_cost_estimate(inst, phi, mixed, x=0, n=5, n_paths=10, seed=0)
         assert len(built) == 1 and built[0] is inst.arat
+
+
+class TestCostsByRow:
+    """The walk takes both players' costs by the row each next state is drawn from."""
+
+    @staticmethod
+    def pairs(inst):
+        rng = np.random.default_rng(2)
+        pure = TestReachableRows.pure_pair(inst, rng)
+        mixed = random_pair(inst, rng)
+        return {"pure": pure, "half-pure": (pure[0], mixed[1]), "mixed": mixed}
+
+    @pytest.mark.parametrize("pair", ["pure", "half-pure", "mixed"])
+    def test_cost_sums_are_the_running_costs_of_the_path(self, pair):
+        # the held-table copy is built from a second instance, so the first
+        # keeps its table unbuilt until a walk reads it
+        inst = rs.random_instance(11, (6, 2, 3), 0.002, arat_flag=True)
+        twin = rs.random_instance(11, (6, 2, 3), 0.002, arat_flag=True)
+        held = rs.GameInstance(twin.transition, twin.cost1, twin.cost2)
+        phi, psi = self.pairs(inst)[pair]
+        paths = [rs.sample_path(game, phi, psi, x0=2, n=40, seed=7) for game in (inst, held)]
+        for traj in paths:
+            x, a, b = traj.states[:-1], traj.actions_a, traj.actions_b
+            for i, cost in enumerate((inst.cost1, inst.cost2)):
+                want = np.concatenate([[0.0], np.cumsum(cost[x, a, b])])
+                assert_array_equal(traj.cost_sums[i], want)
+        for name in ("states", "actions_a", "actions_b", "cost_sums"):
+            assert_array_equal(getattr(paths[0], name), getattr(paths[1], name))
 
 
 class TestMcCostEstimate:

@@ -58,12 +58,7 @@ from .spectral import (
     perron_value,
     twisted_matrix,
 )
-from .transforms import (
-    log_twisted_tensor,
-    normalized_kernel,
-    relative_entropy,
-    twisted_measure,
-)
+from .transforms import log_twisted_tensor, normalized_kernel, twisted_measure
 
 __all__ = [
     "AratStructure", "AssumptionCheck", "AssumptionError", "BruteForceResult",
@@ -75,8 +70,7 @@ __all__ = [
     "instance_digest", "instance_from_dict", "instance_to_dict",
     "log_twisted_tensor", "mc_cost_estimate", "measured_contraction",
     "mixed_objective", "normalized_kernel", "perron_value", "pure_strategy",
-    "random_instance", "relative_entropy", "require_solvable", "sample_path",
-    "solve_optimality", "span", "strategy_from_dict", "strategy_to_dict",
-    "twisted_matrix", "twisted_measure", "uniform_strategy", "validate",
-    "verify_certificate",
+    "random_instance", "require_solvable", "sample_path", "solve_optimality",
+    "span", "strategy_from_dict", "strategy_to_dict", "twisted_matrix",
+    "twisted_measure", "uniform_strategy", "validate", "verify_certificate",
 ]

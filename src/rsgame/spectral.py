@@ -18,7 +18,7 @@ time average (1/n) ln (Q^n 1)(x), exposed as horizon_log_mgf / n, carries an
 O(1/n) bias from the eigenvector spread and is kept for documentation of
 the prelimit.
 
-Q is held as ln Q, built by transforms.log_twisted_tensor, and every
+Q is held as ln Q, built as transforms.log_twisted_tensor builds it, and every
 product runs in log space on the row-shifted matrix K = e^{ln Q - rowmax}
 <= 1 with a max-normalized vector, so large theta * cost cannot overflow.
 The roots are kept apart from the Bellman solvers' value iteration, so the
@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .game_model import GameInstance, StationaryStrategy, _scalar, check_strategy
-from .transforms import log_twisted_tensor
+from .transforms import _log_kernel
 
 if TYPE_CHECKING:
     from .bellman import _Kernel
@@ -56,12 +56,15 @@ def twisted_matrix(
 ) -> np.ndarray:
     """ln Q[x][y], Q[x][y] = sum_{a,b} Phi(a|x) Psi(b|x) e^{theta*c_i(x,a,b)} P(y|x,a,b).
 
+    The strategies' rows were checked when they were built, so they are
+    mixed in as they are, by the same route as log_twisted_tensor.
+
     Args:
         player: i, the integer 1 or 2.
     """
-    return log_twisted_tensor(
-        instance, player, check_strategy(instance, Phi, 1), check_strategy(instance, Psi, 2)
-    )
+    phi, psi = check_strategy(instance, Phi, 1), check_strategy(instance, Psi, 2)
+    player = _scalar("player", player, 1, 2, integer=True, ends="[]")
+    return _log_kernel(instance, player, slice(None), phi, psi)
 
 
 def _over_states(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import rsgame as rs
+from rsgame.transforms import relative_entropy
 
 from helpers import (
     corpus_instance,
@@ -119,7 +120,7 @@ def test_criterion_3_entropy_dual_representation(capsys):
             # the twisted measure must beat 1e4 random simplex points
             _, p_hat = rs.normalized_kernel(inst, 2, x, phi.rows[x], psi.rows[x])
             mu_star = rs.twisted_measure(p_hat, v)
-            best = float(mu_star @ v) - rs.relative_entropy(mu_star, p_hat)
+            best = float(mu_star @ v) - relative_entropy(mu_star, p_hat)
             mus = rng.dirichlet(np.ones(inst.n_states), size=10_000)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where(mus > 0.0, mus / p_hat, 1.0)

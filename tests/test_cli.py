@@ -137,8 +137,13 @@ class TestInstanceDocuments:
     def test_both_forms_give_the_same_reports(self, g2, tmp_path, capsys, dims):
         inst = g2 if dims is None else rs.random_instance(
             11, dims=dims, min_prob=0.002, arat_flag=True)
-        paths = (write_document(tmp_path / "slim.json", rs.instance_to_dict(inst)),
-                 write_document(tmp_path / "full.json", full_document(inst)))
+        document = rs.instance_to_dict(inst)
+        # the slim form also as compact JSON with its keys in reverse order
+        compact = tmp_path / "compact.json"
+        compact.write_text(json.dumps(dict(reversed(list(document.items()))),
+                                      separators=(",", ":")))
+        paths = (write_document(tmp_path / "slim.json", document),
+                 write_document(tmp_path / "full.json", full_document(inst)), str(compact))
         assert "transition" not in json.loads(Path(paths[0]).read_text())
         for argv in (
             ["validate"], ["validate", "--theta", "3"],
@@ -155,9 +160,33 @@ class TestInstanceDocuments:
                     report.pop("wall_clock_s")
                     report["flags"].pop("instance")
                 outputs.append((code, json.dumps(report), err))
-            assert outputs[0] == outputs[1], argv
-        # brute covers g2's grid and refuses the 50x4x4 one, in either form
+            assert outputs[0] == outputs[1] == outputs[2], argv
+        # brute covers g2's grid and refuses the 50x4x4 one, in every form
         assert outputs[0][0] == (0 if dims is None else 2)
+
+    @pytest.mark.parametrize("dims", [None, (50, 4, 4)], ids=["g2", "50x4x4"])
+    def test_the_table_route_gives_the_same_values(self, g2, tmp_path, capsys, dims):
+        """Without its decomposition an instance's tables take the table route,
+        whose sweeps and mixes agree with the split route's to 1e-12."""
+        inst = g2 if dims is None else rs.random_instance(
+            11, dims=dims, min_prob=0.002, arat_flag=True)
+        table = full_document(inst)
+        del table["arat"]
+        paths = (write_document(tmp_path / "slim.json", rs.instance_to_dict(inst)),
+                 write_document(tmp_path / "table.json", table))
+        assert read_instance(paths[1])._exact_arat is None
+        for player in ("1", "2"):
+            split, held = (run(["solve", "--instance", path, "--player", player,
+                                "--opponent", "uniform"], capsys)[1] for path in paths)
+            assert abs(split["rho"] - held["rho"]) <= 1e-12
+            assert_allclose(split["v"], held["v"], rtol=0, atol=1e-12)
+            assert split["tied_actions"] == held["tied_actions"]
+        split, held = (run(["eval", "--instance", path, "--phi", "uniform", "--psi", "uniform",
+                            "--horizon", "50"], capsys)[1] for path in paths)
+        for key in ("J1", "J2"):
+            assert abs(split[key] - held[key]) <= 1e-12, key
+        for key in ("growth1", "growth2"):
+            assert abs(split["finite_horizon"][key] - held["finite_horizon"][key]) <= 1e-12, key
 
     def test_partial_documents_name_the_first_missing_table(self, g2):
         document = rs.instance_to_dict(g2)

@@ -49,7 +49,8 @@ G2_EPS2_UNIFORM = 0.29219861007968612
 
 
 def count_kernel_builds(monkeypatch) -> list:
-    """Record every log_twisted_tensor call, at each module that binds it, and
+    """Record every log_twisted_tensor call, at each module that binds it,
+    every twisted_matrix kernel, which spectral builds from _log_kernel, and
     every table-route solve kernel, which bellman builds from _table_side."""
     calls = []
 
@@ -59,8 +60,9 @@ def count_kernel_builds(monkeypatch) -> list:
             return original(*args, **kwargs)
         return call
 
-    for module in (rs.bellman, rs.spectral, nash):
+    for module in (rs.bellman, nash):
         monkeypatch.setattr(module, "log_twisted_tensor", counted(rs.log_twisted_tensor))
+    monkeypatch.setattr(rs.spectral, "_log_kernel", counted(rs.spectral._log_kernel))
     monkeypatch.setattr(rs.bellman, "_table_side", counted(rs.bellman._table_side))
     return calls
 
@@ -299,6 +301,14 @@ class TestBestResponseDynamics:
                      for name in CERTIFICATE_FIELDS[:6]) == snapped
         assert rows_digest(cert) == "cc22053bc669b224"
         assert rs.verify_certificate(inst, cert, nash.DEFAULT_EPS_TARGET)
+
+    def test_the_report_corpus_det_instance_certifies_in_the_pure_stage(self):
+        # tools/report_hashes.py runs eval --mc on this pair as its pure pair
+        inst = rs.random_instance(3, dims=(40, 5, 5), min_prob=0.002, arat_flag=True)
+        cert = rs.best_response_dynamics(inst)
+        assert cert.converged and cert.stage == "pure"
+        assert np.all(cert.Phi.rows.max(axis=1) == 1.0)
+        assert np.all(cert.Psi.rows.max(axis=1) == 1.0)
 
     @pytest.mark.parametrize("seed", sorted(CYCLERS))
     def test_a_cycle_of_pure_responses_falls_back_to_the_logit_dynamics(self, seed):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -536,3 +537,25 @@ def test_package_import_leaves_scipy_out():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+def test_cli_runs_gen_and_mc_without_scipy(tmp_path):
+    """gen, then eval --mc, in a process where any import of scipy fails."""
+    src = str(Path(rs.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from rsgame.cli import main\n"
+        "sys.exit(main(['gen', '--states', '6', '--seed', '1', '-o', 'instance.json'])\n"
+        "         or main(['eval', '--instance', 'instance.json', '--phi', 'uniform',\n"
+        "                  '--psi', 'uniform', '--horizon', '20', '--mc', '--paths', '500',\n"
+        "                  '-o', 'eval.json']))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads((tmp_path / "eval.json").read_text())
+    assert set(report["mc"]) == {"player1", "player2"}

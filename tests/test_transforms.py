@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import rsgame as rs
 from rsgame import transforms
-from rsgame.transforms import log_twisted_tensor
+from rsgame.transforms import log_twisted_tensor, relative_entropy
 
 from helpers import (
     all_rows_normalized_kernel,
@@ -590,6 +590,13 @@ class TestScalarGate:
             assert str(raised.value) == message
 
     @pytest.mark.parametrize("player, message", PLAYERS)
+    def test_twisted_matrix(self, g2_route, player, message):
+        phi, psi = rs.uniform_strategy(g2_route, 1), rs.uniform_strategy(g2_route, 2)
+        with pytest.raises(ValueError) as raised:
+            rs.twisted_matrix(g2_route, player, phi, psi)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("player, message", PLAYERS)
     def test_normalized_kernel(self, g2_route, player, message):
         with pytest.raises(ValueError) as raised:
             rs.normalized_kernel(g2_route, player, 0, UNIFORM2, UNIFORM2)
@@ -620,6 +627,26 @@ class TestStrategyRows:
             log_twisted_tensor(g2_route, 1, bad, good)
         with pytest.raises(ValueError, match="psi " + message):
             log_twisted_tensor(g2_route, 2, good, bad)
+
+    @pytest.mark.parametrize("dims", [None, (50, 4, 4)], ids=["g2", "50x4x4"])
+    def test_twisted_matrix_mixes_checked_strategies_without_a_second_check(
+        self, g2_route, monkeypatch, dims
+    ):
+        """A strategy's rows were checked when it was built; ln Q is log_twisted_tensor's."""
+        inst = g2_route
+        if dims is not None:  # the same route at 50x4x4
+            inst = rs.random_instance(11, dims=dims, min_prob=0.002, arat_flag=True)
+            if g2_route._exact_arat is None:
+                inst = rs.GameInstance(inst.transition, inst.cost1, inst.cost2, inst.theta)
+        phi, psi = random_pair(inst, np.random.default_rng(4))
+        want = [log_twisted_tensor(inst, player, phi.rows, psi.rows) for player in (1, 2)]
+
+        def refused(*args):
+            raise AssertionError("strategy rows checked a second time")
+
+        monkeypatch.setattr(transforms, "_probability_rows", refused)
+        for player in (1, 2):
+            assert_array_equal(rs.twisted_matrix(inst, player, phi, psi), want[player - 1])
 
     def test_rows_within_the_tolerance_are_kept_as_given(self, g2_route):
         """No renormalization: a row summing to 1 + 5e-10 mixes in as it is."""
@@ -654,10 +681,10 @@ class TestTwistedMeasure:
         p = rng.dirichlet(np.ones(4))
         v = rng.normal(scale=2.0, size=4)
         mu_star = rs.twisted_measure(p, v)
-        best = float(mu_star @ v) - rs.relative_entropy(mu_star, p)
+        best = float(mu_star @ v) - relative_entropy(mu_star, p)
         for _ in range(2000):
             mu = rng.dirichlet(np.ones(4))
-            val = float(mu @ v) - rs.relative_entropy(mu, p)
+            val = float(mu @ v) - relative_entropy(mu, p)
             assert val <= best + 1e-12
         # and the attained value is the log-partition function
         assert best == pytest.approx(math.log(float(p @ np.exp(v))), abs=1e-12)
@@ -670,23 +697,23 @@ class TestTwistedMeasure:
 class TestRelativeEntropy:
     def test_identical_is_zero(self):
         p = np.array([0.3, 0.7])
-        assert rs.relative_entropy(p, p) == 0.0
+        assert relative_entropy(p, p) == 0.0
 
     def test_point_vs_uniform_literal(self):
-        assert rs.relative_entropy([1.0, 0.0], [0.5, 0.5]) == pytest.approx(
+        assert relative_entropy([1.0, 0.0], [0.5, 0.5]) == pytest.approx(
             math.log(2.0), rel=1e-15
         )
 
     def test_off_support_is_infinite(self):
-        assert rs.relative_entropy([1.0, 0.0], [0.0, 1.0]) == np.inf
-        assert rs.relative_entropy([0.5, 0.5], [1.0, 0.0]) == np.inf
+        assert relative_entropy([1.0, 0.0], [0.0, 1.0]) == np.inf
+        assert relative_entropy([0.5, 0.5], [1.0, 0.0]) == np.inf
 
     def test_nonnegative_and_zero_only_at_equality(self):
         rng = np.random.default_rng(21)
         for _ in range(200):
             p = rng.dirichlet(np.ones(6))
             q = rng.dirichlet(np.ones(6))
-            kl = rs.relative_entropy(p, q)
+            kl = relative_entropy(p, q)
             assert kl >= 0.0
             assert kl > 0.0  # distinct draws almost surely differ
 

@@ -4,12 +4,13 @@ Two trees print the same lines exactly when they give the same bits on the
 corpus, so "this change leaves every number as it was" is one command run
 on each tree and compared with ``--against``.  The corpus:
 
-- every CLI report of the CI determinism instances (at one BLAS thread
-  count, which is CI's subject), and of the desk-2x2x2 and session-50x4x4
-  benchmark documents of bench seeds 1-3, each call made as the benchmark
-  makes it.  The documents are generated in a temporary directory.  A
-  report is hashed with its exit code, without ``wall_clock_s`` and with
-  its file paths relative to that directory;
+- every CLI report of the CI determinism instances (``CI_CALLS``, from
+  decomposition-only, full, table-only and key-reversed compact documents),
+  and of the desk-2x2x2 and session-50x4x4 benchmark documents of bench
+  seeds 1-3, each call made as the benchmark makes it.  The documents are
+  generated in a temporary directory.  A report is hashed with its exit
+  code, without ``wall_clock_s`` and with its file paths relative to that
+  directory;
 - the digest of every instance document above;
 - epsilon_gap on certify-300x20x20 seed 1's seven pairs;
 - measured_contraction of both players on g2 and on random 3x2x2 and
@@ -19,7 +20,10 @@ on each tree and compared with ``--against``.  The corpus:
 Floats are hashed by their exact bits (``float.hex`` or raw bytes).  An
 entry's hash is the first 16 hex digits of the sha256 of its text; the
 total hashes every entry line.  Bits may differ between CPUs, so compare
-two trees on one host.
+two trees on one host.  They must not differ between BLAS thread counts:
+CI runs the tool under OPENBLAS_NUM_THREADS=1, then under
+OPENBLAS_NUM_THREADS=2 with ``--against`` the first output, and fails if
+any entry differs.
 
 Usage, from the root of a checkout (its ``src`` and ``bench`` are used):
 
@@ -60,14 +64,20 @@ CI_INSTANCES = {
     "det-brute": "--states 2 --actions-a 2 --actions-b 2 --seed 3 --arat",
     "det-brute3": "--states 3 --actions-a 2 --actions-b 2 --seed 3 --arat",
 }
-#: the CI determinism step's calls: instance name -> argv after --instance
+#: eval --mc on det's nash pair, pure and half-pure: nash-phi.json and
+#: nash-psi.json hold the phi and psi of det's nash report
+MC_CALLS = ["eval --phi nash-phi.json --psi nash-psi.json --horizon 50 --mc --paths 2000",
+            "eval --phi nash-phi.json --psi uniform --horizon 50 --mc --paths 2000"]
+#: the CI determinism calls: instance name -> argv after --instance, where a
+#: .json argument names a document in the working directory
 CI_CALLS = {
     "det": ["nash", "validate", "solve --player 1 --opponent uniform",
             "solve --player 2 --opponent uniform",
-            "eval --phi uniform --psi uniform --horizon 50"],
+            "eval --phi uniform --psi uniform --horizon 50", *MC_CALLS],
+    "det-compact": ["nash"],
     "det-full": ["nash", "validate"],
     "det-table": ["solve --player 1 --opponent uniform", "solve --player 2 --opponent uniform",
-                  "eval --phi uniform --psi uniform --horizon 50"],
+                  "eval --phi uniform --psi uniform --horizon 50", *MC_CALLS],
     "det-table-instance": ["nash"],
     "det-cycle": ["nash"],
     "det-brute": ["brute --grid 0.05 --eps 0.05 --top 20"],
@@ -125,9 +135,13 @@ def _ci_documents(workdir: Path) -> dict[str, Path]:
         paths[name] = workdir / f"{name}.json"
         if cli.main(["gen", *flags.split(), "-o", str(paths[name])]) != 0:
             raise RuntimeError(f"gen {flags} failed")
+    doc = json.loads(paths["det"].read_text())
+    # the same document as compact JSON with its keys in reverse order
+    paths["det-compact"] = workdir / "det-compact.json"
+    paths["det-compact"].write_text(
+        json.dumps(dict(reversed(list(doc.items()))), separators=(",", ":")))
     # the decomposition's tables written out, with (full) and without (table)
     # the decomposition itself
-    doc = json.loads(paths["det"].read_text())
     instance = game_model.instance_from_dict(doc)
     arat = doc.pop("arat")
     doc.update((key, getattr(instance, key).tolist())
@@ -143,8 +157,12 @@ def _ci_entries(corpus: Corpus) -> None:
     for name, calls in CI_CALLS.items():
         corpus.instance(name, paths[name])
         for call in calls:
-            argv = call.split()
-            corpus.cli(f"{name} {call}", [argv[0], "--instance", str(paths[name]), *argv[1:]])
+            argv = [str(corpus.workdir / a) if a.endswith(".json") else a for a in call.split()]
+            report = corpus.cli(f"{name} {call}",
+                                [argv[0], "--instance", str(paths[name]), *argv[1:]])
+            if (name, call) == ("det", "nash"):
+                for key in ("phi", "psi"):
+                    (corpus.workdir / f"nash-{key}.json").write_text(json.dumps(report[key]))
 
 
 def _bench_entries(corpus: Corpus) -> None:
